@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .data import ComplexSample, covariance_summary
-from .exceptions import DegenerateCovariance, TooFewObservations
+from .exceptions import DegenerateCovariance, DomainError, TooFewObservations
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -145,7 +145,9 @@ def amp_ci_bootstrap(
     (1 -/+ level)/2 quantiles. Deterministic for a given seed.
     """
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+        raise DomainError(f"level must be in (0, 1), got {level}")
+    if not n_boot >= 1:
+        raise DomainError(f"n_boot must be >= 1, got {n_boot}")
     if sample.n < 2:
         raise TooFewObservations(
             f"bootstrap needs >= 2 observations, got {sample.n}"

@@ -200,26 +200,17 @@ def _cmd_simulate(args) -> int:
         return EXIT_OK
     if name == "fig5a":
         n = 4
-        cis = simulate_ci_distribution(n, reps, seed)
-        modified = ConditionIndexDistribution(n, "modified")
-        edelman = ConditionIndexDistribution(n, "edelman")
+        cis = np.sort(simulate_ci_distribution(n, reps, seed))
         xs = np.linspace(1.0, 20.0, 96)
-        rows = []
-        for x in xs:
-            rows.append(
-                [
-                    repr(float(x)),
-                    repr(float(edelman.pdf(x))),
-                    repr(float(modified.pdf(x))),
-                    repr(float((cis <= x).mean())),
-                ]
-            )
-        _emit(
-            _csv_lines(
-                ["x", "pdf_edelman", "pdf_modified", "empirical_cdf"], rows
-            ),
-            args.out,
+        columns = (
+            xs,
+            ConditionIndexDistribution(n, "edelman").pdf(xs),
+            ConditionIndexDistribution(n, "modified").pdf(xs),
+            np.searchsorted(cis, xs, side="right") / cis.size,  # empirical cdf
         )
+        rows = [[repr(float(v)) for v in row] for row in zip(*columns)]
+        _emit(_csv_lines(["x", "pdf_edelman", "pdf_modified", "empirical_cdf"],
+                         rows), args.out)
         return EXIT_OK
     if name == "fig5b":
         rows = []

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .data import ComplexSample, Design, GroupedDataset, align_paired
 from .distributions import f_critical
 from .exceptions import DesignMismatch, InvalidGraph
@@ -130,81 +131,6 @@ def _components(nodes: np.ndarray, adj: list[list[int]]) -> list[list[int]]:
     return out
 
 
-# Vectorized F statistics over node-by-observation matrices. These mirror
-# the per-sample tests in inference.py; test_clusters.py asserts agreement.
-
-def _f_rows_one_sample_t2circ(V: np.ndarray) -> np.ndarray:
-    n = V.shape[1]
-    m = V.mean(axis=1)
-    resid = (np.abs(V - m[:, None]) ** 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = n * (n - 1) * np.abs(m) ** 2 / resid
-    return np.where(resid > 0.0, f, np.inf)
-
-
-def _f_rows_one_sample_t2(V: np.ndarray) -> np.ndarray:
-    n = V.shape[1]
-    m = V.mean(axis=1)
-    dre = V.real - m.real[:, None]
-    dim = V.imag - m.imag[:, None]
-    a = (dre * dre).sum(axis=1) / (n - 1)
-    b = (dre * dim).sum(axis=1) / (n - 1)
-    c = (dim * dim).sum(axis=1) / (n - 1)
-    det = a * c - b * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = (c * m.real**2 - 2.0 * b * m.real * m.imag + a * m.imag**2) / det
-        f = n * q * (n - 2) / (2.0 * (n - 1))
-    return np.where(det > 0.0, f, np.inf)
-
-
-def _f_rows_two_sample_t2circ(V: np.ndarray, mask_a: np.ndarray) -> np.ndarray:
-    na = int(mask_a.sum())
-    nb = V.shape[1] - na
-    va = V[:, mask_a]
-    vb = V[:, ~mask_a]
-    ma = va.mean(axis=1)
-    mb = vb.mean(axis=1)
-    resid = (np.abs(va - ma[:, None]) ** 2).sum(axis=1) + (
-        np.abs(vb - mb[:, None]) ** 2
-    ).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = (na * nb / (na + nb)) * (na + nb - 2) * np.abs(ma - mb) ** 2 / resid
-    return np.where(resid > 0.0, f, np.inf)
-
-
-def _f_rows_two_sample_t2(V: np.ndarray, mask_a: np.ndarray) -> np.ndarray:
-    na = int(mask_a.sum())
-    nb = V.shape[1] - na
-    va = V[:, mask_a]
-    vb = V[:, ~mask_a]
-    ma = va.mean(axis=1)
-    mb = vb.mean(axis=1)
-
-    def scatter(v, m):
-        dre = v.real - m.real[:, None]
-        dim = v.imag - m.imag[:, None]
-        return (
-            (dre * dre).sum(axis=1),
-            (dre * dim).sum(axis=1),
-            (dim * dim).sum(axis=1),
-        )
-
-    aa, ab, ac = scatter(va, ma)
-    ba, bb, bc = scatter(vb, mb)
-    denom = na + nb - 2
-    pa = (aa + ba) / denom
-    pb = (ab + bb) / denom
-    pc = (ac + bc) / denom
-    det = pa * pc - pb * pb
-    dre = ma.real - mb.real
-    dim = ma.imag - mb.imag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = (pc * dre * dre - 2.0 * pb * dre * dim + pa * dim * dim) / det
-        t2 = (na * nb / (na + nb)) * q
-        f = t2 * (na + nb - 3) / (2.0 * denom)
-    return np.where(det > 0.0, f, np.inf)
-
-
 def _validate_nodes(
     node_datasets: Sequence[GroupedDataset], graph: AdjacencyGraph
 ) -> Design:
@@ -307,13 +233,15 @@ def cluster_correct(
             V[i, na:] = _row_aligned(d.samples[1], ref_b)
         base_mask = np.zeros(n_total, dtype=bool)
         base_mask[:na] = True
-        rows_f = _f_rows_two_sample_t2 if test == "T2" else _f_rows_two_sample_t2circ
+        kernel = kernels.t2_two_sample if test == "T2" else kernels.t2circ_two_sample
 
-        def observed_f() -> np.ndarray:
-            return rows_f(V, base_mask)
+        def rows_f(mask: np.ndarray) -> np.ndarray:
+            return kernel(V[:, mask], V[:, ~mask])[1]
+
+        obs_f = rows_f(base_mask)
 
         def permuted_f(rng: np.random.Generator) -> np.ndarray:
-            return rows_f(V, base_mask[rng.permutation(n_total)])
+            return rows_f(base_mask[rng.permutation(n_total)])
 
         node_results = tuple(
             (t2_two_sample if test == "T2" else t2circ_two_sample)(
@@ -340,14 +268,12 @@ def cluster_correct(
                 va, vb, labels = align_paired(d.samples[0], d.samples[1])
                 diffs = ComplexSample(va - vb, "", labels)
                 D[i] = _row_aligned(diffs, reference)
-        rows_f = _f_rows_one_sample_t2 if test == "T2" else _f_rows_one_sample_t2circ
-
-        def observed_f() -> np.ndarray:
-            return rows_f(D)
+        kernel = kernels.t2_one_sample if test == "T2" else kernels.t2circ_one_sample
+        obs_f = kernel(D)[1]
 
         def permuted_f(rng: np.random.Generator) -> np.ndarray:
             signs = rng.integers(0, 2, size=n_units) * 2 - 1
-            return rows_f(D * signs[None, :])
+            return kernel(D * signs[None, :])[1]
 
         one_sample = t2_one_sample if test == "T2" else t2circ_one_sample
         node_results = tuple(
@@ -370,7 +296,6 @@ def cluster_correct(
         masses = [float(f_values[c].sum()) for c in comps]
         return max(masses), comps, masses
 
-    obs_f = observed_f()
     _, clusters, masses = max_mass(obs_f)
 
     null = np.empty(n_perm)

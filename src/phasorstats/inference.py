@@ -26,13 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import (
-    DEGENERACY_RTOL,
-    ComplexSample,
-    _eig2x2,
-    align_paired,
-    covariance_summary,
-)
+from . import kernels
+from .data import ComplexSample, align_paired, covariance_summary
 from .distributions import ConditionIndexDistribution, f_cdf
 from .exceptions import (
     DegenerateCovariance,
@@ -99,22 +94,6 @@ def _f_result(
                       effect_size, n_per_group)
 
 
-def _quadform_inv(cov: np.ndarray, dre: float, dim: float) -> float:
-    """d' C^{-1} d through the closed-form 2x2 inverse."""
-    a, b = cov[0, 0], cov[0, 1]
-    c = cov[1, 1]
-    det = a * c - b * b
-    return (c * dre * dre - 2.0 * b * dre * dim + a * dim * dim) / det
-
-
-def _check_nondegenerate(cov: np.ndarray, context: str) -> None:
-    a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]
-    lmax, lmin, _, _ = _eig2x2(a, b, c)
-    trace = a + c
-    if trace <= 0.0 or lmin <= DEGENERACY_RTOL * trace:
-        raise DegenerateCovariance(f"{context} covariance is degenerate")
-
-
 # ---------------------------------------------------------------------------
 # One-sample tests
 # ---------------------------------------------------------------------------
@@ -129,16 +108,13 @@ def t2_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     if n < 3:
         raise TooFewObservations(f"T2 needs >= 3 observations, got {n}")
     summary = covariance_summary(sample)
-    mu = complex(mu)
-    diff = summary.mean_complex - mu
-    if diff == 0:  # zero vector has zero length in any metric
-        t2 = 0.0
-    elif summary.degenerate:
+    (a, b), (_, c) = summary.cov
+    t2, f, df, bad = kernels.hotelling(
+        n, a, b, c, summary.mean_complex - complex(mu), n - 2
+    )
+    if bad:
         raise DegenerateCovariance("sample covariance is degenerate")
-    else:
-        t2 = n * _quadform_inv(summary.cov, diff.real, diff.imag)
-    f = t2 * (n - 2) / (2.0 * (n - 1))
-    return _f_result("T2", t2, f, (2, n - 2), None, (n,))
+    return _f_result("T2", t2, f, df, None, (n,))
 
 
 def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
@@ -151,19 +127,10 @@ def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     n = sample.n
     if n < 2:
         raise TooFewObservations(f"T2circ needs >= 2 observations, got {n}")
-    mu = complex(mu)
-    z = sample.observations
-    mean = z.mean()
-    resid = float((np.abs(z - mean) ** 2).sum())
-    num = abs(mean - mu) ** 2
-    if num == 0.0:
-        t2c = 0.0
-    elif resid <= 0.0:
+    t2c, f, df, bad = kernels.t2circ_one_sample(sample.observations, complex(mu))
+    if bad:
         raise ZeroResidualVariance("all observations coincide")
-    else:
-        t2c = (n - 1) * num / resid
-    f = n * t2c
-    return _f_result("T2circ", t2c, f, (2, 2 * n - 2), None, (n,))
+    return _f_result("T2circ", t2c, f, df, None, (n,))
 
 
 def ci_test(sample: ComplexSample) -> TestResult:
@@ -210,17 +177,14 @@ def t2_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
         )
     sa = covariance_summary(a)
     sb = covariance_summary(b)
-    pooled = ((na - 1) * sa.cov + (nb - 1) * sb.cov) / (na + nb - 2)
+    (pa, pb), (_, pc) = ((na - 1) * sa.cov + (nb - 1) * sb.cov) / (na + nb - 2)
     diff = sa.mean_complex - sb.mean_complex
-    if diff == 0:
-        q = 0.0
-    else:
-        _check_nondegenerate(pooled, "pooled")
-        q = _quadform_inv(pooled, diff.real, diff.imag)
-    t2 = (na * nb / (na + nb)) * q
-    f = t2 * (na + nb - 3) / (2.0 * (na + nb - 2))
-    return _f_result("T2", t2, f, (2, na + nb - 3), math.sqrt(max(q, 0.0)),
-                     (na, nb))
+    t2, f, df, bad = kernels.hotelling(na * nb / (na + nb), pa, pb, pc, diff,
+                                       na + nb - 3)
+    if bad:
+        raise DegenerateCovariance("pooled covariance is degenerate")
+    q = kernels.quadform_inv(pa, pb, pc, diff.real, diff.imag) if diff else 0.0
+    return _f_result("T2", t2, f, df, math.sqrt(max(q, 0.0)), (na, nb))
 
 
 def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
@@ -237,19 +201,10 @@ def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
         raise TooFewObservations(
             f"two-sample T2circ needs >= 2 per group, got {na} and {nb}"
         )
-    za, zb = a.observations, b.observations
-    ma, mb = za.mean(), zb.mean()
-    resid = float((np.abs(za - ma) ** 2).sum() + (np.abs(zb - mb) ** 2).sum())
-    num = abs(ma - mb) ** 2
-    if num == 0.0:
-        t2c = 0.0
-    elif resid <= 0.0:
+    t2c, f, df, bad = kernels.t2circ_two_sample(a.observations, b.observations)
+    if bad:
         raise ZeroResidualVariance("all observations coincide")
-    else:
-        t2c = (na + nb - 2) * num / resid
-    f = (na * nb / (na + nb)) * t2c
-    return _f_result("T2circ", t2c, f, (2, 2 * (na + nb - 2)),
-                     _safe_pairwise_d(a, b), (na, nb))
+    return _f_result("T2circ", t2c, f, df, _safe_pairwise_d(a, b), (na, nb))
 
 
 def _paired_differences(a: ComplexSample, b: ComplexSample) -> ComplexSample:
@@ -276,24 +231,6 @@ def t2circ_paired(a: ComplexSample, b: ComplexSample) -> TestResult:
 # k-group tests
 # ---------------------------------------------------------------------------
 
-def _f_ratio(
-    ss_model: float, df_m: int, ss_resid: float, df_r: int, ss_total: float
-) -> float:
-    """Mean-square ratio with guards against pure rounding noise.
-
-    A model sum of squares below 1e-24 of the total variation is exact zero
-    up to float error (identical group means), giving F = 0; a residual sum
-    that small with a genuine model term means a perfect fit, which is not
-    testable.
-    """
-    floor = 1e-24 * ss_total
-    if ss_total <= 0.0 or ss_model <= floor:
-        return 0.0
-    if ss_resid <= floor:
-        raise ZeroResidualVariance("residual variation is zero")
-    return (ss_model / df_m) / (ss_resid / df_r)
-
-
 def _check_groups(groups: Sequence[ComplexSample], min_n: int, what: str) -> None:
     if len(groups) < 2:
         raise TooFewGroups(f"{what} needs >= 2 groups, got {len(groups)}")
@@ -314,23 +251,12 @@ def anova2circ_independent(groups: Sequence[ComplexSample]) -> TestResult:
     """
     groups = list(groups)
     _check_groups(groups, 2, "ANOVA2circ")
-    k = len(groups)
-    all_values = np.concatenate([g.observations for g in groups])
-    grand = all_values.mean()
-    ss_total = float((np.abs(all_values - grand) ** 2).sum())
-    ss_model = 0.0
-    ss_resid = 0.0
-    total_n = 0
-    for g in groups:
-        m = g.observations.mean()
-        ss_model += g.n * abs(m - grand) ** 2
-        ss_resid += float((np.abs(g.observations - m) ** 2).sum())
-        total_n += g.n
-    df_m = 2 * (k - 1)
-    df_r = 2 * (total_n - k)
-    f = _f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)
-    return _f_result("ANOVA2circ", f, f, (df_m, df_r), None,
-                     tuple(g.n for g in groups))
+    _, f, df, bad = kernels.anova2circ_independent(
+        [g.observations for g in groups]
+    )
+    if bad:
+        raise ZeroResidualVariance("residual variation is zero")
+    return _f_result("ANOVA2circ", f, f, df, None, tuple(g.n for g in groups))
 
 
 def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
@@ -361,7 +287,9 @@ def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
     ss_total = float((np.abs(matrix - grand) ** 2).sum())
     df_m = 2 * (k - 1)
     df_r = 2 * (n - 1) * (k - 1)
-    f = _f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)
+    f, bad = kernels.f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)
+    if bad:
+        raise ZeroResidualVariance("residual variation is zero")
     return _f_result("ANOVA2circ", f, f, (df_m, df_r), None,
                      tuple(g.n for g in groups))
 
@@ -382,37 +310,10 @@ def manova_oneway(groups: Sequence[ComplexSample]) -> TestResult:
         raise TooFewObservations(
             f"MANOVA needs total N > k + 2, got N={total_n}, k={k}"
         )
-    all_values = np.concatenate([g.observations for g in groups])
-    grand = all_values.mean()
-    B = np.zeros((2, 2))
-    W = np.zeros((2, 2))
-    for g in groups:
-        m = g.observations.mean()
-        d = np.array([m.real - grand.real, m.imag - grand.imag])
-        B += g.n * np.outer(d, d)
-        dre = g.observations.real - m.real
-        dim = g.observations.imag - m.imag
-        W += np.array([[dre @ dre, dre @ dim], [dre @ dim, dim @ dim]])
-    wa, wb, wc = W[0, 0], W[0, 1], W[1, 1]
-    lmax_w, lmin_w, _, _ = _eig2x2(wa, wb, wc)
-    if (wa + wc) <= 0.0 or lmin_w <= DEGENERACY_RTOL * (wa + wc):
+    trace, f, df, singular = kernels.manova_oneway(
+        [g.observations for g in groups]
+    )
+    if singular:
         raise SingularWithinScatter("within-group scatter matrix is singular")
-    det_w = wa * wc - wb * wb
-    # eigenvalues of W^{-1} B from its trace and determinant (2x2)
-    tr_m = (wc * B[0, 0] - 2.0 * wb * B[0, 1] + wa * B[1, 1]) / det_w
-    det_m = max(B[0, 0] * B[1, 1] - B[0, 1] ** 2, 0.0) / det_w
-    disc = math.sqrt(max(tr_m * tr_m - 4.0 * det_m, 0.0))
-    lam = (max((tr_m + disc) / 2.0, 0.0), max((tr_m - disc) / 2.0, 0.0))
-    pillai = sum(x / (1.0 + x) for x in lam)
-    s = min(2, k - 1)
-    df1 = s * (abs(2 - k + 1) - 1 + s + 1)  # s(2m + s + 1) with 2m integral
-    df2 = s * (total_n - k - 3 + s + 1)
-    if s - pillai <= 1e-12:
-        f = math.inf
-        p = 0.0
-        return TestResult("MANOVA_pillai", float(pillai), f, (df1, df2), p,
-                          None, tuple(g.n for g in groups))
-    f = (pillai / (s - pillai)) * (df2 / df1)
-    p = 1.0 - f_cdf(f, df1, df2)
-    return TestResult("MANOVA_pillai", float(pillai), float(f), (df1, df2), p,
-                      None, tuple(g.n for g in groups))
+    return _f_result("MANOVA_pillai", trace, f, df, None,
+                     tuple(g.n for g in groups))

@@ -1,0 +1,213 @@
+"""Test statistics batched over leading axes, and the 2x2 helpers they share.
+
+Each kernel takes complex observations with the sample along the last axis,
+(..., n), and returns arrays over the leading axes; the k-group kernels take
+a list of k such arrays. F kernels return ``(statistic, f, (df1, df2), bad)``.
+``bad`` marks samples on which the scalar test raises (degenerate
+covariance, zero residual); there F = inf, so the simulator can raise the
+scalar test's error and cluster permutations count the node as
+supra-threshold. An exactly zero mean difference gives F = 0.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .data import DEGENERACY_RTOL
+
+
+def _mean(X: np.ndarray):
+    # the same bits as X.mean(axis=-1), without its Python-level overhead
+    return X.sum(axis=-1) / X.shape[-1]
+
+
+def _dot(x: np.ndarray, y: np.ndarray):
+    # row-wise dot products with the bits of the 1-d BLAS dot ``x @ y``
+    # (np.vecdot does the same but needs numpy >= 2)
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def scatter(X: np.ndarray):
+    """Mean and the scatter sums (sxx, sxy, syy) about it, over the last axis."""
+    m = _mean(X)
+    d = X - m[..., None]
+    dre, dim = d.real, d.imag
+    return (m, (dre * dre).sum(axis=-1), (dre * dim).sum(axis=-1),
+            (dim * dim).sum(axis=-1))
+
+
+def residual_power(X: np.ndarray):
+    """Mean and the summed squared distance |x - mean|^2, over the last axis."""
+    m = _mean(X)
+    return m, (np.abs(X - m[..., None]) ** 2).sum(axis=-1)
+
+
+#: lambda_min <= RTOL trace  <=>  det <= RTOL (1 - RTOL) trace^2 for a
+#: positive semi-definite 2x2 matrix, because lambda_min lambda_max = det
+#: and lambda_min + lambda_max = trace
+_DET_RTOL = DEGENERACY_RTOL * (1.0 - DEGENERACY_RTOL)
+
+
+def degenerate(det, trace):
+    """The covariance_summary test lambda_min <= DEGENERACY_RTOL * trace, for
+    a positive semi-definite 2x2 matrix with this determinant and trace."""
+    return det <= _DET_RTOL * trace * trace
+
+
+def _adjugate_form(a, b, c, x, y):
+    return c * x * x - 2.0 * b * x * y + a * y * y
+
+
+def quadform_inv(a, b, c, x, y):
+    """(x, y) [[a, b], [b, c]]^{-1} (x, y)' through the closed-form inverse."""
+    return _adjugate_form(a, b, c, x, y) / (a * c - b * b)
+
+
+def f_ratio(ss_model, df_m: int, ss_resid, df_r: int, ss_total):
+    """Mean-square ratio with guards against pure rounding noise: (f, bad).
+
+    A model sum of squares at most 1e-24 of the total variation is exact
+    zero up to float error (identical group means), giving F = 0; a residual
+    sum that small with a genuine model term is a perfect fit, which is not
+    testable: ``bad``, F = inf.
+    """
+    floor = 1e-24 * ss_total
+    zero = np.logical_or(ss_total <= 0.0, ss_model <= floor)
+    bad = np.logical_and(~zero, ss_resid <= floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (ss_model / df_m) / (ss_resid / df_r)
+    return np.where(zero, 0.0, np.where(bad, np.inf, f)), bad
+
+
+def pillai(b00, b01, b11, wa, wb, wc, k: int, total_n: int):
+    """Pillai's trace of W^{-1} B for k groups of total_n observations.
+
+    Returns (trace, F, (df1, df2), bad): ``bad`` marks a singular W, and a
+    trace within 1e-12 of its maximum gives F = inf (p = 0).
+    """
+    det_w = wa * wc - wb * wb
+    bad = degenerate(det_w, wa + wc)
+    s = min(2, k - 1)
+    df1 = s * (abs(2 - k + 1) - 1 + s + 1)  # s(2m + s + 1) with 2m integral
+    df2 = s * (total_n - k - 3 + s + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # eigenvalues of W^{-1} B from its trace and determinant (2x2)
+        tr_m = (wc * b00 - 2.0 * wb * b01 + wa * b11) / det_w
+        det_m = np.maximum(b00 * b11 - b01**2, 0.0) / det_w
+        disc = np.sqrt(np.maximum(tr_m * tr_m - 4.0 * det_m, 0.0))
+        lam1 = np.maximum((tr_m + disc) / 2.0, 0.0)
+        lam2 = np.maximum((tr_m - disc) / 2.0, 0.0)
+        trace = lam1 / (1.0 + lam1) + lam2 / (1.0 + lam2)
+        f = (trace / (s - trace)) * (df2 / df1)
+    f = np.where(bad | (s - trace <= 1e-12), np.inf, f)
+    return trace, f, (df1, df2), bad
+
+
+def _ratio(num, den, bad, diff):
+    """num / den, except where ``bad`` (den may be 0): 0 where ``diff`` is
+    exactly 0, as in the scalar tests, and inf otherwise. Returns the ratio
+    and ``bad`` without those zero entries."""
+    if not bad.any():  # the common case: den > 0 everywhere
+        return num / den, bad
+    zero = np.equal(diff, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(bad, np.where(zero, 0.0, np.inf), num / den)
+    return out, bad & ~zero
+
+
+def hotelling(h, a, b, c, diff, df2: int):
+    """T^2 = h d' C^{-1} d for covariance [[a, b], [b, c]];
+    F = T^2 df2 / (2 (df2 + 1))."""
+    det = a * c - b * b
+    q, bad = _ratio(_adjugate_form(a, b, c, diff.real, diff.imag), det,
+                    degenerate(det, a + c), diff)
+    t2 = h * q
+    return t2, t2 * df2 / (2.0 * (df2 + 1)), (2, df2), bad
+
+
+def _circular(h, dfr: int, diff, resid):
+    """T^2_circ = dfr |d|^2 / resid; F = h T^2_circ with df (2, 2 dfr)."""
+    # builtin abs: on scalars it is the libm modulus the scalar tests have
+    # always used, which can differ from np.abs in the last bit
+    num = abs(diff) ** 2
+    t2c, bad = _ratio(dfr * num, resid, resid <= 0.0, num)
+    return t2c, h * t2c, (2, 2 * dfr), bad
+
+
+def t2_one_sample(X: np.ndarray):
+    """Hotelling's T^2 against 0; df (2, n-2)."""
+    n = X.shape[-1]
+    m, sxx, sxy, syy = scatter(X)
+    return hotelling(n, sxx / (n - 1), sxy / (n - 1), syy / (n - 1), m, n - 2)
+
+
+def t2circ_one_sample(X: np.ndarray, mu: complex = 0j):
+    """T^2_circ against mu; df (2, 2n-2)."""
+    n = X.shape[-1]
+    m, resid = residual_power(X)
+    return _circular(n, n - 1, m - mu, resid)
+
+
+def t2_two_sample(A: np.ndarray, B: np.ndarray):
+    """Two-sample T^2 with pooled covariance; df (2, na + nb - 3)."""
+    na, nb = A.shape[-1], B.shape[-1]
+    ma, aa, ab, ac = scatter(A)
+    mb, ba, bb, bc = scatter(B)
+    denom = na + nb - 2
+    return hotelling(na * nb / (na + nb), (aa + ba) / denom, (ab + bb) / denom,
+                     (ac + bc) / denom, ma - mb, na + nb - 3)
+
+
+def t2circ_two_sample(A: np.ndarray, B: np.ndarray):
+    """Two-sample T^2_circ with pooled residual power; df (2, 2(na + nb - 2))."""
+    na, nb = A.shape[-1], B.shape[-1]
+    ma, ra = residual_power(A)
+    mb, rb = residual_power(B)
+    return _circular(na * nb / (na + nb), na + nb - 2, ma - mb, ra + rb)
+
+
+def anova2circ_independent(groups):
+    """One-way independent ANOVA^2_circ over k groups, each (..., n_g); the
+    statistic is F, df (2(k-1), 2(N-k)), zero and ``bad`` as in f_ratio."""
+    values = np.concatenate(groups, axis=-1)
+    grand = _mean(values)
+    ss_total = (np.abs(values - grand[..., None]) ** 2).sum(axis=-1)
+    ss_model = ss_resid = 0.0
+    for g in groups:
+        m, resid = residual_power(g)
+        ss_model = ss_model + g.shape[-1] * abs(m - grand) ** 2  # see _circular
+        ss_resid = ss_resid + resid
+    df_m, df_r = 2 * (len(groups) - 1), 2 * (values.shape[-1] - len(groups))
+    f, bad = f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)
+    return f, f, (df_m, df_r), bad
+
+
+def manova_oneway(groups):
+    """One-way MANOVA over k groups, each (..., n_g): ``pillai`` of the
+    between- and within-group scatter matrices of the (re, im) responses."""
+    values = np.concatenate(groups, axis=-1)
+    grand = _mean(values)
+    b00 = b01 = b11 = wa = wb = wc = 0.0
+    for g in groups:
+        n, m = g.shape[-1], _mean(g)
+        d0, d1 = m.real - grand.real, m.imag - grand.imag
+        b00, b01, b11 = (b00 + n * (d0 * d0), b01 + n * (d0 * d1),
+                         b11 + n * (d1 * d1))
+        dre = g.real - m.real[..., None]
+        dim = g.imag - m.imag[..., None]
+        wa, wb, wc = wa + _dot(dre, dre), wb + _dot(dre, dim), wc + _dot(dim, dim)
+    return pillai(b00, b01, b11, wa, wb, wc, len(groups), values.shape[-1])
+
+
+def condition_index(X: np.ndarray):
+    """sqrt(lambda_max / lambda_min) of the covariance over the last axis, and
+    ``bad``; the index is inf where lambda_min is zero."""
+    n = X.shape[-1]
+    _, sxx, sxy, syy = scatter(X)
+    a, b, c = sxx / (n - 1), sxy / (n - 1), syy / (n - 1)
+    half = 0.5 * (a + c)
+    disc = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+    lmin = np.maximum(half - disc, 0.0)  # PSD up to rounding
+    with np.errstate(divide="ignore"):
+        ci = np.sqrt(np.where(lmin > 0.0, (half + disc) / lmin, np.inf))
+    return ci, degenerate(a * c - b * b, a + c)

@@ -24,6 +24,7 @@ from .data import (
     covariance_summary,
 )
 from .exceptions import DegenerateCovariance, TooFewObservations
+from .kernels import quadform_inv
 
 DEFAULT_THRESHOLD = 3.0
 
@@ -70,12 +71,10 @@ def _distances(sample: ComplexSample) -> np.ndarray:
         raise DegenerateCovariance(
             f"covariance of condition {sample.condition_label!r} is degenerate"
         )
-    a, b = summary.cov[0]
-    _, c = summary.cov[1]
-    det = a * c - b * b
+    (a, b), (_, c) = summary.cov
     dre = sample.observations.real - summary.mean[0]
     dim = sample.observations.imag - summary.mean[1]
-    d2 = (c * dre * dre - 2.0 * b * dre * dim + a * dim * dim) / det
+    d2 = quadform_inv(a, b, c, dre, dim)
     return np.sqrt(np.maximum(d2, 0.0))
 
 

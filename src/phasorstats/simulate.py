@@ -7,6 +7,14 @@ mean in population-SD units) is applied along the first axis; rotation
 invariance of every statistic makes the direction irrelevant. With k > 1
 groups the signal is added to the first group only.
 
+Replicates are drawn and tested in blocks of at most _BLOCK_VALUES complex
+values, which keeps temporaries small: one ``standard_normal((B, k*n, 2))``
+call, which consumes the generator exactly as B sequential (k*n, 2) draws
+do, then one batched kernel call (kernels.py) and vectorised p-values.
+Cells with a planted outlier draw replicate by replicate, the normals and
+then the ``uniform`` angle, keeping that interleaved stream order; their
+statistics are still batched.
+
 Determinism: all draws come from numpy PCG64 generators seeded through
 SeedSequence as (seed, cell_index), with replicates consumed sequentially
 inside a cell, so a (spec, seed) pair defines the output exactly and cells
@@ -17,24 +25,45 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .data import ComplexSample
-from .distributions import ConditionIndexDistribution
-from .exceptions import InvalidSpec
-from .inference import (
-    anova2circ_independent,
-    manova_oneway,
-    t2_one_sample,
-    t2circ_one_sample,
+from . import kernels
+from .distributions import ConditionIndexDistribution, f_cdf
+from .exceptions import (
+    DegenerateCovariance,
+    InvalidSpec,
+    SingularWithinScatter,
+    ZeroResidualVariance,
 )
 
 TESTS = ("T2", "T2circ", "ANOVA2circ", "MANOVA", "CI_test")
+
+#: Smallest n per group each test can evaluate (MANOVA also needs k n > k + 2).
+_MIN_N = {"T2": 3, "T2circ": 2, "ANOVA2circ": 2, "MANOVA": 2, "CI_test": 3}
+
+#: Complex values per block of replicates; bounds the block's temporaries.
+_BLOCK_VALUES = 8192
+
+#: Batched kernel on a (B, k, n) block, and the error (type, message) its
+#: scalar test raises on a degenerate replicate.
+_KERNELS = {
+    "T2": (lambda X: kernels.t2_one_sample(X[:, 0]),
+           DegenerateCovariance, "sample covariance is degenerate"),
+    "T2circ": (lambda X: kernels.t2circ_one_sample(X[:, 0]),
+               ZeroResidualVariance, "all observations coincide"),
+    "ANOVA2circ": (lambda X: kernels.anova2circ_independent(list(X.swapaxes(0, 1))),
+                   ZeroResidualVariance, "residual variation is zero"),
+    "MANOVA": (lambda X: kernels.manova_oneway(list(X.swapaxes(0, 1))),
+               SingularWithinScatter, "within-group scatter matrix is singular"),
+    "CI_test": (lambda X: kernels.condition_index(X[:, 0]),
+                DegenerateCovariance, "sample covariance is degenerate"),
+}
 
 
 @dataclass(frozen=True)
@@ -55,8 +84,10 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.test not in TESTS:
             raise InvalidSpec(f"unknown test {self.test!r}; choose from {TESTS}")
-        if self.n < 2:
-            raise InvalidSpec(f"n must be >= 2, got {self.n}")
+        if self.n < _MIN_N[self.test]:
+            raise InvalidSpec(
+                f"{self.test} needs n >= {_MIN_N[self.test]}, got {self.n}"
+            )
         if self.n_reps < 1:
             raise InvalidSpec(f"n_reps must be >= 1, got {self.n_reps}")
         if not abs(self.correlation) < 1.0:
@@ -71,6 +102,10 @@ class SimulationSpec:
             raise InvalidSpec(f"k must be >= 1, got {self.k}")
         if self.test in ("ANOVA2circ", "MANOVA") and self.k < 2:
             raise InvalidSpec(f"{self.test} needs k >= 2 groups")
+        if self.test == "MANOVA" and self.k * self.n <= self.k + 2:
+            raise InvalidSpec(
+                f"MANOVA needs k n > k + 2, got k={self.k}, n={self.n}"
+            )
         if self.d < 0.0:
             raise InvalidSpec(f"d must be >= 0, got {self.d}")
         if (
@@ -134,77 +169,53 @@ class RateTable:
         return hits[0].rate
 
 
-def _cholesky_rows(z: np.ndarray, r: float, v: float) -> np.ndarray:
-    """Transform standard-normal pairs to covariance [[1, r sqrt(v)], [., v]]."""
-    re = z[:, 0]
-    im = r * math.sqrt(v) * z[:, 0] + math.sqrt(v * (1.0 - r * r)) * z[:, 1]
-    return re + 1j * im
+def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarray]:
+    """The replicates of a cell as (B, k, n) complex blocks, in stream order."""
+    kn = spec.k * spec.n
+    per_block = max(1, _BLOCK_VALUES // kn)
+    dist = spec.planted_outlier_distance
+    planted = dist is not None and dist > 0
+    for start in range(0, spec.n_reps, per_block):
+        b = min(per_block, spec.n_reps - start)
+        if planted:
+            z = np.empty((b, kn, 2))
+            offsets = np.empty(b, dtype=np.complex128)
+            for i in range(b):
+                z[i] = rng.standard_normal((kn, 2))
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                offsets[i] = dist * complex(math.cos(angle), math.sin(angle))
+        else:
+            z = rng.standard_normal((b, kn, 2))
+        # Cholesky transform to covariance [[1, r sqrt(v)], [., v]]
+        r, v = spec.correlation, spec.variance_ratio
+        im = r * math.sqrt(v) * z[..., 0] + math.sqrt(v * (1.0 - r * r)) * z[..., 1]
+        X = (z[..., 0] + 1j * im).reshape(b, spec.k, spec.n)
+        X[:, 0] += spec.d
+        if planted:
+            # displace the first point of group 0 from the mean of the rest
+            X[:, 0, 0] = X[:, 0, 1:].mean(axis=-1) + offsets
+        yield X
 
 
-def _draw_groups(rng: np.random.Generator, spec: SimulationSpec) -> list[np.ndarray]:
-    z = rng.standard_normal((spec.k * spec.n, 2))
-    values = _cholesky_rows(z, spec.correlation, spec.variance_ratio)
-    groups = [values[g * spec.n : (g + 1) * spec.n].copy() for g in range(spec.k)]
-    groups[0] = groups[0] + spec.d
-    if spec.planted_outlier_distance is not None and spec.planted_outlier_distance > 0:
-        dist = spec.planted_outlier_distance
-        g0 = groups[0]
-        anchor = g0[1:].mean()
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        g0[0] = anchor + dist * complex(math.cos(angle), math.sin(angle))
-    return groups
-
-
-def _make_reject(spec: SimulationSpec) -> Callable[[list[np.ndarray]], bool]:
-    alpha = spec.alpha
-    if spec.test == "T2":
-        return lambda g: t2_one_sample(ComplexSample(g[0]), 0j).p_value < alpha
-    if spec.test == "T2circ":
-        return lambda g: t2circ_one_sample(ComplexSample(g[0]), 0j).p_value < alpha
-    if spec.test == "ANOVA2circ":
-        return (
-            lambda g: anova2circ_independent(
-                [ComplexSample(v, str(i)) for i, v in enumerate(g)]
-            ).p_value
-            < alpha
-        )
-    if spec.test == "MANOVA":
-        return (
-            lambda g: manova_oneway(
-                [ComplexSample(v, str(i)) for i, v in enumerate(g)]
-            ).p_value
-            < alpha
-        )
-    # CI_test: p < alpha iff the condition index exceeds the 1 - alpha
-    # quantile of its null distribution (the cdf is strictly monotone),
-    # so one quantile evaluation replaces a quadrature per replicate
-    threshold = ConditionIndexDistribution(spec.n, "modified").quantile(1.0 - alpha)
-    return lambda g: _condition_indices_of_rows(g[0][None, :])[0] > threshold
-
-
-def _condition_indices_of_rows(X: np.ndarray) -> np.ndarray:
-    """Condition indices of each row of an (reps, n) complex matrix."""
-    mean = X.mean(axis=1, keepdims=True)
-    dre = X.real - mean.real
-    dim = X.imag - mean.imag
-    denom = X.shape[1] - 1
-    a = (dre * dre).sum(axis=1) / denom
-    b = (dre * dim).sum(axis=1) / denom
-    c = (dim * dim).sum(axis=1) / denom
-    half = 0.5 * (a + c)
-    disc = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-    lmin = np.maximum(half - disc, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.sqrt(np.where(lmin > 0.0, (half + disc) / lmin, np.inf))
+def _p_values(spec: SimulationSpec, X: np.ndarray) -> np.ndarray:
+    """p-value of spec.test for each replicate of a (B, k, n) block; raises
+    the scalar test's error if any replicate is degenerate."""
+    kernel, error, message = _KERNELS[spec.test]
+    result = kernel(X)
+    if result[-1].any():
+        raise error(message)
+    if spec.test == "CI_test":
+        return ConditionIndexDistribution(spec.n, "modified").sf(result[0])
+    _, f, df, _ = result
+    return 1.0 - f_cdf(f, *df)
 
 
 def _rejection_rate(spec: SimulationSpec, cell_index: int, seed: int) -> RateCell:
     rng = np.random.default_rng([seed, cell_index])
-    reject = _make_reject(spec)
-    hits = 0
-    for _ in range(spec.n_reps):
-        if reject(_draw_groups(rng, spec)):
-            hits += 1
+    hits = sum(
+        int(np.count_nonzero(_p_values(spec, X) < spec.alpha))
+        for X in _blocks(rng, spec)
+    )
     rate = hits / spec.n_reps
     se = math.sqrt(rate * (1.0 - rate) / spec.n_reps)
     return RateCell(
@@ -239,60 +250,36 @@ def simulate_grid(
     Axes left as None take the single value from ``base``. Cell RNG streams
     derive from (base.seed, cell index) in grid enumeration order.
     """
-    tests = list(tests) if tests is not None else [base.test]
-    d_values = list(d_values) if d_values is not None else [base.d]
-    n_values = list(n_values) if n_values is not None else [base.n]
-    correlation_values = (
-        list(correlation_values)
-        if correlation_values is not None
-        else [base.correlation]
+    axes = {
+        "test": tests,
+        "d": d_values,
+        "n": n_values,
+        "correlation": correlation_values,
+        "variance_ratio": variance_ratio_values,
+        "planted_outlier_distance": outlier_values,
+    }
+    grid = itertools.product(*(
+        list(values) if values is not None else [getattr(base, name)]
+        for name, values in axes.items()
+    ))
+    cells = tuple(
+        _rejection_rate(replace(base, **dict(zip(axes, point))), index, base.seed)
+        for index, point in enumerate(grid)
     )
-    variance_ratio_values = (
-        list(variance_ratio_values)
-        if variance_ratio_values is not None
-        else [base.variance_ratio]
-    )
-    outlier_values = (
-        list(outlier_values)
-        if outlier_values is not None
-        else [base.planted_outlier_distance]
-    )
-    cells = []
-    index = 0
-    for test in tests:
-        for d in d_values:
-            for n in n_values:
-                for r in correlation_values:
-                    for v in variance_ratio_values:
-                        for dist in outlier_values:
-                            spec = replace(
-                                base,
-                                test=test,
-                                d=d,
-                                n=n,
-                                correlation=r,
-                                variance_ratio=v,
-                                planted_outlier_distance=dist,
-                            )
-                            cells.append(_rejection_rate(spec, index, base.seed))
-                            index += 1
-    return RateTable(tuple(cells), base.seed)
+    return RateTable(cells, base.seed)
 
 
 def simulate_ci_distribution(n: int, n_reps: int, seed: int) -> np.ndarray:
     """Condition indices of n_reps null spherical samples of size n.
 
-    Vectorized over replicates; test_simulate.py pins the vectorized values
-    to covariance_summary on a sample of replicates.
+    The null CI_test cell's draws, vectorized over replicates;
+    test_simulate.py pins the values to covariance_summary.
     """
-    if n < 3:
-        raise InvalidSpec(f"condition index needs n >= 3, got {n}")
-    if n_reps < 1:
-        raise InvalidSpec(f"n_reps must be >= 1, got {n_reps}")
+    spec = SimulationSpec(test="CI_test", n=n, n_reps=n_reps, seed=seed)
     rng = np.random.default_rng([seed, 0])
-    z = rng.standard_normal((n_reps, n, 2))
-    X = z[:, :, 0] + 1j * z[:, :, 1]
-    return _condition_indices_of_rows(X)
+    return np.concatenate(
+        [kernels.condition_index(X[:, 0])[0] for X in _blocks(rng, spec)]
+    )
 
 
 def simulate_amplitude_skew(

@@ -7,7 +7,11 @@ import pytest
 from scipy.stats import chi2
 
 from phasorstats import ComplexSample, amp_ci_bootstrap, amp_errors_ellipse
-from phasorstats.exceptions import DegenerateCovariance, TooFewObservations
+from phasorstats.exceptions import (
+    DegenerateCovariance,
+    DomainError,
+    TooFewObservations,
+)
 
 
 def whitened_sample(seed, n=24, mean=0j):
@@ -103,6 +107,19 @@ class TestEllipse:
 
 
 class TestBootstrap:
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_boot=0),
+        dict(n_boot=-3),
+        dict(n_boot=float("nan")),
+        dict(level=0.0),
+        dict(level=1.0),
+        dict(level=1.5),
+        dict(level=float("nan")),
+    ])
+    def test_bad_arguments_raise_domain_error(self, kwargs):
+        with pytest.raises(DomainError):
+            amp_ci_bootstrap(whitened_sample(5), **kwargs)
+
     def test_identical_observations(self):
         s = ComplexSample([(2.5, 0.0)] * 6)
         res = amp_ci_bootstrap(s, 0.68, n_boot=500, seed=4)

@@ -14,12 +14,7 @@ from phasorstats import (
     t2circ_one_sample,
     t2circ_two_sample,
 )
-from phasorstats.clusters import (
-    _f_rows_one_sample_t2,
-    _f_rows_one_sample_t2circ,
-    _f_rows_two_sample_t2,
-    _f_rows_two_sample_t2circ,
-)
+from phasorstats import kernels
 from phasorstats.exceptions import DesignMismatch, InvalidGraph
 
 
@@ -75,8 +70,8 @@ class TestKernelsMatchPublicTests:
     def test_one_sample_kernels(self):
         rng = np.random.default_rng(0)
         V = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
-        f_circ = _f_rows_one_sample_t2circ(V)
-        f_t2 = _f_rows_one_sample_t2(V)
+        f_circ = kernels.t2circ_one_sample(V)[1]
+        f_t2 = kernels.t2_one_sample(V)[1]
         for i, row in enumerate(V):
             s = ComplexSample(row)
             assert f_circ[i] == pytest.approx(
@@ -92,8 +87,8 @@ class TestKernelsMatchPublicTests:
         V = rng.standard_normal((5, na + nb)) + 1j * rng.standard_normal((5, na + nb))
         mask = np.zeros(na + nb, dtype=bool)
         mask[:na] = True
-        f_circ = _f_rows_two_sample_t2circ(V, mask)
-        f_t2 = _f_rows_two_sample_t2(V, mask)
+        f_circ = kernels.t2circ_two_sample(V[:, mask], V[:, ~mask])[1]
+        f_t2 = kernels.t2_two_sample(V[:, mask], V[:, ~mask])[1]
         for i, row in enumerate(V):
             a = ComplexSample(row[:na])
             b = ComplexSample(row[na:])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from phasorstats import ConditionIndexDistribution, f_cdf, f_critical
 from phasorstats.exceptions import DomainError
@@ -40,6 +41,15 @@ class TestFCdf:
                 float((draws <= x).mean()), abs=0.005
             )
 
+    def test_array_arguments(self):
+        xs = np.array([0.0, 0.5, 3.0, np.inf])
+        np.testing.assert_array_equal(f_cdf(xs, 2, 10),
+                                      [f_cdf(x, 2, 10) for x in xs])
+        with pytest.raises(DomainError):
+            f_cdf(np.array([1.0, np.nan]), 2, 10)
+        with pytest.raises(DomainError):
+            f_cdf(np.array([1.0, -2.0]), 2, 10)
+
     def test_critical_inverts(self):
         for alpha in (0.05, 0.0083):
             crit = f_critical(alpha, 2, 176)
@@ -69,8 +79,6 @@ class TestConditionIndexDistribution:
 
     @pytest.mark.parametrize("variant", ["edelman", "modified"])
     def test_normalization_all_n(self, variant):
-        from scipy.integrate import quad
-
         for n in range(3, 65):
             dist = ConditionIndexDistribution(n, variant)
             total = quad(dist.pdf, 1.0, np.inf, epsabs=1e-12, limit=200)[0]
@@ -139,3 +147,49 @@ class TestConditionIndexDistribution:
         ede = ConditionIndexDistribution(64, "edelman").quantile(0.95)
         mod = ConditionIndexDistribution(64, "modified").quantile(0.95)
         assert abs(ede - mod) / mod < 0.02
+
+    @pytest.mark.parametrize("variant", ["edelman", "modified"])
+    def test_closed_forms_match_quadrature(self, variant):
+        # oracle: adaptive quadrature of the density, which the closed
+        # forms replaced; the quantile must land where the integral says
+        for n in range(3, 201):
+            dist = ConditionIndexDistribution(n, variant)
+            for p in (0.05, 0.5, 0.95):
+                x = dist.quantile(p)
+                upper = quad(dist.pdf, x, np.inf, epsabs=1e-14, epsrel=1e-12,
+                             limit=200)[0]
+                assert upper == pytest.approx(1.0 - p, abs=1e-10), (n, p)
+                assert dist.sf(x) == pytest.approx(upper, abs=1e-10), (n, p)
+                assert dist.cdf(x) == pytest.approx(p, abs=1e-12), (n, p)
+
+    @pytest.mark.parametrize("variant", ["edelman", "modified"])
+    def test_quantile_inverts_cdf_all_n(self, variant):
+        for n in range(3, 201):
+            dist = ConditionIndexDistribution(n, variant)
+            for p in (1e-9, 1e-3, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-12):
+                x = dist.quantile(p)
+                assert x >= 1.0
+                assert dist.cdf(x) == pytest.approx(p, abs=1e-13), (n, p)
+                assert dist.sf(x) == pytest.approx(1.0 - p, rel=1e-9), (n, p)
+
+    @pytest.mark.parametrize("n,x", [(3, 1e6), (6, 50.0), (10, 30.0),
+                                     (64, 100.0), (200, 3.0)])
+    def test_far_tail_relative_accuracy(self, n, x):
+        # tail probabilities far below any absolute quadrature tolerance
+        # (down to ~1e-120) keep their relative accuracy; the oracle
+        # integrates over t = 1/x, a finite interval
+        for variant in ("edelman", "modified"):
+            dist = ConditionIndexDistribution(n, variant)
+            upper = quad(lambda t: dist.pdf(1.0 / t) / (t * t), 0.0, 1.0 / x,
+                         epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            assert 0.0 < dist.sf(x) < 1e-5
+            assert dist.sf(x) == pytest.approx(upper, rel=1e-9)
+
+    def test_array_arguments(self):
+        dist = ConditionIndexDistribution(8)
+        xs = np.array([1.0, 1.5, 3.0, np.inf])
+        np.testing.assert_array_equal(dist.sf(xs), [dist.sf(x) for x in xs])
+        np.testing.assert_array_equal(dist.cdf(xs), [dist.cdf(x) for x in xs])
+        assert dist.sf(np.inf) == 0.0
+        with pytest.raises(DomainError):
+            dist.sf(np.array([2.0, 0.5]))

@@ -1,0 +1,100 @@
+"""Batched kernels against the scalar tests, including degenerate samples."""
+
+import numpy as np
+import pytest
+
+from phasorstats import (
+    ComplexSample,
+    anova2circ_independent,
+    manova_oneway,
+    t2_one_sample,
+    t2circ_one_sample,
+)
+from phasorstats import kernels
+from phasorstats.exceptions import (
+    DegenerateCovariance,
+    SingularWithinScatter,
+    ZeroResidualVariance,
+)
+
+
+def groups_block(seed, reps, k, n):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((reps, k, n, 2))
+    return z[..., 0] + 1j * z[..., 1] + 0.3 * np.arange(k)[:, None]
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 6), (5, 4)])
+def test_k_group_kernels_match_scalar_tests(k, n):
+    # the scalar tests run the kernels on 1-d groups; batching over a
+    # leading axis must give the same numbers
+    X = groups_block(k * n, 20, k, n)
+    groups = list(X.swapaxes(0, 1))
+    _, f_anova, df_anova, bad_anova = kernels.anova2circ_independent(groups)
+    pillai, f_manova, df_manova, bad_manova = kernels.manova_oneway(groups)
+    assert not bad_anova.any() and not bad_manova.any()
+    for i, block in enumerate(X):
+        samples = [ComplexSample(g, str(j)) for j, g in enumerate(block)]
+        anova = anova2circ_independent(samples)
+        manova = manova_oneway(samples)
+        assert f_anova[i] == pytest.approx(anova.f_value, rel=1e-10)
+        assert df_anova == anova.df
+        assert pillai[i] == pytest.approx(manova.statistic, rel=1e-10)
+        assert f_manova[i] == pytest.approx(manova.f_value, rel=1e-10)
+        assert df_manova == manova.df
+
+
+def test_unequal_group_sizes():
+    rng = np.random.default_rng(3)
+    sizes = (3, 7, 5)
+    values = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes]
+    _, f, df, _ = kernels.anova2circ_independent(values)
+    assert df == (4, 2 * (sum(sizes) - 3))
+    assert f == anova2circ_independent(
+        [ComplexSample(v, str(j)) for j, v in enumerate(values)]).f_value
+
+
+def test_leading_axes_are_independent():
+    X = groups_block(1, 12, 1, 7)[:, 0].reshape(3, 4, 7)
+    t2, f, df, _ = kernels.t2_one_sample(X)
+    assert f.shape == t2.shape == (3, 4) and df == (2, 5)
+    np.testing.assert_array_equal(f[1], kernels.t2_one_sample(X[1])[1])
+
+
+def test_zero_mean_gives_zero_f():
+    # the scalar tests return 0 before looking at the covariance
+    z = np.array([1.0, -1.0, 2.0, -2.0]) + 0j  # collinear and mean zero
+    _, f, _, bad = kernels.t2_one_sample(z[None, :])
+    assert f[0] == 0.0 and not bad[0]
+    assert t2_one_sample(ComplexSample(z)).f_value == 0.0
+    _, f, _, bad = kernels.t2circ_one_sample(np.zeros((1, 4), complex))
+    assert f[0] == 0.0 and not bad[0]
+
+
+def test_degenerate_samples_are_flagged_like_the_scalar_errors():
+    line = np.array([1.0, 2.0, 3.0, 5.0]) * (1 + 1j)  # rank-one covariance
+    _, f, _, bad = kernels.t2_one_sample(line[None, :])
+    assert bad[0] and f[0] == np.inf
+    with pytest.raises(DegenerateCovariance):
+        t2_one_sample(ComplexSample(line))
+    ci, bad = kernels.condition_index(line[None, :])
+    assert bad[0] and ci[0] == np.inf
+
+    same = np.full(4, 2 + 1j)
+    _, f, _, bad = kernels.t2circ_one_sample(same[None, :])
+    assert bad[0] and f[0] == np.inf
+    with pytest.raises(ZeroResidualVariance):
+        t2circ_one_sample(ComplexSample(same))
+
+    groups = [line[None, :], line[None, :] + 1.0]
+    _, f, _, bad = kernels.manova_oneway(groups)
+    assert bad[0] and f[0] == np.inf
+    with pytest.raises(SingularWithinScatter):
+        manova_oneway([ComplexSample(g[0], str(j)) for j, g in enumerate(groups)])
+
+    constant = [same[None, :], same[None, :] + 1.0]
+    _, f, _, bad = kernels.anova2circ_independent(constant)
+    assert bad[0] and f[0] == np.inf
+    with pytest.raises(ZeroResidualVariance):
+        anova2circ_independent(
+            [ComplexSample(g[0], str(j)) for j, g in enumerate(constant)])

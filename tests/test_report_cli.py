@@ -244,6 +244,17 @@ class TestCliSimulate:
         spec.write_text(json.dumps({"test": "T2circ", "n": 1}))
         assert cli_main(["simulate", str(spec)]) == 3
 
+    @pytest.mark.parametrize("fields", [
+        {"test": "T2", "n": 2},
+        {"test": "CI_test", "n": 2},
+        {"test": "MANOVA", "n": 2, "k": 2},
+    ])
+    def test_spec_too_small_for_its_test_exit_3(self, tmp_path, capsys, fields):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(fields))
+        assert cli_main(["simulate", str(spec), "--reps", "10"]) == 3
+        assert f"{fields['test']} needs" in capsys.readouterr().err
+
 
 class TestCliOther:
     def test_extract_round_trip(self, tmp_path, capsys):

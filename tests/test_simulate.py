@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, calibration sanity, generators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,24 @@ import pytest
 from phasorstats import (
     ComplexSample,
     SimulationSpec,
+    anova2circ_independent,
+    ci_test,
     covariance_summary,
+    manova_oneway,
     simulate_amplitude_skew,
     simulate_ci_distribution,
     simulate_grid,
     simulate_outlier_effect,
     simulate_rates,
+    t2_one_sample,
+    t2circ_one_sample,
 )
-from phasorstats.exceptions import InvalidSpec
-from phasorstats.simulate import _condition_indices_of_rows
+from phasorstats.exceptions import (
+    DegenerateCovariance,
+    InvalidSpec,
+    SingularWithinScatter,
+)
+from phasorstats.kernels import condition_index
 
 RAYLEIGH_SKEW = 2 * math.sqrt(math.pi) * (math.pi - 3) / (4 - math.pi) ** 1.5
 
@@ -33,6 +43,29 @@ class TestSpecValidation:
             SimulationSpec(test="T2", variance_ratio=0.0)
         with pytest.raises(InvalidSpec):
             SimulationSpec(test="ANOVA2circ", k=1)
+
+    @pytest.mark.parametrize("fields", [
+        dict(test="T2", n=2),
+        dict(test="CI_test", n=2),
+        dict(test="T2circ", n=1),
+        dict(test="ANOVA2circ", n=1, k=3),
+        dict(test="MANOVA", n=2, k=2),
+    ])
+    def test_size_below_test_minimum(self, fields):
+        with pytest.raises(InvalidSpec, match="needs"):
+            SimulationSpec(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(test="T2", n=3),
+        dict(test="CI_test", n=3),
+        dict(test="T2circ", n=2),
+        dict(test="ANOVA2circ", n=2, k=2),
+        dict(test="MANOVA", n=3, k=2),
+        dict(test="MANOVA", n=2, k=3),
+    ])
+    def test_smallest_sizes_run(self, fields):
+        rate = simulate_rates(SimulationSpec(n_reps=50, seed=3, **fields))
+        assert 0.0 <= rate.cells[0].rate <= 1.0
 
 
 class TestDeterminism:
@@ -61,6 +94,83 @@ class TestDeterminism:
         assert t1.to_json() == t2.to_json()
 
 
+def scalar_hits(spec, cell_index=0):
+    """Per-replicate reference: one draw per replicate (normals, then the
+    outlier angle), public scalar tests on ComplexSamples, p < alpha."""
+    rng = np.random.default_rng([spec.seed, cell_index])
+    r, v, n = spec.correlation, spec.variance_ratio, spec.n
+    dist = spec.planted_outlier_distance
+    hits = 0
+    for _ in range(spec.n_reps):
+        z = rng.standard_normal((spec.k * n, 2))
+        values = z[:, 0] + 1j * (r * math.sqrt(v) * z[:, 0]
+                                 + math.sqrt(v * (1.0 - r * r)) * z[:, 1])
+        groups = [values[g * n:(g + 1) * n].copy() for g in range(spec.k)]
+        groups[0] = groups[0] + spec.d
+        if dist:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            groups[0][0] = groups[0][1:].mean() + dist * complex(
+                math.cos(angle), math.sin(angle))
+        samples = [ComplexSample(g, str(i)) for i, g in enumerate(groups)]
+        if spec.test == "T2":
+            res = t2_one_sample(samples[0], 0j)
+        elif spec.test == "T2circ":
+            res = t2circ_one_sample(samples[0], 0j)
+        elif spec.test == "ANOVA2circ":
+            res = anova2circ_independent(samples)
+        elif spec.test == "MANOVA":
+            res = manova_oneway(samples)
+        else:
+            res = ci_test(samples[0])
+        hits += res.p_value < spec.alpha
+    return hits
+
+
+class TestBatchedMatchesScalar:
+    # cells span several blocks (n = 64: 128 replicates per block) and
+    # every branch of the block generator
+    CELLS = [
+        dict(test="T2", n=5, correlation=0.6),
+        dict(test="T2", n=64, d=0.3, variance_ratio=4.0),
+        dict(test="T2circ", n=8, d=0.5),
+        dict(test="T2circ", n=64, correlation=-0.3),
+        dict(test="ANOVA2circ", n=6, k=3, d=0.8),
+        dict(test="MANOVA", n=4, k=3, d=1.0, correlation=0.3),
+        dict(test="MANOVA", n=5, k=2, d=1.0),
+        dict(test="CI_test", n=10, variance_ratio=2.0),
+        dict(test="CI_test", n=32, planted_outlier_distance=3.0),
+        dict(test="T2circ", n=6, planted_outlier_distance=2.0, d=0.5),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("fields", CELLS)
+    def test_hit_for_hit(self, fields, seed):
+        spec = SimulationSpec(n_reps=300, seed=seed, **fields)
+        rate = simulate_rates(spec).cells[0].rate
+        assert round(rate * spec.n_reps) == scalar_hits(spec)
+
+    def test_grid_cells_use_their_own_stream(self):
+        base = SimulationSpec(test="T2circ", n=5, n_reps=200, seed=4)
+        table = simulate_grid(base, d_values=[0.0, 0.5, 1.0])
+        for index, cell in enumerate(table.cells):
+            spec = replace(base, d=cell.d)
+            assert round(cell.rate * 200) == scalar_hits(spec, index)
+
+    @pytest.mark.parametrize("test,k,error", [
+        ("T2", 1, DegenerateCovariance),
+        ("CI_test", 1, DegenerateCovariance),
+        ("MANOVA", 2, SingularWithinScatter),
+    ])
+    def test_degenerate_replicate_raises_scalar_error(self, test, k, error):
+        # the second axis carries ~1e-15 of the variance: rank deficient
+        spec = SimulationSpec(test=test, k=k, n=6, variance_ratio=1e-30,
+                              n_reps=20, seed=1)
+        with pytest.raises(error):
+            scalar_hits(spec)
+        with pytest.raises(error):
+            simulate_rates(spec)
+
+
 class TestCalibrationQuick:
     @pytest.mark.parametrize("test,k", [("T2", 1), ("T2circ", 1),
                                         ("ANOVA2circ", 3), ("MANOVA", 3)])
@@ -75,10 +185,10 @@ class TestGenerator:
         # the Cholesky transform must deliver the requested covariance
         spec = SimulationSpec(test="T2", n=50000, correlation=0.6,
                               variance_ratio=4.0, n_reps=1, seed=9)
-        from phasorstats.simulate import _draw_groups
+        from phasorstats.simulate import _blocks
 
         rng = np.random.default_rng(10)
-        values = _draw_groups(rng, spec)[0]
+        values = next(_blocks(rng, spec))[0, 0]
         cov = covariance_summary(ComplexSample(values)).cov
         assert cov[0, 0] == pytest.approx(1.0, abs=0.03)
         assert cov[1, 1] == pytest.approx(4.0, abs=0.1)
@@ -89,15 +199,15 @@ class TestGenerator:
         # same d along im (checked by rotating the draws inside the test)
         spec = SimulationSpec(test="T2circ", d=1.0, n=8, n_reps=3000, seed=11)
         rate_axis = simulate_rates(spec).cells[0].rate
-        from phasorstats import t2circ_one_sample
-        from phasorstats.simulate import _draw_groups
+        from phasorstats.simulate import _blocks
 
         rng = np.random.default_rng([11, 0])
         hits = 0
-        for _ in range(spec.n_reps):
-            values = _draw_groups(rng, spec)[0] * 1j  # rotate 90 degrees
-            if t2circ_one_sample(ComplexSample(values), 0j).p_value < 0.05:
-                hits += 1
+        for block in _blocks(rng, spec):
+            for groups in block:
+                values = groups[0] * 1j  # rotate 90 degrees
+                if t2circ_one_sample(ComplexSample(values), 0j).p_value < 0.05:
+                    hits += 1
         assert hits / spec.n_reps == pytest.approx(rate_axis, abs=1e-12)
 
 
@@ -110,7 +220,7 @@ class TestCiDistribution:
         rng = np.random.default_rng(14)
         z = rng.standard_normal((50, 6, 2))
         X = z[:, :, 0] + 1j * z[:, :, 1]
-        vec = _condition_indices_of_rows(X)
+        vec = condition_index(X)[0]
         for i in range(50):
             summary = covariance_summary(ComplexSample(X[i]))
             assert vec[i] == pytest.approx(summary.condition_index, rel=1e-10)
