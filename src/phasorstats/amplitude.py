@@ -93,7 +93,7 @@ def amp_errors_ellipse(sample: ComplexSample, level: float = 0.68) -> AmplitudeS
     ellipse angle. If the origin lies inside the ellipse, error_low is 0.
     """
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+        raise DomainError(f"level must be in (0, 1), got {level}")
     if sample.n < 3:
         raise TooFewObservations(
             f"ellipse error bars need >= 3 observations, got {sample.n}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,14 +92,31 @@ _N_GRID = (4, 8, 16, 32, 64)
 PRESETS = ("fig2", "fig3", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "outliers")
 
 
+# argparse type callables: a bad value exits 2 before any file is read
 def _parse_mu(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise MalformedInput(f"--mu expects 'RE,IM', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        real, imag = (float(p) for p in text.split(","))
     except ValueError:
-        raise MalformedInput(f"--mu expects two numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expects two numbers 'RE,IM', got {text!r}") from None
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return complex(real, imag)
+
+
+def _checked(convert, valid, what: str):
+    def parse(text: str):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # "invalid float value: 'x'"
+    return parse
+
+
+_probability = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_positive = _checked(float, lambda v: v > 0.0, "positive")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 
 
 def _parse_floats(text: str, option: str) -> list[float]:
@@ -131,7 +149,7 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
 
 def _cmd_analyze(args) -> int:
     rows = read_components_csv(args.input)
-    dataset = build_dataset(rows, _DESIGNS[args.design], _parse_mu(args.mu))
+    dataset = build_dataset(rows, _DESIGNS[args.design], args.mu)
     sha = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
     report = run_flowchart(
         dataset,
@@ -266,9 +284,8 @@ def _cmd_power(args) -> int:
 
 def _cmd_cluster(args) -> int:
     design = _DESIGNS[args.design]
-    mu = _parse_mu(args.mu)
     datasets = [
-        build_dataset(read_components_csv(path), design, mu)
+        build_dataset(read_components_csv(path), design, args.mu)
         for path in args.nodes
     ]
     graph = AdjacencyGraph.from_edge_list(args.edges, len(datasets))
@@ -295,12 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="flowchart-driven analysis of a CSV")
     p.add_argument("input")
     p.add_argument("--design", required=True, choices=sorted(_DESIGNS))
-    p.add_argument("--mu", default="0,0", help="comparison point RE,IM")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--mu", type=_parse_mu, default="0,0",
+                   help="comparison point RE,IM")
+    p.add_argument("--alpha", type=_probability, default=0.05)
     p.add_argument("--baseline", default=None,
                    help="restrict post-hoc tests to baseline vs the rest")
     p.add_argument("--no-outlier-screen", action="store_true")
-    p.add_argument("--threshold", type=float, default=3.0,
+    p.add_argument("--threshold", type=_positive, default=3.0,
                    help="Mahalanobis outlier threshold")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "text"], default="text")
@@ -341,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True, help="edge list file, 'i j' rows")
     p.add_argument("--design", required=True,
                    choices=["one-sample", "two-sample", "paired"])
-    p.add_argument("--mu", default="0,0")
+    p.add_argument("--mu", type=_parse_mu, default="0,0")
     p.add_argument("--test", default="T2circ", choices=["T2", "T2circ"])
-    p.add_argument("--alpha-forming", type=float, default=0.05)
-    p.add_argument("--perms", type=int, default=1000)
+    p.add_argument("--alpha-forming", type=_probability, default=0.05)
+    p.add_argument("--perms", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_cluster)

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels
 from .data import ComplexSample, Design, GroupedDataset, align_paired
 from .distributions import f_critical
-from .exceptions import DesignMismatch, InvalidGraph
+from .exceptions import DesignMismatch, DomainError, InvalidGraph
 from .inference import (
     TestResult,
     t2_one_sample,
@@ -214,11 +214,11 @@ def cluster_correct(
     so results are reproducible and permutations could run concurrently.
     """
     if test not in ("T2", "T2circ"):
-        raise ValueError(f"test must be 'T2' or 'T2circ', got {test!r}")
+        raise DomainError(f"test must be 'T2' or 'T2circ', got {test!r}")
     if not 0.0 < alpha_forming < 1.0:
-        raise ValueError(f"alpha_forming must be in (0, 1), got {alpha_forming}")
-    if n_perm < 1:
-        raise ValueError(f"n_perm must be >= 1, got {n_perm}")
+        raise DomainError(f"alpha_forming must be in (0, 1), got {alpha_forming}")
+    if not n_perm >= 1:
+        raise DomainError(f"n_perm must be >= 1, got {n_perm}")
     design = _validate_nodes(node_datasets, graph)
     k_nodes = len(node_datasets)
 

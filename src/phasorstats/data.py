@@ -15,11 +15,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import kernels
 from .exceptions import EmptyUnit, LabelMismatch, TooFewObservations
-
-#: Relative eigenvalue threshold below which a 2x2 covariance is treated as
-#: degenerate (rank deficient): lambda_min <= DEGENERACY_RTOL * trace.
-DEGENERACY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -216,32 +213,6 @@ def align_paired(a: ComplexSample, b: ComplexSample) -> tuple[np.ndarray, np.nda
     return a.observations, b_aligned, a.unit_labels
 
 
-def _eig2x2(a: float, b: float, c: float) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of the symmetric matrix [[a, b], [b, c]].
-
-    Returns (lambda_max, lambda_min, v_max, v_min) with orthonormal
-    eigenvectors. lambda_min is clamped at zero; sample covariances are
-    positive semi-definite up to rounding.
-    """
-    half = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
-    lmax = half + disc
-    lmin = max(half - disc, 0.0)
-    if disc == 0.0:
-        v1 = np.array([1.0, 0.0])
-    elif a >= c:
-        v1 = np.array([lmax - c, b])
-    else:
-        v1 = np.array([b, lmax - a])
-    norm = math.hypot(v1[0], v1[1])
-    if norm == 0.0:
-        v1 = np.array([1.0, 0.0])
-    else:
-        v1 = v1 / norm
-    v2 = np.array([-v1[1], v1[0]])
-    return lmax, lmin, v1, v2
-
-
 @dataclass(frozen=True, eq=False)
 class CovarianceSummary:
     """Bivariate mean, 2x2 covariance and its eigenstructure for one sample.
@@ -276,35 +247,29 @@ def covariance_summary(sample: ComplexSample) -> CovarianceSummary:
     CovarianceSummary
         Eigenvalues sorted descending; eigenvectors are the columns of
         ``eigenvectors``, orthonormal. ``degenerate`` is set when
-        lambda_min <= 1e-12 * trace; consumers that need an invertible
-        covariance should raise rather than proceed.
+        lambda_min <= 1e-12 * trace, tested in its determinant form
+        det <= 1e-12 (1 - 1e-12) trace^2 (``kernels.degenerate``);
+        consumers that need an invertible covariance should raise rather
+        than proceed. The numbers are those of ``kernels.spectrum`` on a
+        batch of one.
     """
     n = sample.n
     if n < 2:
         raise TooFewObservations(f"covariance needs >= 2 observations, got {n}")
-    z = sample.observations
-    mean = z.mean()
-    dre = z.real - mean.real
-    dim = z.imag - mean.imag
-    denom = n - 1
-    a = float(dre @ dre) / denom
-    b = float(dre @ dim) / denom
-    c = float(dim @ dim) / denom
-    lmax, lmin, v1, v2 = _eig2x2(a, b, c)
-    trace = a + c
-    degenerate = trace <= 0.0 or lmin <= DEGENERACY_RTOL * trace
-    ci = math.sqrt(lmax / lmin) if lmin > 0.0 else math.inf
+    mean, (a, b, c), (lmax, lmin), ci, degenerate = kernels.spectrum(
+        sample.observations
+    )
     cov = np.array([[a, b], [b, c]])
     cov.setflags(write=False)
-    vecs = np.column_stack([v1, v2])
+    vecs = kernels.eigvecs2(a, b, c, lmax)
     vecs.setflags(write=False)
     return CovarianceSummary(
         mean=(float(mean.real), float(mean.imag)),
         cov=cov,
-        eigenvalues=(lmax, lmin),
+        eigenvalues=(float(lmax), float(lmin)),
         eigenvectors=vecs,
-        condition_index=ci,
-        degenerate=degenerate,
+        condition_index=float(ci),
+        degenerate=bool(degenerate),
     )
 
 

@@ -20,14 +20,13 @@ All p-values are upper-tail; the statistics are nonnegative.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .data import ComplexSample, align_paired, covariance_summary
+from .data import ComplexSample, align_paired
 from .distributions import ConditionIndexDistribution, f_cdf
 from .exceptions import (
     DegenerateCovariance,
@@ -107,11 +106,7 @@ def t2_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     n = sample.n
     if n < 3:
         raise TooFewObservations(f"T2 needs >= 3 observations, got {n}")
-    summary = covariance_summary(sample)
-    (a, b), (_, c) = summary.cov
-    t2, f, df, bad = kernels.hotelling(
-        n, a, b, c, summary.mean_complex - complex(mu), n - 2
-    )
+    t2, f, df, bad = kernels.t2_one_sample(sample.observations, complex(mu))
     if bad:
         raise DegenerateCovariance("sample covariance is degenerate")
     return _f_result("T2", t2, f, df, None, (n,))
@@ -144,12 +139,10 @@ def ci_test(sample: ComplexSample) -> TestResult:
     n = sample.n
     if n < 3:
         raise TooFewObservations(f"condition-index test needs >= 3, got {n}")
-    summary = covariance_summary(sample)
-    if summary.degenerate:
+    ci, bad = kernels.condition_index(sample.observations)
+    if bad:
         raise DegenerateCovariance("sample covariance is degenerate")
-    dist = ConditionIndexDistribution(n=n, variant="modified")
-    ci = summary.condition_index
-    p = dist.sf(ci)
+    p = ConditionIndexDistribution(n=n, variant="modified").sf(ci)
     return TestResult("CI_test", float(ci), None, None, p, None, (n,))
 
 
@@ -175,16 +168,10 @@ def t2_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
         raise TooFewObservations(
             f"two-sample T2 needs >= 3 per group, got {na} and {nb}"
         )
-    sa = covariance_summary(a)
-    sb = covariance_summary(b)
-    (pa, pb), (_, pc) = ((na - 1) * sa.cov + (nb - 1) * sb.cov) / (na + nb - 2)
-    diff = sa.mean_complex - sb.mean_complex
-    t2, f, df, bad = kernels.hotelling(na * nb / (na + nb), pa, pb, pc, diff,
-                                       na + nb - 3)
+    t2, f, df, bad = kernels.t2_two_sample(a.observations, b.observations)
     if bad:
         raise DegenerateCovariance("pooled covariance is degenerate")
-    q = kernels.quadform_inv(pa, pb, pc, diff.real, diff.imag) if diff else 0.0
-    return _f_result("T2", t2, f, df, math.sqrt(max(q, 0.0)), (na, nb))
+    return _f_result("T2", t2, f, df, _safe_pairwise_d(a, b), (na, nb))
 
 
 def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
@@ -216,15 +203,13 @@ def _paired_differences(a: ComplexSample, b: ComplexSample) -> ComplexSample:
 def t2_paired(a: ComplexSample, b: ComplexSample) -> TestResult:
     """Paired T^2: one-sample T^2 of the within-unit differences vs 0."""
     res = t2_one_sample(_paired_differences(a, b), 0j)
-    return TestResult(res.statistic_name, res.statistic, res.f_value, res.df,
-                      res.p_value, _safe_pairwise_d(a, b), res.n_per_group)
+    return replace(res, effect_size=_safe_pairwise_d(a, b))
 
 
 def t2circ_paired(a: ComplexSample, b: ComplexSample) -> TestResult:
     """Paired T^2_circ: one-sample T^2_circ of the differences vs 0."""
     res = t2circ_one_sample(_paired_differences(a, b), 0j)
-    return TestResult(res.statistic_name, res.statistic, res.f_value, res.df,
-                      res.p_value, _safe_pairwise_d(a, b), res.n_per_group)
+    return replace(res, effect_size=_safe_pairwise_d(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,11 @@
-"""Test statistics batched over leading axes, and the 2x2 helpers they share.
+"""Test statistics batched over leading axes, and the 2x2 algebra they share.
+
+This module is the only home of the bivariate moment sums, the 2x2
+eigenvalues, the degeneracy rule and the inverse quadratic form. The scalar
+tests in ``inference``, ``covariance_summary`` and the Mahalanobis distances
+in ``outliers`` run these functions on a batch of one, so a scalar T2, CI
+test or covariance summary is bit for bit the matching row of a batched
+call.
 
 Each kernel takes complex observations with the sample along the last axis,
 (..., n), and returns arrays over the leading axes; the k-group kernels take
@@ -11,9 +18,13 @@ supra-threshold. An exactly zero mean difference gives F = 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .data import DEGENERACY_RTOL
+#: Relative eigenvalue threshold below which a 2x2 covariance is treated as
+#: degenerate (rank deficient): lambda_min <= DEGENERACY_RTOL * trace.
+DEGENERACY_RTOL = 1e-12
 
 
 def _mean(X: np.ndarray):
@@ -30,16 +41,54 @@ def _dot(x: np.ndarray, y: np.ndarray):
 def scatter(X: np.ndarray):
     """Mean and the scatter sums (sxx, sxy, syy) about it, over the last axis."""
     m = _mean(X)
-    d = X - m[..., None]
-    dre, dim = d.real, d.imag
-    return (m, (dre * dre).sum(axis=-1), (dre * dim).sum(axis=-1),
-            (dim * dim).sum(axis=-1))
+    dre = X.real - m.real[..., None]
+    dim = X.imag - m.imag[..., None]
+    return m, _dot(dre, dre), _dot(dre, dim), _dot(dim, dim)
+
+
+def covariance(X: np.ndarray):
+    """Mean and the covariance entries (a, b, c) of [[a, b], [b, c]], with the
+    N - 1 denominator, over the last axis."""
+    n = X.shape[-1]
+    m, sxx, sxy, syy = scatter(X)
+    return m, sxx / (n - 1), sxy / (n - 1), syy / (n - 1)
+
+
+def pooled(A: np.ndarray, B: np.ndarray):
+    """Mean difference A - B and the pooled covariance entries (a, b, c),
+    with the Na + Nb - 2 denominator."""
+    ma, aa, ab, ac = scatter(A)
+    mb, ba, bb, bc = scatter(B)
+    denom = A.shape[-1] + B.shape[-1] - 2
+    return ma - mb, (aa + ba) / denom, (ab + bb) / denom, (ac + bc) / denom
 
 
 def residual_power(X: np.ndarray):
     """Mean and the summed squared distance |x - mean|^2, over the last axis."""
     m = _mean(X)
     return m, (np.abs(X - m[..., None]) ** 2).sum(axis=-1)
+
+
+def eig2(a, b, c):
+    """Eigenvalues (lambda_max, lambda_min) of [[a, b], [b, c]]; lambda_min is
+    clamped at zero, as sample covariances are positive semi-definite up to
+    rounding."""
+    half = 0.5 * (a + c)
+    disc = np.hypot(0.5 * (a - c), b)
+    return half + disc, np.maximum(half - disc, 0.0)
+
+
+def eigvecs2(a: float, b: float, c: float, lmax: float) -> np.ndarray:
+    """Orthonormal eigenvectors of [[a, b], [b, c]] (scalars) as the columns
+    (v_max, v_min), v_max for the eigenvalue lmax; the coordinate axes when
+    the matrix is a multiple of the identity."""
+    if a == c and b == 0.0:
+        x, y = 1.0, 0.0
+    else:
+        x, y = (lmax - c, b) if a >= c else (b, lmax - a)
+        norm = math.hypot(x, y)
+        x, y = x / norm, y / norm
+    return np.array([[x, -y], [y, x]])
 
 
 #: lambda_min <= RTOL trace  <=>  det <= RTOL (1 - RTOL) trace^2 for a
@@ -49,13 +98,14 @@ _DET_RTOL = DEGENERACY_RTOL * (1.0 - DEGENERACY_RTOL)
 
 
 def degenerate(det, trace):
-    """The covariance_summary test lambda_min <= DEGENERACY_RTOL * trace, for
-    a positive semi-definite 2x2 matrix with this determinant and trace."""
+    """The degeneracy rule lambda_min <= DEGENERACY_RTOL * trace, in its
+    determinant form, for a positive semi-definite 2x2 matrix with this
+    determinant and trace; a zero matrix is degenerate."""
     return det <= _DET_RTOL * trace * trace
 
 
 def _adjugate_form(a, b, c, x, y):
-    return c * x * x - 2.0 * b * x * y + a * y * y
+    return c * (x * x) - 2.0 * b * x * y + a * (y * y)
 
 
 def quadform_inv(a, b, c, x, y):
@@ -134,11 +184,11 @@ def _circular(h, dfr: int, diff, resid):
     return t2c, h * t2c, (2, 2 * dfr), bad
 
 
-def t2_one_sample(X: np.ndarray):
-    """Hotelling's T^2 against 0; df (2, n-2)."""
+def t2_one_sample(X: np.ndarray, mu: complex = 0j):
+    """Hotelling's T^2 against mu; df (2, n-2)."""
     n = X.shape[-1]
-    m, sxx, sxy, syy = scatter(X)
-    return hotelling(n, sxx / (n - 1), sxy / (n - 1), syy / (n - 1), m, n - 2)
+    m, a, b, c = covariance(X)
+    return hotelling(n, a, b, c, m - mu, n - 2)
 
 
 def t2circ_one_sample(X: np.ndarray, mu: complex = 0j):
@@ -151,11 +201,8 @@ def t2circ_one_sample(X: np.ndarray, mu: complex = 0j):
 def t2_two_sample(A: np.ndarray, B: np.ndarray):
     """Two-sample T^2 with pooled covariance; df (2, na + nb - 3)."""
     na, nb = A.shape[-1], B.shape[-1]
-    ma, aa, ab, ac = scatter(A)
-    mb, ba, bb, bc = scatter(B)
-    denom = na + nb - 2
-    return hotelling(na * nb / (na + nb), (aa + ba) / denom, (ab + bb) / denom,
-                     (ac + bc) / denom, ma - mb, na + nb - 3)
+    diff, a, b, c = pooled(A, B)
+    return hotelling(na * nb / (na + nb), a, b, c, diff, na + nb - 3)
 
 
 def t2circ_two_sample(A: np.ndarray, B: np.ndarray):
@@ -189,25 +236,27 @@ def manova_oneway(groups):
     grand = _mean(values)
     b00 = b01 = b11 = wa = wb = wc = 0.0
     for g in groups:
-        n, m = g.shape[-1], _mean(g)
+        n = g.shape[-1]
+        m, sxx, sxy, syy = scatter(g)
         d0, d1 = m.real - grand.real, m.imag - grand.imag
         b00, b01, b11 = (b00 + n * (d0 * d0), b01 + n * (d0 * d1),
                          b11 + n * (d1 * d1))
-        dre = g.real - m.real[..., None]
-        dim = g.imag - m.imag[..., None]
-        wa, wb, wc = wa + _dot(dre, dre), wb + _dot(dre, dim), wc + _dot(dim, dim)
+        wa, wb, wc = wa + sxx, wb + sxy, wc + syy
     return pillai(b00, b01, b11, wa, wb, wc, len(groups), values.shape[-1])
+
+
+def spectrum(X: np.ndarray):
+    """(mean, (a, b, c), (lambda_max, lambda_min), condition index,
+    degenerate) of the covariance over the last axis; the condition index
+    sqrt(lambda_max / lambda_min) is inf where lambda_min is zero."""
+    m, a, b, c = covariance(X)
+    lmax, lmin = eig2(a, b, c)
+    with np.errstate(divide="ignore"):
+        ci = np.sqrt(np.where(lmin > 0.0, lmax / lmin, np.inf))
+    return m, (a, b, c), (lmax, lmin), ci, degenerate(a * c - b * b, a + c)
 
 
 def condition_index(X: np.ndarray):
     """sqrt(lambda_max / lambda_min) of the covariance over the last axis, and
-    ``bad``; the index is inf where lambda_min is zero."""
-    n = X.shape[-1]
-    _, sxx, sxy, syy = scatter(X)
-    a, b, c = sxx / (n - 1), sxy / (n - 1), syy / (n - 1)
-    half = 0.5 * (a + c)
-    disc = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-    lmin = np.maximum(half - disc, 0.0)  # PSD up to rounding
-    with np.errstate(divide="ignore"):
-        ci = np.sqrt(np.where(lmin > 0.0, (half + disc) / lmin, np.inf))
-    return ci, degenerate(a * c - b * b, a + c)
+    ``bad`` (a degenerate covariance); see ``spectrum``."""
+    return spectrum(X)[3:]

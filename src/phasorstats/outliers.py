@@ -14,17 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    DEGENERACY_RTOL,
-    ComplexSample,
-    Design,
-    GroupedDataset,
-    UNIT_ALIGNED_DESIGNS,
-    _eig2x2,
-    covariance_summary,
-)
+from . import kernels
+from .data import ComplexSample, Design, GroupedDataset, UNIT_ALIGNED_DESIGNS
 from .exceptions import DegenerateCovariance, TooFewObservations
-from .kernels import quadform_inv
 
 DEFAULT_THRESHOLD = 3.0
 
@@ -62,20 +54,17 @@ class ScreeningReport:
 
 
 def _distances(sample: ComplexSample) -> np.ndarray:
-    summary = covariance_summary(sample)
     if sample.n < 3:
         raise TooFewObservations(
             f"Mahalanobis distances need >= 3 observations, got {sample.n}"
         )
-    if summary.degenerate:
+    m, a, b, c = kernels.covariance(sample.observations)
+    if kernels.degenerate(a * c - b * b, a + c):
         raise DegenerateCovariance(
             f"covariance of condition {sample.condition_label!r} is degenerate"
         )
-    (a, b), (_, c) = summary.cov
-    dre = sample.observations.real - summary.mean[0]
-    dim = sample.observations.imag - summary.mean[1]
-    d2 = quadform_inv(a, b, c, dre, dim)
-    return np.sqrt(np.maximum(d2, 0.0))
+    d = sample.observations - m
+    return np.sqrt(np.maximum(kernels.quadform_inv(a, b, c, d.real, d.imag), 0.0))
 
 
 def mahalanobis_distances(
@@ -146,14 +135,6 @@ def exclude_outliers(
     return screened, report
 
 
-def pooled_covariance(a: ComplexSample, b: ComplexSample) -> np.ndarray:
-    """(N-1)-weighted pooled 2x2 covariance of two samples."""
-    sa = covariance_summary(a)
-    sb = covariance_summary(b)
-    wa, wb = a.n - 1, b.n - 1
-    return (wa * sa.cov + wb * sb.cov) / (wa + wb)
-
-
 def pairwise_mahalanobis(a: ComplexSample, b: ComplexSample) -> float:
     """Distance between two group means in pooled-covariance units.
 
@@ -168,21 +149,16 @@ def pairwise_mahalanobis(a: ComplexSample, b: ComplexSample) -> float:
             f"pairwise distance needs >= 3 observations per group, "
             f"got {a.n} and {b.n}"
         )
-    cov = pooled_covariance(a, b)
-    diff = a.observations.mean() - b.observations.mean()
-    d = np.array([diff.real, diff.imag])
-    av, bv, cv = cov[0, 0], cov[0, 1], cov[1, 1]
-    lmax, lmin, vmax, vmin = _eig2x2(av, bv, cv)
-    trace = av + cv
-    if trace <= 0.0 or lmin <= DEGENERACY_RTOL * trace:
-        norm = np.hypot(d[0], d[1])
-        if norm == 0.0:
-            return 0.0
-        if lmax <= 0.0 or abs(float(d @ vmin)) > 1e-9 * norm:
-            raise DegenerateCovariance(
-                "mean difference has a component along the degenerate axis"
-            )
-        return abs(float(d @ vmax)) / np.sqrt(lmax)
-    det = av * cv - bv * bv
-    d2 = (cv * d[0] ** 2 - 2.0 * bv * d[0] * d[1] + av * d[1] ** 2) / det
-    return float(np.sqrt(max(d2, 0.0)))
+    diff, av, bv, cv = kernels.pooled(a.observations, b.observations)
+    x, y = diff.real, diff.imag
+    if not kernels.degenerate(av * cv - bv * bv, av + cv):
+        return float(np.sqrt(max(kernels.quadform_inv(av, bv, cv, x, y), 0.0)))
+    if diff == 0:
+        return 0.0
+    lmax, _ = kernels.eig2(av, bv, cv)
+    along, across = np.array([x, y]) @ kernels.eigvecs2(av, bv, cv, lmax)
+    if lmax <= 0.0 or abs(across) > 1e-9 * abs(diff):
+        raise DegenerateCovariance(
+            "mean difference has a component along the degenerate axis"
+        )
+    return float(abs(along) / np.sqrt(lmax))

@@ -97,6 +97,11 @@ class TestEllipse:
             assert res.error_low == pytest.approx(base.error_low, abs=1e-9)
             assert res.error_high == pytest.approx(base.error_high, abs=1e-9)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    def test_bad_level_raises_domain_error(self, level):
+        with pytest.raises(DomainError):
+            amp_errors_ellipse(whitened_sample(5), level)
+
     def test_preconditions(self):
         with pytest.raises(TooFewObservations):
             amp_errors_ellipse(ComplexSample([1 + 1j, 2 + 2j]), 0.68)

@@ -15,7 +15,7 @@ from phasorstats import (
     t2circ_two_sample,
 )
 from phasorstats import kernels
-from phasorstats.exceptions import DesignMismatch, InvalidGraph
+from phasorstats.exceptions import DesignMismatch, DomainError, InvalidGraph
 
 
 def line_graph(k):
@@ -226,6 +226,18 @@ class TestClusterCorrect:
         with pytest.raises(DesignMismatch):
             cluster_correct([one[0], two], line_graph(2), "T2circ",
                             n_perm=10, seed=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(test="T3"),
+        dict(alpha_forming=0.0),
+        dict(alpha_forming=1.0),
+        dict(alpha_forming=float("nan")),
+        dict(n_perm=0),
+    ])
+    def test_bad_arguments_raise_domain_error(self, kwargs):
+        args = dict(test="T2circ", n_perm=10, seed=0) | kwargs
+        with pytest.raises(DomainError):
+            cluster_correct(one_sample_nodes(23, k=2), line_graph(2), **args)
 
     def test_graph_size_mismatch(self):
         with pytest.raises(InvalidGraph):

@@ -5,9 +5,15 @@ import pytest
 
 from phasorstats import (
     ComplexSample,
+    ConditionIndexDistribution,
     anova2circ_independent,
+    ci_test,
+    covariance_summary,
+    f_cdf,
     manova_oneway,
     t2_one_sample,
+    t2_paired,
+    t2_two_sample,
     t2circ_one_sample,
 )
 from phasorstats import kernels
@@ -42,6 +48,60 @@ def test_k_group_kernels_match_scalar_tests(k, n):
         assert pillai[i] == pytest.approx(manova.statistic, rel=1e-10)
         assert f_manova[i] == pytest.approx(manova.f_value, rel=1e-10)
         assert df_manova == manova.df
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_scalar_tests_are_rows_of_one_batched_call(scale):
+    # the scalar tests run the kernels on a batch of one: each result must be
+    # the matching row of one batched call, bit for bit
+    reps, n = 40, 7
+    X = scale * (groups_block(7, reps, 2, n)
+                 + np.array([[3 - 2j], [-1 + 4j]]))
+    A, B = X[:, 0], X[:, 1]
+    mu = scale * (1.5 - 0.5j)
+    _, (ca, cb, cc), (lmax, lmin), ci, ci_bad = kernels.spectrum(A)
+    t2 = kernels.t2_one_sample(A, mu)
+    paired = kernels.t2_one_sample(A - B)
+    two = kernels.t2_two_sample(A, B)
+    assert not (ci_bad.any() or t2[3].any() or paired[3].any() or two[3].any())
+    ci_dist = ConditionIndexDistribution(n, "modified")
+    labels = tuple(f"u{j}" for j in range(n))
+    for i in range(reps):
+        a = ComplexSample(A[i], "a", labels)
+        b = ComplexSample(B[i], "b", labels)
+        summary = covariance_summary(a)
+        assert summary.cov.tolist() == [[ca[i], cb[i]], [cb[i], cc[i]]]
+        assert summary.eigenvalues == (lmax[i], lmin[i])
+        assert summary.condition_index == ci[i]
+        res = ci_test(a)
+        assert (res.statistic, res.p_value) == (ci[i], ci_dist.sf(ci[i]))
+        for res, (stat, f, df, _) in ((t2_one_sample(a, mu), t2),
+                                      (t2_paired(a, b), paired),
+                                      (t2_two_sample(a, b), two)):
+            assert (res.statistic, res.f_value, res.df) == (stat[i], f[i], df)
+            assert res.p_value == 1.0 - f_cdf(f[i], *df)
+
+
+def test_degeneracy_rule_is_shared():
+    # lambda_min / trace = 9.9997e-13 sits at the 1e-12 threshold; the
+    # eigenvalue and determinant forms of the rule used to disagree here, so
+    # ci_test raised while t2_one_sample returned a result
+    z = np.array([-2.5543706144102805 + 0.06144651687543079j,
+                  -2.0328941861980665 - 1.9559786093331912j,
+                  -2.3988929873164877 - 0.540038977004919j])
+    sample = ComplexSample(z)
+    flagged = covariance_summary(sample).degenerate
+    assert bool(kernels.condition_index(z)[1]) == flagged
+
+    def raises(test):
+        try:
+            test(sample)
+        except DegenerateCovariance:
+            return True
+        return False
+
+    assert raises(ci_test) == flagged
+    assert raises(t2_one_sample) == flagged
 
 
 def test_unequal_group_sizes():

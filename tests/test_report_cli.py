@@ -183,6 +183,22 @@ class TestCliAnalyze:
         rc = cli_main(["analyze", "x.csv", "--design", "sideways"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", [
+        ["--alpha", "0"],
+        ["--alpha", "1.5"],
+        ["--alpha", "nan"],
+        ["--threshold", "nan"],
+        ["--threshold", "0"],
+        ["--mu", "nan,0"],
+        ["--mu", "1,2,3"],
+    ])
+    def test_bad_numeric_flag_exit_2(self, flag, capsys):
+        # valid paired data: only the flag can make the run fail
+        rc = cli_main(["analyze", str(FIXTURES / "mouse_ssvep.csv"),
+                       "--design", "paired", *flag])
+        assert rc == 2
+        assert f"argument {flag[0]}" in capsys.readouterr().err
+
     def test_output_deterministic_across_runs(self, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
@@ -313,6 +329,19 @@ class TestCliOther:
         assert payload["n_permutations"] == 200
         assert len(payload["node_results"]) == 3
 
+    @pytest.mark.parametrize("flag", [
+        ["--alpha-forming", "0"],
+        ["--alpha-forming", "nan"],
+        ["--perms", "0"],
+        ["--mu", "inf,0"],
+    ])
+    def test_cluster_bad_flag_exit_2_before_reading(self, tmp_path, flag, capsys):
+        rc = cli_main(["cluster", str(tmp_path / "missing.csv"), "--edges",
+                       str(tmp_path / "missing.txt"), "--design", "one-sample",
+                       *flag])
+        assert rc == 2
+        assert f"argument {flag[0]}" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         import phasorstats
 
@@ -323,25 +352,14 @@ class TestCliOther:
 
 
 class TestGoldenReports:
-    def test_mouse_golden_regenerates(self, tmp_path):
-        out = tmp_path / "mouse.json"
-        rc = cli_main([
-            "analyze", str(FIXTURES / "mouse_ssvep.csv"), "--design",
-            "paired", "--format", "json", "--seed", "0", "--out", str(out),
-        ])
+    @pytest.mark.parametrize("name,args", [
+        ("mouse", ["--design", "paired"]),
+        ("human", ["--design", "oneway-rm", "--baseline", "0"]),
+    ], ids=["mouse", "human"])
+    def test_golden_regenerates(self, tmp_path, name, args):
+        # byte for byte, as scripts/make_fixtures.py writes the goldens
+        out = tmp_path / f"{name}.json"
+        rc = cli_main(["analyze", str(FIXTURES / f"{name}_ssvep.csv"), *args,
+                       "--format", "json", "--seed", "0", "--out", str(out)])
         assert rc == 0
-        assert json.loads(out.read_text()) == json.loads(
-            (FIXTURES / "mouse_report.json").read_text()
-        )
-
-    def test_human_golden_regenerates(self, tmp_path):
-        out = tmp_path / "human.json"
-        rc = cli_main([
-            "analyze", str(FIXTURES / "human_ssvep.csv"), "--design",
-            "oneway-rm", "--baseline", "0", "--format", "json", "--seed",
-            "0", "--out", str(out),
-        ])
-        assert rc == 0
-        assert json.loads(out.read_text()) == json.loads(
-            (FIXTURES / "human_report.json").read_text()
-        )
+        assert out.read_bytes() == (FIXTURES / f"{name}_report.json").read_bytes()
