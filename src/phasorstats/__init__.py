@@ -13,7 +13,7 @@ from .data import (
     coherent_mean,
     covariance_summary,
 )
-from .distributions import ConditionIndexDistribution, f_cdf, f_critical
+from .distributions import ConditionIndexDistribution, f_cdf, f_critical, f_sf
 from .inference import (
     TestResult,
     anova2circ_independent,
@@ -83,6 +83,7 @@ __all__ = [
     "extract_component",
     "f_cdf",
     "f_critical",
+    "f_sf",
     "mahalanobis_distances",
     "manova_oneway",
     "pairwise_mahalanobis",

@@ -19,12 +19,13 @@ from scipy.stats import chi2
 
 from .data import ComplexSample, covariance_summary
 from .exceptions import DegenerateCovariance, DomainError, TooFewObservations
+from .records import Record
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class AmplitudeSummary:
+class AmplitudeSummary(Record):
     """Amplitude of the coherent mean with lower/upper error bounds."""
 
     mean_amplitude: float
@@ -33,20 +34,6 @@ class AmplitudeSummary:
     error_high: float
     method: str
     level: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_amplitude": self.mean_amplitude,
-            "mean_phase": self.mean_phase,
-            "error_low": self.error_low,
-            "error_high": self.error_high,
-            "method": self.method,
-            "level": self.level,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AmplitudeSummary":
-        return cls(**d)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -187,30 +187,36 @@ class GroupedDataset:
         return tuple(s.condition_label for s in self.samples)
 
     def aligned_matrix(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Observations as a (k, N) matrix aligned by unit label.
-
-        Rows follow sample order; columns follow the first sample's unit
-        order. Only valid for unit-aligned designs.
-        """
+        """Observations as a (k, N) matrix aligned by unit label
+        (``align_units``). Only valid for unit-aligned designs."""
         if self.design not in UNIT_ALIGNED_DESIGNS:
             raise LabelMismatch(
                 f"{self.design.value} design has no unit alignment"
             )
-        first = self.samples[0]
-        labels = first.unit_labels
-        out = np.empty((self.k, first.n), dtype=np.complex128)
-        for i, s in enumerate(self.samples):
-            order = {u: j for j, u in enumerate(s.unit_labels)}
-            out[i] = s.observations[[order[u] for u in labels]]
-        return out, labels
+        return align_units(self.samples)
+
+
+def align_units(
+    samples: Sequence[ComplexSample],
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Observations as a (k, N) matrix aligned by unit label, plus the labels.
+
+    Rows follow sample order; columns follow the first sample's unit order.
+    Raises LabelMismatch unless every sample carries the same unique labels.
+    """
+    _check_alignable(samples)
+    labels = samples[0].unit_labels
+    out = np.empty((len(samples), len(labels)), dtype=np.complex128)
+    for i, s in enumerate(samples):
+        order = {u: j for j, u in enumerate(s.unit_labels)}
+        out[i] = s.observations[[order[u] for u in labels]]
+    return out, labels
 
 
 def align_paired(a: ComplexSample, b: ComplexSample) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Return (values_a, values_b, labels) with b reordered to a's units."""
-    _check_alignable([a, b])
-    order = {u: j for j, u in enumerate(b.unit_labels)}
-    b_aligned = b.observations[[order[u] for u in a.unit_labels]]
-    return a.observations, b_aligned, a.unit_labels
+    (va, vb), labels = align_units((a, b))
+    return va, vb, labels
 
 
 @dataclass(frozen=True, eq=False)

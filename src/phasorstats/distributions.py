@@ -30,13 +30,8 @@ from .exceptions import DomainError
 _VARIANTS = ("edelman", "modified")
 
 
-def f_cdf(x, df1: int, df2: int):
-    """P(F <= x) for an F distribution with (df1, df2) degrees of freedom.
-
-    Computed through the regularized incomplete beta function; monotone
-    nondecreasing in x. ``x`` is a scalar (float result) or an array of
-    statistics (array result); inf maps to 1.
-    """
+def _f_args(x, df1: int, df2: int) -> tuple[np.ndarray, int, int]:
+    """Checked F statistic array and integer degrees of freedom."""
     df1 = int(df1)
     df2 = int(df2)
     if df1 < 1 or df2 < 1:
@@ -45,14 +40,37 @@ def f_cdf(x, df1: int, df2: int):
     invalid = ~(arr >= 0.0)  # negative or NaN
     if invalid.any():
         raise DomainError(f"F statistic must be >= 0, got {arr[invalid][0]}")
+    return arr, df1, df2
+
+
+def f_cdf(x, df1: int, df2: int):
+    """P(F <= x) for an F distribution with (df1, df2) degrees of freedom.
+
+    Computed through the regularized incomplete beta function; monotone
+    nondecreasing in x. ``x`` is a scalar (float result) or an array of
+    statistics (array result); inf maps to 1.
+    """
+    arr, df1, df2 = _f_args(x, df1, df2)
     with np.errstate(invalid="ignore"):
         t = df1 * arr / (df1 * arr + df2)
     cdf = np.where(np.isinf(arr), 1.0, special.betainc(0.5 * df1, 0.5 * df2, t))
     return float(cdf) if cdf.ndim == 0 else cdf
 
 
+def f_sf(x, df1: int, df2: int):
+    """P(F > x) for an F distribution with (df1, df2) degrees of freedom.
+
+    Computed directly (``special.fdtrc``), not as 1 - f_cdf, so the far
+    tail keeps its digits instead of rounding to 0. Arguments and checks as
+    ``f_cdf``; inf maps to 0.
+    """
+    arr, df1, df2 = _f_args(x, df1, df2)
+    sf = special.fdtrc(df1, df2, arr)
+    return float(sf) if sf.ndim == 0 else sf
+
+
 def f_critical(alpha: float, df1: int, df2: int) -> float:
-    """Upper-tail critical value: x such that 1 - f_cdf(x) = alpha."""
+    """Upper-tail critical value: x such that f_sf(x, df1, df2) = alpha."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     return float(special.fdtri(int(df1), int(df2), 1.0 - alpha))
@@ -107,8 +125,9 @@ class ConditionIndexDistribution:
         evaluated as (2 / (x + 1/x))^(m-1), which cannot overflow and keeps
         full relative accuracy in the far tail."""
         arr = _support(x)
-        out = (2.0 / (arr + 1.0 / arr)) ** (self._m - 1)
-        return float(out) if out.ndim == 0 else out
+        row = np.atleast_1d(arr)  # a scalar gets the bits of an array entry
+        out = (2.0 / (row + 1.0 / row)) ** (self._m - 1)
+        return float(out[0]) if arr.ndim == 0 else out
 
     def cdf(self, x):
         """P(CI <= x) = 1 - sf(x), for a scalar or an array."""

@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .data import ComplexSample, align_paired
-from .distributions import ConditionIndexDistribution, f_cdf
+from .data import ComplexSample, align_paired, align_units
+from .distributions import ConditionIndexDistribution, f_sf
 from .exceptions import (
     DegenerateCovariance,
     SingularWithinScatter,
@@ -36,16 +36,18 @@ from .exceptions import (
     ZeroResidualVariance,
 )
 from .outliers import pairwise_mahalanobis
+from .records import Record
 
 
 @dataclass(frozen=True)
-class TestResult:
+class TestResult(Record):
     """Outcome of one hypothesis test.
 
     ``df`` and ``f_value`` are None for tests that are not F-based (the
-    condition-index test). For F-based tests, p_value == 1 - f_cdf(f_value,
-    *df) exactly. ``effect_size`` carries the pairwise Mahalanobis distance
-    where both groups are available.
+    condition-index test). For F-based tests, MANOVA's Pillai F included,
+    p_value == f_sf(f_value, *df) exactly, so far-tail p-values do not round
+    to 0. ``effect_size`` carries the pairwise Mahalanobis distance where
+    both groups are available.
     """
 
     statistic_name: str
@@ -56,29 +58,6 @@ class TestResult:
     effect_size: Optional[float] = None
     n_per_group: tuple[int, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic_name": self.statistic_name,
-            "statistic": self.statistic,
-            "f_value": self.f_value,
-            "df": list(self.df) if self.df is not None else None,
-            "p_value": self.p_value,
-            "effect_size": self.effect_size,
-            "n_per_group": list(self.n_per_group),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TestResult":
-        return cls(
-            statistic_name=d["statistic_name"],
-            statistic=d["statistic"],
-            f_value=d["f_value"],
-            df=tuple(d["df"]) if d["df"] is not None else None,
-            p_value=d["p_value"],
-            effect_size=d["effect_size"],
-            n_per_group=tuple(d["n_per_group"]),
-        )
-
 
 def _f_result(
     name: str,
@@ -88,7 +67,7 @@ def _f_result(
     effect_size: Optional[float],
     n_per_group: tuple[int, ...],
 ) -> TestResult:
-    p = 1.0 - f_cdf(f_value, df[0], df[1])
+    p = f_sf(f_value, df[0], df[1])
     return TestResult(name, float(statistic), float(f_value), df, p,
                       effect_size, n_per_group)
 
@@ -254,12 +233,7 @@ def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
     """
     groups = list(groups)
     _check_groups(groups, 2, "ANOVA2circ")
-    first = groups[0]
-    matrix = np.empty((len(groups), first.n), dtype=np.complex128)
-    matrix[0] = first.observations
-    for i, g in enumerate(groups[1:], start=1):
-        va, vb, _ = align_paired(first, g)
-        matrix[i] = vb
+    matrix, _ = align_units(groups)
     k, n = matrix.shape
     if n < 2:
         raise TooFewObservations("repeated-measures ANOVA2circ needs >= 2 units")

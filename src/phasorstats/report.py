@@ -33,10 +33,11 @@ from .inference import (
     t2circ_two_sample,
 )
 from .outliers import DEFAULT_THRESHOLD, ScreeningReport, exclude_outliers
+from .records import Record
 
 
 @dataclass(frozen=True)
-class ConditionSummary:
+class ConditionSummary(Record):
     """Scatter summary and assumption test for one condition."""
 
     condition: str
@@ -51,154 +52,46 @@ class ConditionSummary:
     degenerate: bool
     ci_p_value: Optional[float]
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "n": self.n,
-            "mean_re": self.mean_re,
-            "mean_im": self.mean_im,
-            "amplitude": self.amplitude,
-            "phase": self.phase,
-            "covariance": [list(row) for row in self.covariance],
-            "eigenvalues": list(self.eigenvalues),
-            "condition_index": self.condition_index,
-            "degenerate": self.degenerate,
-            "ci_p_value": self.ci_p_value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConditionSummary":
-        return cls(
-            condition=d["condition"],
-            n=d["n"],
-            mean_re=d["mean_re"],
-            mean_im=d["mean_im"],
-            amplitude=d["amplitude"],
-            phase=d["phase"],
-            covariance=tuple(tuple(row) for row in d["covariance"]),
-            eigenvalues=tuple(d["eigenvalues"]),
-            condition_index=d["condition_index"],
-            degenerate=d["degenerate"],
-            ci_p_value=d["ci_p_value"],
-        )
-
 
 @dataclass(frozen=True)
-class ConditionScreening:
+class ConditionScreening(Record):
     condition: str
     n_before: int
     flagged_indices: tuple[int, ...]
     flagged_units: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "n_before": self.n_before,
-            "flagged_indices": list(self.flagged_indices),
-            "flagged_units": list(self.flagged_units),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConditionScreening":
-        return cls(
-            condition=d["condition"],
-            n_before=d["n_before"],
-            flagged_indices=tuple(d["flagged_indices"]),
-            flagged_units=tuple(d["flagged_units"]),
-        )
-
 
 @dataclass(frozen=True)
-class ScreeningSummary:
+class ScreeningSummary(Record):
     threshold: float
     excluded_units: tuple[str, ...]
     per_condition: tuple[ConditionScreening, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "excluded_units": list(self.excluded_units),
-            "per_condition": [c.to_dict() for c in self.per_condition],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScreeningSummary":
-        return cls(
-            threshold=d["threshold"],
-            excluded_units=tuple(d["excluded_units"]),
-            per_condition=tuple(
-                ConditionScreening.from_dict(c) for c in d["per_condition"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class PosthocResult:
+class PosthocResult(Record):
     pair: tuple[str, str]
     result: TestResult
     alpha_adjusted: float
     significant: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "result": self.result.to_dict(),
-            "alpha_adjusted": self.alpha_adjusted,
-            "significant": self.significant,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PosthocResult":
-        return cls(
-            pair=tuple(d["pair"]),
-            result=TestResult.from_dict(d["result"]),
-            alpha_adjusted=d["alpha_adjusted"],
-            significant=d["significant"],
-        )
-
 
 @dataclass(frozen=True)
-class AmplitudeEntry:
+class AmplitudeEntry(Record):
     condition: str
     ellipse: AmplitudeSummary
     bootstrap: AmplitudeSummary
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "ellipse": self.ellipse.to_dict(),
-            "bootstrap": self.bootstrap.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AmplitudeEntry":
-        return cls(
-            condition=d["condition"],
-            ellipse=AmplitudeSummary.from_dict(d["ellipse"]),
-            bootstrap=AmplitudeSummary.from_dict(d["bootstrap"]),
-        )
-
 
 @dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     input_sha256: str
     seed: int
     version: str
 
-    def to_dict(self) -> dict:
-        return {
-            "input_sha256": self.input_sha256,
-            "seed": self.seed,
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Provenance":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Everything one analysis produced, reproducible from its provenance."""
 
     design: str
@@ -214,49 +107,6 @@ class AnalysisReport:
     n_comparisons: int
     amplitudes: tuple[AmplitudeEntry, ...]
     provenance: Provenance
-
-    def to_dict(self) -> dict:
-        return {
-            "design": self.design,
-            "alpha": self.alpha,
-            "mu": list(self.mu),
-            "branch": self.branch,
-            "flowchart_leaf": self.flowchart_leaf,
-            "rationale": self.rationale,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "screening": self.screening.to_dict() if self.screening else None,
-            "primary": self.primary.to_dict(),
-            "posthoc": [p.to_dict() for p in self.posthoc],
-            "n_comparisons": self.n_comparisons,
-            "amplitudes": [a.to_dict() for a in self.amplitudes],
-            "provenance": self.provenance.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisReport":
-        return cls(
-            design=d["design"],
-            alpha=d["alpha"],
-            mu=tuple(d["mu"]),
-            branch=d["branch"],
-            flowchart_leaf=d["flowchart_leaf"],
-            rationale=d["rationale"],
-            conditions=tuple(
-                ConditionSummary.from_dict(c) for c in d["conditions"]
-            ),
-            screening=(
-                ScreeningSummary.from_dict(d["screening"])
-                if d["screening"]
-                else None
-            ),
-            primary=TestResult.from_dict(d["primary"]),
-            posthoc=tuple(PosthocResult.from_dict(p) for p in d["posthoc"]),
-            n_comparisons=d["n_comparisons"],
-            amplitudes=tuple(
-                AmplitudeEntry.from_dict(a) for a in d["amplitudes"]
-            ),
-            provenance=Provenance.from_dict(d["provenance"]),
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -491,6 +341,18 @@ def run_flowchart(
     )
 
 
+def _result_text(r: TestResult) -> str:
+    """One result as "T2 = t, F(df1, df2) = f, p = p, D = d"; F and D are
+    left out when the result has none."""
+    text = f"{r.statistic_name} = {r.statistic:.4g}"
+    if r.f_value is not None and r.df is not None:
+        text += f", F({r.df[0]}, {r.df[1]}) = {r.f_value:.4g}"
+    text += f", p = {r.p_value:.4g}"
+    if r.effect_size is not None:
+        text += f", D = {r.effect_size:.4g}"
+    return text
+
+
 def format_text(report: AnalysisReport) -> str:
     """Human-readable rendering of a report."""
     lines = []
@@ -523,32 +385,18 @@ def format_text(report: AnalysisReport) -> str:
         )
     lines.append(f"decision: {report.rationale}")
     lines.append(f"selected test: {report.flowchart_leaf}")
-    r = report.primary
-    stat = f"{r.statistic_name} = {r.statistic:.4g}"
-    if r.f_value is not None and r.df is not None:
-        stat += f", F({r.df[0]}, {r.df[1]}) = {r.f_value:.4g}"
-    stat += f", p = {r.p_value:.4g}"
-    if r.effect_size is not None:
-        stat += f", D = {r.effect_size:.4g}"
-    lines.append(f"result: {stat}")
+    lines.append(f"result: {_result_text(report.primary)}")
     if report.posthoc:
         lines.append(
             f"post-hoc pairwise tests (Bonferroni: m = {report.n_comparisons}, "
             f"alpha = {report.posthoc[0].alpha_adjusted:.4g}):"
         )
         for ph in report.posthoc:
-            res = ph.result
             marker = "*" if ph.significant else " "
-            entry = (
+            lines.append(
                 f"  {marker} {ph.pair[0]} vs {ph.pair[1]}: "
-                f"{res.statistic_name} = {res.statistic:.4g}"
+                f"{_result_text(ph.result)}"
             )
-            if res.f_value is not None and res.df is not None:
-                entry += f", F({res.df[0]}, {res.df[1]}) = {res.f_value:.4g}"
-            entry += f", p = {res.p_value:.4g}"
-            if res.effect_size is not None:
-                entry += f", D = {res.effect_size:.4g}"
-            lines.append(entry)
     if report.amplitudes:
         lines.append("amplitude summaries (level 0.68):")
         for a in report.amplitudes:

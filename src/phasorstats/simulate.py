@@ -28,19 +28,20 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .distributions import ConditionIndexDistribution, f_cdf
+from .distributions import ConditionIndexDistribution, f_sf
 from .exceptions import (
     DegenerateCovariance,
     InvalidSpec,
     SingularWithinScatter,
     ZeroResidualVariance,
 )
+from .records import Record
 
 TESTS = ("T2", "T2circ", "ANOVA2circ", "MANOVA", "CI_test")
 
@@ -116,7 +117,7 @@ class SimulationSpec:
 
 
 @dataclass(frozen=True)
-class RateCell:
+class RateCell(Record):
     """Rejection proportion for one grid cell, with its binomial SE."""
 
     test: str
@@ -129,9 +130,6 @@ class RateCell:
     se: float
     n_reps: int
 
-    _FIELDS = ("test", "d", "n", "correlation", "variance_ratio", "k",
-               "rate", "se", "n_reps")
-
 
 @dataclass(frozen=True)
 class RateTable:
@@ -143,17 +141,15 @@ class RateTable:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RateCell._FIELDS)
+        writer.writerow(f.name for f in fields(RateCell))
         for c in self.cells:
-            writer.writerow([getattr(c, f) for f in RateCell._FIELDS])
+            writer.writerow(c.to_dict().values())
         return buf.getvalue()
 
     def to_json(self) -> str:
         payload = {
             "seed": self.seed,
-            "cells": [
-                {f: getattr(c, f) for f in RateCell._FIELDS} for c in self.cells
-            ],
+            "cells": [c.to_dict() for c in self.cells],
         }
         return json.dumps(payload, indent=2) + "\n"
 
@@ -207,7 +203,7 @@ def _p_values(spec: SimulationSpec, X: np.ndarray) -> np.ndarray:
     if spec.test == "CI_test":
         return ConditionIndexDistribution(spec.n, "modified").sf(result[0])
     _, f, df, _ = result
-    return 1.0 - f_cdf(f, *df)
+    return f_sf(f, *df)
 
 
 def _rejection_rate(spec: SimulationSpec, cell_index: int, seed: int) -> RateCell:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phasorstats import ConditionIndexDistribution, f_cdf, f_critical
+from phasorstats import ConditionIndexDistribution, f_cdf, f_critical, f_sf
 from phasorstats.exceptions import DomainError
 
 
@@ -54,6 +54,28 @@ class TestFCdf:
         for alpha in (0.05, 0.0083):
             crit = f_critical(alpha, 2, 176)
             assert 1.0 - f_cdf(crit, 2, 176) == pytest.approx(alpha, abs=1e-9)
+
+
+    @pytest.mark.parametrize("x,df,expected", [
+        # regularized incomplete beta at 50 digits (mpmath)
+        (38.9, (12, 1056), 1.1147650931842017e-75),
+        (200.0, (4, 30), 3.6290754641548225e-21),
+        (25.0, (2, 176), 2.7769759763102213e-10),
+        (60.0, (2, 10), 2.693290743429044e-06),
+    ])
+    def test_sf_keeps_the_far_tail(self, x, df, expected):
+        # 1 - f_cdf underflows to 0 or loses digits here
+        assert f_sf(x, *df) == pytest.approx(expected, rel=1e-13)
+
+    def test_sf_complements_cdf(self):
+        xs = np.array([0.0, 0.3, 1.0, 4.0, 12.0, np.inf])
+        sf = f_sf(xs, 3, 7)
+        np.testing.assert_array_equal(sf, [f_sf(x, 3, 7) for x in xs])
+        np.testing.assert_allclose(sf + f_cdf(xs, 3, 7), 1.0, rtol=0, atol=1e-15)
+        assert (sf[0], sf[-1]) == (1.0, 0.0)
+        for bad in ((-0.1, 2, 10), (1.0, 0, 10), (np.array([1.0, np.nan]), 2, 10)):
+            with pytest.raises(DomainError):
+                f_sf(*bad)
 
 
 class TestConditionIndexDistribution:

@@ -11,7 +11,9 @@ from phasorstats import (
     ComplexSample,
     Design,
     GroupedDataset,
+    ci_test,
     run_flowchart,
+    t2_two_sample,
 )
 from phasorstats.cli import main as cli_main
 from phasorstats.report import format_text
@@ -123,6 +125,35 @@ class TestFlowchart:
         report = run_flowchart(ds, seed=9, input_sha256="abc123")
         parsed = AnalysisReport.from_json(report.to_json())
         assert parsed == report
+
+    @pytest.mark.parametrize("case", [
+        "unscreened_report", "degenerate_condition", "ci_test", "two_sample"])
+    def test_record_round_trip(self, case):
+        line = ComplexSample(np.array([1.0, 2.0, 3.0, 5.0]) * (1 + 1j), "line")
+        if case == "unscreened_report":
+            record = run_flowchart(
+                GroupedDataset((spherical_sample(52, mean=1.0),),
+                               Design.ONE_SAMPLE),
+                screen_outliers=False, bootstrap_reps=50)
+            assert record.screening is None
+        elif case == "degenerate_condition":
+            record = run_flowchart(
+                GroupedDataset((spherical_sample(53, condition="a"), line),
+                               Design.TWO_SAMPLE_INDEPENDENT),
+                bootstrap_reps=50)
+            degenerate = record.conditions[1]
+            assert degenerate.degenerate and degenerate.condition_index is None
+            assert degenerate.ci_p_value is None
+        elif case == "ci_test":
+            record = ci_test(spherical_sample(54))
+            assert record.df is None and record.f_value is None
+        else:
+            record = t2_two_sample(spherical_sample(55),
+                                   spherical_sample(56, mean=1.0))
+            assert record.effect_size is not None
+        d = record.to_dict()
+        assert json.loads(json.dumps(d)) == d  # lists, not tuples
+        assert type(record).from_dict(json.loads(json.dumps(d))) == record
 
     def test_text_format_mentions_key_facts(self):
         ds = GroupedDataset((spherical_sample(60, mean=2.0),), Design.ONE_SAMPLE)
