@@ -15,6 +15,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from . import kernels
 from .data import ComplexSample, Design, GroupedDataset, align_paired
@@ -77,13 +79,6 @@ class AdjacencyGraph:
             edges.append((i, j))
         return cls(node_count, tuple(edges))
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
 
 @dataclass(frozen=True)
 class ClusterResult:
@@ -111,24 +106,107 @@ class ClusterResult:
         }
 
 
-def _components(nodes: np.ndarray, adj: list[list[int]]) -> list[list[int]]:
-    """Connected components of the supra-threshold node set (BFS)."""
-    active = set(int(i) for i in nodes)
-    out = []
-    while active:
-        start = min(active)
-        comp = [start]
-        active.remove(start)
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if v in active:
-                    active.remove(v)
-                    comp.append(v)
-                    queue.append(v)
-        out.append(sorted(comp))
-    return out
+#: Upper bound on permutations x nodes evaluated together. Each block of
+#: permutations costs one matmul and one connected-components call.
+_BLOCK_VALUES = 8192
+
+
+def _columns(X: np.ndarray) -> np.ndarray:
+    """(n, 2k) real matrix of the (k, n) complex X, columns interleaved
+    re/im per node, so that (B, n) @ it views as a (B, k) complex array."""
+    return np.ascontiguousarray(X.T).view(np.float64)
+
+
+def _f_values(test: str, h, dfr: int, mean, sxx, sxy, syy) -> np.ndarray:
+    """F of T2 or T2circ from the mean (difference), the (pooled) scatter
+    sums on dfr degrees of freedom and the sample-size factor h."""
+    if test == "T2":
+        # h d' (S / dfr)^-1 d = (h dfr) d' S^-1 d
+        return kernels.hotelling(h * dfr, sxx, sxy, syy, mean, dfr - 1)[1]
+    return kernels.circular(h, dfr, mean, sxx + syy)[1]
+
+
+def _plus_outer(sxx, sxy, syy, w, u, v):
+    """Scatter sums plus w (u v' + v u') / 2, reading the complex u and v as
+    (re, im) vectors."""
+    return (sxx + w * (u.real * v.real),
+            sxy + 0.5 * w * (u.real * v.imag + v.real * u.imag),
+            syy + w * (u.imag * v.imag))
+
+
+def _sign_flip_block(D: np.ndarray, test: str):
+    """F of D * s at every node for a block of sign rows, as a function of
+    the 0/1 draws (B, n), s = 2 * draw - 1; returns (B, nodes).
+
+    Sign flips leave the sums of squares and cross-products unchanged; only
+    the mean moves. With every node centred at its own mean o, the permuted
+    mean is m = sbar o + (s @ e) / n, and the scatter about it is the
+    scatter of e plus n (o o' - m m'), formed as n (o - m)(o + m)' so that
+    no term of size n |o|^2 cancels.
+    """
+    n = D.shape[-1]
+    o, sxx, sxy, syy = kernels.scatter(D)
+    parts = _columns(D - o[:, None])
+
+    def block_f(draws: np.ndarray) -> np.ndarray:
+        s = draws * 2.0 - 1.0
+        t = s.sum(axis=1)[:, None]  # n sbar, an exact integer
+        mean = (s @ parts).view(np.complex128) / n  # (s @ e) / n, for now
+        scatter = _plus_outer(sxx, sxy, syy, n, (n - t) / n * o - mean,
+                              (n + t) / n * o + mean)  # o - m, o + m
+        mean += t / n * o
+        return _f_values(test, n, n - 1, mean, *scatter)
+
+    return block_f
+
+
+def _label_shuffle_block(V: np.ndarray, na: int, test: str):
+    """Two-sample F at every node for a block of label masks (B, n), True
+    for group A, as a function of the masks; returns (B, nodes).
+
+    A shuffle leaves the scatter about the grand mean unchanged; only the
+    group sums a and b of the centred data move. The pooled scatter is that
+    total scatter minus a a' / na and b b' / nb.
+    """
+    n = V.shape[-1]
+    nb = n - na
+    g, txx, txy, tyy = kernels.scatter(V)
+    parts = _columns(V - g[:, None])
+    total = parts.sum(axis=0).view(np.complex128)  # zero up to rounding
+
+    def block_f(masks: np.ndarray) -> np.ndarray:
+        a = (masks.astype(np.float64) @ parts).view(np.complex128)
+        b = total - a
+        pooled = _plus_outer(*_plus_outer(txx, txy, tyy, -1.0 / na, a, a),
+                             -1.0 / nb, b, b)
+        a /= na
+        a -= b / nb  # the mean difference
+        return _f_values(test, na * nb / n, n - 2, a, *pooled)
+
+    return block_f
+
+
+def _cluster_labels(f: np.ndarray, f_crit: float, edges: np.ndarray):
+    """Connected supra-threshold components of every row of f (B, nodes).
+
+    The B rows are the B disjoint copies of one graph, labelled by a single
+    connected-components call; an edge is kept where both ends exceed
+    f_crit. Returns (supra, labels, masses): labels (B, nodes) index
+    masses, the summed F of each component (0 for a sub-threshold node).
+    """
+    rows, k = f.shape
+    supra = f > f_crit
+    row, edge = np.nonzero(supra[:, edges[0]] & supra[:, edges[1]])
+    offset = row * k
+    graph = sparse.csr_array(
+        (np.ones(edge.size),
+         (offset + edges[0][edge], offset + edges[1][edge])),
+        shape=(rows * k, rows * k),
+    )
+    n_labels, labels = csgraph.connected_components(graph, directed=False)
+    masses = np.bincount(labels, weights=np.where(supra, f, 0.0).ravel(),
+                         minlength=n_labels)
+    return supra, labels.reshape(rows, k), masses
 
 
 def _validate_nodes(
@@ -212,6 +290,18 @@ def cluster_correct(
     component; corrected p = (1 + #{null >= observed}) / (1 + n_perm).
     Each permutation's RNG substream derives from (seed, permutation index),
     so results are reproducible and permutations could run concurrently.
+
+    Permutations are evaluated in blocks of at most ``_BLOCK_VALUES //
+    nodes``: the block's draws are stacked into a sign or label-mask matrix,
+    one matmul gives every permuted mean (the sums of squares do not move),
+    and one connected-components call labels the clusters of every
+    permutation in the block; the observed clusters come from the same
+    labelling on a block of one. The substreams and the draw made from each
+    are those of a one-permutation-at-a-time loop, so the block size moves
+    the null only in the last bits. Tie rule: a draw that maps the data onto
+    itself (all signs equal; the observed labels, or their swap when the
+    groups are equal in size) is given the observed maximum mass exactly, so
+    it always counts in null >= observed.
     """
     if test not in ("T2", "T2circ"):
         raise DomainError(f"test must be 'T2' or 'T2circ', got {test!r}")
@@ -234,14 +324,17 @@ def cluster_correct(
         base_mask = np.zeros(n_total, dtype=bool)
         base_mask[:na] = True
         kernel = kernels.t2_two_sample if test == "T2" else kernels.t2circ_two_sample
+        obs_f = kernel(V[:, base_mask], V[:, ~base_mask])[1]
+        block_f = _label_shuffle_block(V, na, test)
 
-        def rows_f(mask: np.ndarray) -> np.ndarray:
-            return kernel(V[:, mask], V[:, ~mask])[1]
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            return base_mask[rng.permutation(n_total)]
 
-        obs_f = rows_f(base_mask)
-
-        def permuted_f(rng: np.random.Generator) -> np.ndarray:
-            return rows_f(base_mask[rng.permutation(n_total)])
+        def is_identity(masks: np.ndarray) -> np.ndarray:
+            same = (masks == base_mask).all(axis=1)
+            if 2 * na == n_total:  # swapping equal groups changes nothing
+                same |= (masks != base_mask).all(axis=1)
+            return same
 
         node_results = tuple(
             (t2_two_sample if test == "T2" else t2circ_two_sample)(
@@ -249,7 +342,6 @@ def cluster_correct(
             )
             for d in node_datasets
         )
-        df = node_results[0].df
     else:
         # one-sample (differences from mu) and paired (within-unit
         # differences) reduce to sign-flippable difference matrices
@@ -270,10 +362,14 @@ def cluster_correct(
                 D[i] = _row_aligned(diffs, reference)
         kernel = kernels.t2_one_sample if test == "T2" else kernels.t2circ_one_sample
         obs_f = kernel(D)[1]
+        block_f = _sign_flip_block(D, test)
 
-        def permuted_f(rng: np.random.Generator) -> np.ndarray:
-            signs = rng.integers(0, 2, size=n_units) * 2 - 1
-            return kernel(D * signs[None, :])[1]
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            return rng.integers(0, 2, size=n_units)
+
+        def is_identity(draws: np.ndarray) -> np.ndarray:
+            # all signs equal: D or -D, whose F is the same
+            return draws.min(axis=1) == draws.max(axis=1)
 
         one_sample = t2_one_sample if test == "T2" else t2circ_one_sample
         node_results = tuple(
@@ -283,25 +379,29 @@ def cluster_correct(
             )
             for i, row in enumerate(D)
         )
-        df = node_results[0].df
 
+    df = node_results[0].df
     f_crit = f_critical(alpha_forming, df[0], df[1])
-    adj = graph.neighbors()
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
 
-    def max_mass(f_values: np.ndarray) -> tuple[float, list[list[int]], list[float]]:
-        supra = np.nonzero(f_values > f_crit)[0]
-        if supra.size == 0:
-            return 0.0, [], []
-        comps = _components(supra, adj)
-        masses = [float(f_values[c].sum()) for c in comps]
-        return max(masses), comps, masses
-
-    _, clusters, masses = max_mass(obs_f)
+    supra, labels, component_masses = _cluster_labels(obs_f[None], f_crit, edges)
+    nodes = np.flatnonzero(supra[0])
+    node_labels = labels[0, nodes]
+    _, first = np.unique(node_labels, return_index=True)
+    order = node_labels[np.sort(first)]  # by smallest node
+    clusters = tuple(tuple(int(i) for i in nodes[node_labels == c]) for c in order)
+    masses = tuple(float(component_masses[c]) for c in order)
+    observed_max = max(masses, default=0.0)
 
     null = np.empty(n_perm)
-    for p_idx in range(n_perm):
-        rng = np.random.default_rng([seed, p_idx])
-        null[p_idx] = max_mass(permuted_f(rng))[0]
+    block = max(1, _BLOCK_VALUES // k_nodes)
+    for start in range(0, n_perm, block):
+        stop = min(start + block, n_perm)
+        draws = np.array([draw(np.random.default_rng([seed, p_idx]))
+                          for p_idx in range(start, stop)])
+        _, labels, component_masses = _cluster_labels(block_f(draws), f_crit, edges)
+        null[start:stop] = np.where(is_identity(draws), observed_max,
+                                    component_masses[labels].max(axis=1))
     null.sort()
 
     corrected = tuple(
@@ -309,8 +409,8 @@ def cluster_correct(
     )
     null.setflags(write=False)
     return ClusterResult(
-        clusters=tuple(tuple(c) for c in clusters),
-        cluster_masses=tuple(masses),
+        clusters=clusters,
+        cluster_masses=masses,
         corrected_p=corrected,
         null_distribution=null,
         alpha_forming=alpha_forming,

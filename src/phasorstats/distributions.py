@@ -70,10 +70,15 @@ def f_sf(x, df1: int, df2: int):
 
 
 def f_critical(alpha: float, df1: int, df2: int) -> float:
-    """Upper-tail critical value: x such that f_sf(x, df1, df2) = alpha."""
+    """Upper-tail critical value: x such that f_sf(x, df1, df2) = alpha.
+
+    Inverted on the survival side, so it keeps its digits for tiny alpha:
+    f_sf(x) = I_y(df2/2, df1/2) with y = df2 / (df2 + df1 x).
+    """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    return float(special.fdtri(int(df1), int(df2), 1.0 - alpha))
+    y = special.betaincinv(df2 / 2.0, df1 / 2.0, alpha)
+    return float(df2 / df1 * ((1.0 - y) / y))
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def hotelling(h, a, b, c, diff, df2: int):
     return t2, t2 * df2 / (2.0 * (df2 + 1)), (2, df2), bad
 
 
-def _circular(h, dfr: int, diff, resid):
+def circular(h, dfr: int, diff, resid):
     """T^2_circ = dfr |d|^2 / resid; F = h T^2_circ with df (2, 2 dfr)."""
     # builtin abs: on scalars it is the libm modulus the scalar tests have
     # always used, which can differ from np.abs in the last bit
@@ -195,7 +195,7 @@ def t2circ_one_sample(X: np.ndarray, mu: complex = 0j):
     """T^2_circ against mu; df (2, 2n-2)."""
     n = X.shape[-1]
     m, resid = residual_power(X)
-    return _circular(n, n - 1, m - mu, resid)
+    return circular(n, n - 1, m - mu, resid)
 
 
 def t2_two_sample(A: np.ndarray, B: np.ndarray):
@@ -210,7 +210,7 @@ def t2circ_two_sample(A: np.ndarray, B: np.ndarray):
     na, nb = A.shape[-1], B.shape[-1]
     ma, ra = residual_power(A)
     mb, rb = residual_power(B)
-    return _circular(na * nb / (na + nb), na + nb - 2, ma - mb, ra + rb)
+    return circular(na * nb / (na + nb), na + nb - 2, ma - mb, ra + rb)
 
 
 def anova2circ_independent(groups):
@@ -222,7 +222,7 @@ def anova2circ_independent(groups):
     ss_model = ss_resid = 0.0
     for g in groups:
         m, resid = residual_power(g)
-        ss_model = ss_model + g.shape[-1] * abs(m - grand) ** 2  # see _circular
+        ss_model = ss_model + g.shape[-1] * abs(m - grand) ** 2  # see circular
         ss_resid = ss_resid + resid
     df_m, df_r = 2 * (len(groups) - 1), 2 * (values.shape[-1] - len(groups))
     f, bad = f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)

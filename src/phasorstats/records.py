@@ -3,7 +3,8 @@
 ``to_dict`` gives one key per field, in field order, with nested records as
 dicts and tuples as lists. ``from_dict`` rebuilds the record from the field
 annotations: records, ``tuple[X, ...]``, ``tuple[X, Y]``, ``Optional[X]``
-and str, int, float, bool; any other raises TypeError on first use.
+and str, int, float, bool; any other raises TypeError on first use. A
+missing field raises MalformedInput; extra keys are ignored.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import dataclasses
 import functools
 import itertools
 import typing
+
+from .exceptions import MalformedInput
 
 _SCALARS = (str, int, float, bool)
 
@@ -25,7 +28,12 @@ class Record:
 
     @classmethod
     def from_dict(cls, d: dict):
-        return cls(**{name: dec(d[name]) for name, dec in _decoders(cls)})
+        fields = {}
+        for name, dec in _decoders(cls):
+            if name not in d:
+                raise MalformedInput(f"missing field {name!r} in {cls.__name__}")
+            fields[name] = dec(d[name])
+        return cls(**fields)
 
 
 def _encode(value):

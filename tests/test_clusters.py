@@ -14,7 +14,7 @@ from phasorstats import (
     t2circ_one_sample,
     t2circ_two_sample,
 )
-from phasorstats import kernels
+from phasorstats import clusters, kernels
 from phasorstats.exceptions import DesignMismatch, DomainError, InvalidGraph
 
 
@@ -38,6 +38,24 @@ def one_sample_nodes(seed, k=8, n=12, signal=None, units=False):
             )
         )
     return datasets
+
+
+def two_sample_nodes(seed, k, na, nb, signal=None):
+    """Two independent groups per node; `signal` shifts group a's mean."""
+    rng = np.random.default_rng(seed)
+    signal = signal or {}
+
+    def noise(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    return [
+        GroupedDataset(
+            (ComplexSample(noise(na) + signal.get(i, 0), "a"),
+             ComplexSample(noise(nb), "b")),
+            Design.TWO_SAMPLE_INDEPENDENT,
+        )
+        for i in range(k)
+    ]
 
 
 class TestAdjacencyGraph:
@@ -309,3 +327,118 @@ class TestClusterCorrect:
             if any(p < 0.05 for p in res.corrected_p):
                 hits += 1
         assert hits / reps == pytest.approx(0.05, abs=0.015)
+
+
+def _complex_nodes(rng, k, n, scales, means):
+    z = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    return z * scales[:, None] + means[:, None]
+
+
+class TestBlockEvaluation:
+    """The block path (one matmul per block of permutations) against the
+    per-permutation kernel rows, the tie rule and the block cap."""
+
+    @pytest.mark.parametrize("test", ["T2", "T2circ"])
+    @pytest.mark.parametrize("design,sizes", [
+        ("one-sample", (9, 9)), ("paired", (9, 9)),
+        ("two-sample", (9, 9)), ("two-sample", (7, 11)),
+    ])
+    def test_block_f_matches_kernel_rows(self, design, test, sizes):
+        rng = np.random.default_rng(70)
+        k = 12
+        scales = 10.0 ** rng.uniform(-3, 3, size=k)
+        # node means up to 10 sds from zero, in every direction
+        means = scales * rng.uniform(0, 10, size=k) * np.exp(
+            2j * np.pi * rng.uniform(size=k))
+        if design == "two-sample":
+            na, nb = sizes
+            V = _complex_nodes(rng, k, na + nb, scales, means)
+            V[0] = V[0].real  # a real node: T2 is degenerate there
+            base = np.arange(na + nb) < na
+            masks = np.array([base, ~base]
+                             + [base[rng.permutation(na + nb)] for _ in range(60)])
+            got = clusters._label_shuffle_block(V, na, test)(masks)
+            kernel = (kernels.t2_two_sample if test == "T2"
+                      else kernels.t2circ_two_sample)
+            want = np.array([kernel(V[:, m], V[:, ~m])[1] for m in masks])
+        else:
+            n = sizes[0]
+            if design == "one-sample":
+                D = _complex_nodes(rng, k, n, scales, means)
+            else:  # within-unit differences of correlated conditions
+                base = _complex_nodes(rng, k, n, scales, means)
+                D = (base + 0.3 * _complex_nodes(rng, k, n, scales, 0 * means)
+                     - _complex_nodes(rng, k, n, scales, 0.5 * means))
+            D[0] = D[0].real
+            draws = np.array([np.zeros(n, int), np.ones(n, int)]
+                             + [rng.integers(0, 2, size=n) for _ in range(60)])
+            got = clusters._sign_flip_block(D, test)(draws)
+            kernel = (kernels.t2_one_sample if test == "T2"
+                      else kernels.t2circ_one_sample)
+            want = np.array([kernel(D * (2 * s - 1))[1] for s in draws])
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert finite[:, 1:].all()
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9, atol=0)
+
+    @staticmethod
+    def _identity_draws(design, n_units, seed, perms):
+        """Replays the (seed, p) substreams: which draws leave the data as
+        they are (all signs equal; the observed labels or, for equal groups,
+        their swap)."""
+        hits = []
+        for p in perms:
+            rng = np.random.default_rng([seed, p])
+            if design == "one-sample":
+                d = rng.integers(0, 2, size=n_units)
+                hits.append(d.min() == d.max())
+            else:
+                base = np.arange(n_units) < n_units // 2
+                m = base[rng.permutation(n_units)]
+                hits.append((m == base).all() or (m != base).all())
+        return np.array(hits)
+
+    @pytest.mark.parametrize("test", ["T2", "T2circ"])
+    @pytest.mark.parametrize("design", ["one-sample", "two-sample"])
+    def test_identity_draws_tie_with_the_observed_mass(self, design, test):
+        k, n_units = 8, (5 if design == "one-sample" else 6)
+        # one block of _BLOCK_VALUES // k permutations, then a single-row
+        # block; pick a seed whose single-row block is an identity draw
+        n_perm = clusters._BLOCK_VALUES // k + 1
+        seed = next(s for s in range(1000)
+                    if self._identity_draws(design, n_units, s, [n_perm - 1])[0])
+        identity = self._identity_draws(design, n_units, seed, range(n_perm))
+        signal = {i: 3.0 + 1.0j for i in range(3)}
+        if design == "one-sample":
+            datasets = one_sample_nodes(50, k=k, n=n_units, signal=signal)
+        else:
+            datasets = two_sample_nodes(50, k, 3, 3, signal)
+        res = cluster_correct(datasets, line_graph(k), test,
+                              n_perm=n_perm, seed=seed)
+        assert res.cluster_masses
+        top = max(res.cluster_masses)
+        assert (res.null_distribution == top).sum() >= identity.sum() > 0
+        i = res.cluster_masses.index(top)
+        ge = int((res.null_distribution >= top).sum())
+        assert ge >= identity.sum()
+        assert res.corrected_p[i] == (1 + ge) / (1 + n_perm)
+
+    @pytest.mark.parametrize("design", ["one-sample", "two-sample"])
+    def test_block_cap_moves_only_last_bits(self, design, monkeypatch):
+        signal = {2: 1.5, 3: 1.5}
+        if design == "one-sample":
+            datasets = one_sample_nodes(60, k=8, n=10, signal=signal)
+        else:
+            datasets = two_sample_nodes(61, 8, 9, 11, signal)
+        results = []
+        for cap in (1, 10**9):  # one permutation per block; one block
+            monkeypatch.setattr(clusters, "_BLOCK_VALUES", cap)
+            for test in ("T2", "T2circ"):
+                results.append(cluster_correct(datasets, line_graph(8), test,
+                                               n_perm=300, seed=62))
+        for single, whole in zip(results[:2], results[2:]):
+            assert single.clusters and single.clusters == whole.clusters
+            assert single.corrected_p == whole.corrected_p
+            assert single.cluster_masses == whole.cluster_masses
+            np.testing.assert_allclose(single.null_distribution,
+                                       whole.null_distribution, rtol=1e-12, atol=0)

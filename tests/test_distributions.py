@@ -65,7 +65,16 @@ class TestFCdf:
     ])
     def test_sf_keeps_the_far_tail(self, x, df, expected):
         # 1 - f_cdf underflows to 0 or loses digits here
-        assert f_sf(x, *df) == pytest.approx(expected, rel=1e-13)
+        assert f_sf(x, *df) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("df", [(2, 10), (2, 22), (2, 206), (12, 1056)])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-10, 1e-17, 1e-100])
+    def test_critical_inverts_the_survival_function(self, alpha, df):
+        # fdtri at 1 - alpha lost digits as alpha shrank and gave inf once
+        # 1 - alpha rounded to 1
+        crit = f_critical(alpha, *df)
+        assert math.isfinite(crit)
+        assert f_sf(crit, *df) == pytest.approx(alpha, rel=1e-13, abs=0)
 
     def test_sf_complements_cdf(self):
         xs = np.array([0.0, 0.3, 1.0, 4.0, 12.0, np.inf])

@@ -16,6 +16,7 @@ from phasorstats import (
     t2_two_sample,
 )
 from phasorstats.cli import main as cli_main
+from phasorstats.exceptions import MalformedInput
 from phasorstats.report import format_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -154,6 +155,19 @@ class TestFlowchart:
         d = record.to_dict()
         assert json.loads(json.dumps(d)) == d  # lists, not tuples
         assert type(record).from_dict(json.loads(json.dumps(d))) == record
+
+    def test_missing_field_is_malformed_input(self):
+        report = json.loads((FIXTURES / "mouse_report.json").read_text())
+        del report["primary"]["p_value"]
+        with pytest.raises(MalformedInput, match="'p_value' in TestResult"):
+            AnalysisReport.from_json(json.dumps(report))
+
+    def test_extra_keys_are_ignored(self):
+        text = (FIXTURES / "mouse_report.json").read_text()
+        report = json.loads(text)
+        report["primary"]["p_valeu"] = 0.5
+        parsed = AnalysisReport.from_json(json.dumps(report))
+        assert parsed == AnalysisReport.from_json(text)
 
     def test_text_format_mentions_key_facts(self):
         ds = GroupedDataset((spherical_sample(60, mean=2.0),), Design.ONE_SAMPLE)
