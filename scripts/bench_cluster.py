@@ -1,21 +1,26 @@
-"""Time ``cluster_correct`` at sensor-array scale: a 16 x 16 grid (256 nodes)
-with 5000 permutations, for each design and test.
+"""Time ``cluster_correct`` at sensor-array scale: the 16 x 16 grid (256
+nodes) items of the perfbench ``cluster`` workload, run with 5000
+permutations instead of 1000.
 
-    PYTHONPATH=src python scripts/bench_cluster.py [--repeats 3] [--seed 7]
+    python scripts/bench_cluster.py
 
 Prints one JSON object with the machine, the library versions and the wall
-seconds of every repeat per case. BLAS runs on one thread, as in perfbench.
+seconds of every repeat per item. BLAS runs on one thread, as in perfbench.
 Timings are not part of the test suite.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import argparse  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
 import json  # noqa: E402
 import platform  # noqa: E402
 import time  # noqa: E402
@@ -24,80 +29,35 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import phasorstats  # noqa: E402
-from phasorstats import (  # noqa: E402
-    AdjacencyGraph,
-    ComplexSample,
-    Design,
-    GroupedDataset,
-    cluster_correct,
+from perfbench.workloads import (  # noqa: E402
+    CLUSTER_SPECS,
+    _cluster_datasets,
+    _rng,
+    grid_graph,
 )
 
-SIDE = 16
 N_PERM = 5000
-#: (design, test, units per group)
-CASES = (
-    (Design.ONE_SAMPLE, "T2circ", 16),
-    (Design.ONE_SAMPLE, "T2", 32),
-    (Design.PAIRED, "T2circ", 24),
-    (Design.TWO_SAMPLE_INDEPENDENT, "T2", 20),
-    (Design.TWO_SAMPLE_INDEPENDENT, "T2circ", 12),
-)
-
-
-def grid(side: int) -> AdjacencyGraph:
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            i = r * side + c
-            if c + 1 < side:
-                edges.append((i, i + 1))
-            if r + 1 < side:
-                edges.append((i, i + side))
-    return AdjacencyGraph(side * side, tuple(edges))
-
-
-def datasets(rng: np.random.Generator, design: Design, n: int):
-    """Unit-normal complex noise at every node, plus a 4 x 4 patch shifted
-    by 2.5 in the first condition."""
-    units = tuple(f"u{u:02d}" for u in range(n))
-
-    def noise(shift=0.0):
-        return shift + rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    out = []
-    for node in range(SIDE * SIDE):
-        shift = 2.5 if (node // SIDE < 4 and node % SIDE < 4) else 0.0
-        if design is Design.ONE_SAMPLE:
-            samples = (ComplexSample(noise(shift), "c0", units),)
-        elif design is Design.PAIRED:
-            base = noise()
-            samples = (ComplexSample(base + noise(shift), "a", units),
-                       ComplexSample(base + noise(), "b", units))
-        else:
-            samples = (ComplexSample(noise(shift), "a"),
-                       ComplexSample(noise(), "b"))
-        out.append(GroupedDataset(samples, design))
-    return out
+REPEATS = 3
+SEED = 7
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-    graph = grid(SIDE)
     cases = []
-    for design, test, n in CASES:
-        nodes = datasets(np.random.default_rng(args.seed), design, n)
+    for i, (side, design, test, n, patch) in enumerate(CLUSTER_SPECS):
+        if side != 16:
+            continue
+        datasets, _ = _cluster_datasets(_rng(SEED, 3, i), side, design, n, patch)
+        graph = grid_graph(side)
         seconds = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
-            cluster_correct(nodes, graph, test=test, n_perm=N_PERM, seed=1)
+            phasorstats.cluster_correct(datasets, graph, test=test,
+                                        n_perm=N_PERM, seed=SEED + i)
             seconds.append(round(time.perf_counter() - t0, 4))
-        cases.append({"design": design.value, "test": test, "units": n,
+        cases.append({"design": design, "test": test, "units": n,
                       "seconds": seconds})
     print(json.dumps({
-        "nodes": SIDE * SIDE, "n_perm": N_PERM, "seed": args.seed,
+        "nodes": 256, "n_perm": N_PERM, "seed": SEED,
         "machine": {"nproc": os.cpu_count(), "processor": platform.processor()
                     or platform.machine()},
         "versions": {"python": platform.python_version(), "numpy": np.__version__,

@@ -29,6 +29,7 @@ from .inference import (
     t2circ_one_sample,
     t2circ_two_sample,
 )
+from .kernels import BLOCK_VALUES
 
 _SUPPORTED_DESIGNS = (
     Design.ONE_SAMPLE,
@@ -104,11 +105,6 @@ class ClusterResult:
             "node_results": [r.to_dict() for r in self.node_results],
             "null_distribution": [float(x) for x in self.null_distribution],
         }
-
-
-#: Upper bound on permutations x nodes evaluated together. Each block of
-#: permutations costs one matmul and one connected-components call.
-_BLOCK_VALUES = 8192
 
 
 def _columns(X: np.ndarray) -> np.ndarray:
@@ -291,7 +287,7 @@ def cluster_correct(
     Each permutation's RNG substream derives from (seed, permutation index),
     so results are reproducible and permutations could run concurrently.
 
-    Permutations are evaluated in blocks of at most ``_BLOCK_VALUES //
+    Permutations are evaluated in blocks of at most ``BLOCK_VALUES //
     nodes``: the block's draws are stacked into a sign or label-mask matrix,
     one matmul gives every permuted mean (the sums of squares do not move),
     and one connected-components call labels the clusters of every
@@ -299,9 +295,13 @@ def cluster_correct(
     labelling on a block of one. The substreams and the draw made from each
     are those of a one-permutation-at-a-time loop, so the block size moves
     the null only in the last bits. Tie rule: a draw that maps the data onto
-    itself (all signs equal; the observed labels, or their swap when the
-    groups are equal in size) is given the observed maximum mass exactly, so
-    it always counts in null >= observed.
+    itself (all signs equal, ignoring units whose difference is zero at every
+    node; the observed labels, or their swap when the groups are equal in
+    size) is given the observed maximum mass exactly, so it always counts in
+    null >= observed. A shuffle that only exchanges units holding identical
+    values in the two groups is not detected as one; it is evaluated like
+    any other draw, and its maximum may differ from the observed one in the
+    last bits.
     """
     if test not in ("T2", "T2circ"):
         raise DomainError(f"test must be 'T2' or 'T2circ', got {test!r}")
@@ -367,9 +367,12 @@ def cluster_correct(
         def draw(rng: np.random.Generator) -> np.ndarray:
             return rng.integers(0, 2, size=n_units)
 
+        moved = np.any(D != 0, axis=0)  # units a sign flip changes
+
         def is_identity(draws: np.ndarray) -> np.ndarray:
-            # all signs equal: D or -D, whose F is the same
-            return draws.min(axis=1) == draws.max(axis=1)
+            # all signs equal on the moved units: D or -D, whose F is the same
+            kept = draws[:, moved]
+            return (kept == kept[:, :1]).all(axis=1)
 
         one_sample = t2_one_sample if test == "T2" else t2circ_one_sample
         node_results = tuple(
@@ -394,7 +397,7 @@ def cluster_correct(
     observed_max = max(masses, default=0.0)
 
     null = np.empty(n_perm)
-    block = max(1, _BLOCK_VALUES // k_nodes)
+    block = max(1, BLOCK_VALUES // k_nodes)
     for start in range(0, n_perm, block):
         stop = min(start + block, n_perm)
         draws = np.array([draw(np.random.default_rng([seed, p_idx]))

@@ -26,6 +26,10 @@ import numpy as np
 #: degenerate (rank deficient): lambda_min <= DEGENERACY_RTOL * trace.
 DEGENERACY_RTOL = 1e-12
 
+#: Values evaluated per block by the batched callers (Monte Carlo replicates
+#: x values, cluster permutations x nodes); bounds each block's temporaries.
+BLOCK_VALUES = 8192
+
 
 def _mean(X: np.ndarray):
     # the same bits as X.mean(axis=-1), without its Python-level overhead

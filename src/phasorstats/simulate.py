@@ -7,10 +7,11 @@ mean in population-SD units) is applied along the first axis; rotation
 invariance of every statistic makes the direction irrelevant. With k > 1
 groups the signal is added to the first group only.
 
-Replicates are drawn and tested in blocks of at most _BLOCK_VALUES complex
-values, which keeps temporaries small: one ``standard_normal((B, k*n, 2))``
-call, which consumes the generator exactly as B sequential (k*n, 2) draws
-do, then one batched kernel call (kernels.py) and vectorised p-values.
+Replicates are drawn and tested in blocks of at most kernels.BLOCK_VALUES
+complex values, which keeps temporaries small: one
+``standard_normal((B, k*n, 2))`` call, which consumes the generator exactly
+as B sequential (k*n, 2) draws do, then one batched kernel call
+(kernels.py) and vectorised p-values.
 Cells with a planted outlier draw replicate by replicate, the normals and
 then the ``uniform`` angle, keeping that interleaved stream order; their
 statistics are still batched.
@@ -47,9 +48,6 @@ TESTS = ("T2", "T2circ", "ANOVA2circ", "MANOVA", "CI_test")
 
 #: Smallest n per group each test can evaluate (MANOVA also needs k n > k + 2).
 _MIN_N = {"T2": 3, "T2circ": 2, "ANOVA2circ": 2, "MANOVA": 2, "CI_test": 3}
-
-#: Complex values per block of replicates; bounds the block's temporaries.
-_BLOCK_VALUES = 8192
 
 #: Batched kernel on a (B, k, n) block, and the error (type, message) its
 #: scalar test raises on a degenerate replicate.
@@ -168,7 +166,7 @@ class RateTable:
 def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarray]:
     """The replicates of a cell as (B, k, n) complex blocks, in stream order."""
     kn = spec.k * spec.n
-    per_block = max(1, _BLOCK_VALUES // kn)
+    per_block = max(1, kernels.BLOCK_VALUES // kn)
     dist = spec.planted_outlier_distance
     planted = dist is not None and dist > 0
     for start in range(0, spec.n_reps, per_block):

@@ -353,6 +353,10 @@ class TestBlockEvaluation:
         if design == "two-sample":
             na, nb = sizes
             V = _complex_nodes(rng, k, na + nb, scales, means)
+            # group A up to 10 sds from group B: the group term dominates
+            # the total scatter the pooled scatter is taken from
+            V[:, :na] += scales[:, None] * (rng.uniform(0, 10, size=k) * np.exp(
+                2j * np.pi * rng.uniform(size=k)))[:, None]
             V[0] = V[0].real  # a real node: T2 is degenerate there
             base = np.arange(na + nb) < na
             masks = np.array([base, ~base]
@@ -384,35 +388,48 @@ class TestBlockEvaluation:
     @staticmethod
     def _identity_draws(design, n_units, seed, perms):
         """Replays the (seed, p) substreams: which draws leave the data as
-        they are (all signs equal; the observed labels or, for equal groups,
-        their swap)."""
+        they are (all signs equal, unit 0 aside when it is zero everywhere;
+        the observed labels or, for equal groups, their swap)."""
         hits = []
         for p in perms:
             rng = np.random.default_rng([seed, p])
-            if design == "one-sample":
-                d = rng.integers(0, 2, size=n_units)
-                hits.append(d.min() == d.max())
-            else:
+            if design == "two-sample":
                 base = np.arange(n_units) < n_units // 2
                 m = base[rng.permutation(n_units)]
                 hits.append((m == base).all() or (m != base).all())
+            else:
+                d = rng.integers(0, 2, size=n_units)
+                if design == "one-sample-zero-unit":
+                    d = d[1:]  # flipping a zero changes nothing
+                hits.append(d.min() == d.max())
         return np.array(hits)
 
     @pytest.mark.parametrize("test", ["T2", "T2circ"])
-    @pytest.mark.parametrize("design", ["one-sample", "two-sample"])
+    @pytest.mark.parametrize("design",
+                             ["one-sample", "one-sample-zero-unit", "two-sample"])
     def test_identity_draws_tie_with_the_observed_mass(self, design, test):
-        k, n_units = 8, (5 if design == "one-sample" else 6)
-        # one block of _BLOCK_VALUES // k permutations, then a single-row
+        # 5 units give 32 sign patterns; with unit 0 at zero, 7 units keep
+        # the planted cluster supra-threshold for T2
+        k, n_units = 8, {"one-sample": 5, "one-sample-zero-unit": 7,
+                         "two-sample": 6}[design]
+        # one block of BLOCK_VALUES // k permutations, then a single-row
         # block; pick a seed whose single-row block is an identity draw
-        n_perm = clusters._BLOCK_VALUES // k + 1
+        n_perm = clusters.BLOCK_VALUES // k + 1
         seed = next(s for s in range(1000)
                     if self._identity_draws(design, n_units, s, [n_perm - 1])[0])
         identity = self._identity_draws(design, n_units, seed, range(n_perm))
         signal = {i: 3.0 + 1.0j for i in range(3)}
-        if design == "one-sample":
-            datasets = one_sample_nodes(50, k=k, n=n_units, signal=signal)
-        else:
+        if design == "two-sample":
             datasets = two_sample_nodes(50, k, 3, 3, signal)
+        else:
+            datasets = one_sample_nodes(50, k=k, n=n_units, signal=signal)
+        if design == "one-sample-zero-unit":  # unit 0 sits at mu = 0 everywhere
+            datasets = [
+                GroupedDataset((ComplexSample(
+                    np.r_[0j, d.samples[0].observations[1:]], "stim"),),
+                    Design.ONE_SAMPLE)
+                for d in datasets
+            ]
         res = cluster_correct(datasets, line_graph(k), test,
                               n_perm=n_perm, seed=seed)
         assert res.cluster_masses
@@ -432,7 +449,7 @@ class TestBlockEvaluation:
             datasets = two_sample_nodes(61, 8, 9, 11, signal)
         results = []
         for cap in (1, 10**9):  # one permutation per block; one block
-            monkeypatch.setattr(clusters, "_BLOCK_VALUES", cap)
+            monkeypatch.setattr(clusters, "BLOCK_VALUES", cap)
             for test in ("T2", "T2circ"):
                 results.append(cluster_correct(datasets, line_graph(8), test,
                                                n_perm=300, seed=62))
