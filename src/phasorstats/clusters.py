@@ -10,6 +10,7 @@ independent groups), following the logic of Maris & Oostenveld (2007).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from . import kernels
+from . import kernels, substreams
 from .data import ComplexSample, Design, GroupedDataset, align_paired
 from .distributions import f_critical
 from .exceptions import DesignMismatch, DomainError, InvalidGraph
@@ -30,6 +31,11 @@ from .inference import (
     t2circ_two_sample,
 )
 from .kernels import BLOCK_VALUES
+
+#: Permutation draws computed per pass over the substreams, in permutations
+#: x units: large enough to amortise the per-call cost of the whole-array
+#: substream arithmetic, and bounding its memory whatever n_perm is.
+DRAW_VALUES = 2**15
 
 _SUPPORTED_DESIGNS = (
     Design.ONE_SAMPLE,
@@ -284,31 +290,43 @@ def cluster_correct(
     applied to every node, preserving the spatial correlation structure.
     Cluster mass is the sum of F values over a connected supra-threshold
     component; corrected p = (1 + #{null >= observed}) / (1 + n_perm).
-    Each permutation's RNG substream derives from (seed, permutation index),
-    so results are reproducible and permutations could run concurrently.
+
+    Permutation p draws from its own substream ``default_rng([seed, p])``:
+    its signs are ``integers(0, 2, size=units)`` and its label shuffle is
+    ``permutation(units)``, so results are reproducible from (seed, p)
+    alone and permutations could run concurrently. ``substreams`` computes
+    those draws for up to ``DRAW_VALUES // units`` permutations in one pass
+    of whole-array numpy arithmetic, bit for bit equal to the generators,
+    without building one. seed must be a non-negative integer and n_perm
+    below 2^32, so that p is one 32-bit entropy word (``DomainError``
+    otherwise).
 
     Permutations are evaluated in blocks of at most ``BLOCK_VALUES //
-    nodes``: the block's draws are stacked into a sign or label-mask matrix,
-    one matmul gives every permuted mean (the sums of squares do not move),
-    and one connected-components call labels the clusters of every
-    permutation in the block; the observed clusters come from the same
-    labelling on a block of one. The substreams and the draw made from each
-    are those of a one-permutation-at-a-time loop, so the block size moves
-    the null only in the last bits. Tie rule: a draw that maps the data onto
-    itself (all signs equal, ignoring units whose difference is zero at every
-    node; the observed labels, or their swap when the groups are equal in
-    size) is given the observed maximum mass exactly, so it always counts in
-    null >= observed. A shuffle that only exchanges units holding identical
-    values in the two groups is not detected as one; it is evaluated like
-    any other draw, and its maximum may differ from the observed one in the
-    last bits.
+    nodes``: the block's draws form a sign or label-mask matrix, one matmul
+    gives every permuted mean (the sums of squares do not move), and one
+    connected-components call labels the clusters of every permutation in
+    the block; the observed clusters come from the same labelling on a block
+    of one. The block size moves the null only in the last bits.
+
+    Tie rule: a draw that maps the data onto itself (all signs equal,
+    ignoring units whose difference is zero at every node; the observed
+    labels, or their swap when the groups are equal in size) is given the
+    observed maximum mass exactly, so it always counts in null >= observed.
+    A shuffle that only exchanges units holding identical values in the two
+    groups is not detected as one; it is evaluated like any other draw, and
+    its maximum may differ from the observed one in the last bits.
     """
     if test not in ("T2", "T2circ"):
         raise DomainError(f"test must be 'T2' or 'T2circ', got {test!r}")
     if not 0.0 < alpha_forming < 1.0:
         raise DomainError(f"alpha_forming must be in (0, 1), got {alpha_forming}")
-    if not n_perm >= 1:
-        raise DomainError(f"n_perm must be >= 1, got {n_perm}")
+    seed = substreams.check_seed(seed)
+    try:
+        n_perm = operator.index(n_perm)
+    except TypeError:
+        raise DomainError(f"n_perm must be an integer, got {n_perm!r}") from None
+    if not 1 <= n_perm < 2**32:  # p of the substream (seed, p) is 32 bits
+        raise DomainError(f"n_perm must be in [1, 2^32), got {n_perm}")
     design = _validate_nodes(node_datasets, graph)
     k_nodes = len(node_datasets)
 
@@ -326,9 +344,7 @@ def cluster_correct(
         kernel = kernels.t2_two_sample if test == "T2" else kernels.t2circ_two_sample
         obs_f = kernel(V[:, base_mask], V[:, ~base_mask])[1]
         block_f = _label_shuffle_block(V, na, test)
-
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            return base_mask[rng.permutation(n_total)]
+        n_draw = n_total
 
         def is_identity(masks: np.ndarray) -> np.ndarray:
             same = (masks == base_mask).all(axis=1)
@@ -363,9 +379,7 @@ def cluster_correct(
         kernel = kernels.t2_one_sample if test == "T2" else kernels.t2circ_one_sample
         obs_f = kernel(D)[1]
         block_f = _sign_flip_block(D, test)
-
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            return rng.integers(0, 2, size=n_units)
+        n_draw = n_units
 
         moved = np.any(D != 0, axis=0)  # units a sign flip changes
 
@@ -398,13 +412,21 @@ def cluster_correct(
 
     null = np.empty(n_perm)
     block = max(1, BLOCK_VALUES // k_nodes)
-    for start in range(0, n_perm, block):
-        stop = min(start + block, n_perm)
-        draws = np.array([draw(np.random.default_rng([seed, p_idx]))
-                          for p_idx in range(start, stop)])
-        _, labels, component_masses = _cluster_labels(block_f(draws), f_crit, edges)
-        null[start:stop] = np.where(is_identity(draws), observed_max,
-                                    component_masses[labels].max(axis=1))
+    # the draws of many F blocks come from one pass over their substreams
+    chunk = block * max(1, DRAW_VALUES // (block * n_draw))
+    for first in range(0, n_perm, chunk):
+        p = np.arange(first, min(first + chunk, n_perm))
+        if design is Design.TWO_SAMPLE_INDEPENDENT:  # base_mask[permutation]
+            draws = substreams.permutations(seed, p, n_draw) < na
+        else:
+            draws = substreams.sign_draws(seed, p, n_draw)
+        out = null[first:first + p.size]
+        for start in range(0, p.size, block):
+            rows = draws[start:start + block]
+            _, labels, component_masses = _cluster_labels(block_f(rows), f_crit,
+                                                          edges)
+            out[start:start + block] = np.where(is_identity(rows), observed_max,
+                                                component_masses[labels].max(axis=1))
     null.sort()
 
     corrected = tuple(

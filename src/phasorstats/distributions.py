@@ -73,12 +73,41 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
     """Upper-tail critical value: x such that f_sf(x, df1, df2) = alpha.
 
     Inverted on the survival side, so it keeps its digits for tiny alpha:
-    f_sf(x) = I_y(df2/2, df1/2) with y = df2 / (df2 + df1 x).
+    f_sf(x) = I_y(df2/2, df1/2) with y = df2 / (df2 + df1 x). Where
+    ``betaincinv`` leaves f_sf(x) more than 1e-14 relative off alpha (it
+    can, by ~1e-11, for df1 != 2 and tiny alpha), Newton steps on f_sf
+    polish x and the point nearest alpha is returned; an answer already
+    within 1e-14 keeps its bits.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     y = special.betaincinv(df2 / 2.0, df1 / 2.0, alpha)
-    return float(df2 / df1 * ((1.0 - y) / y))
+    x = float(df2 / df1 * ((1.0 - y) / y))
+    best, best_excess = x, math.inf
+    for _ in range(4):
+        if not 0.0 < x < math.inf:
+            break
+        sf = f_sf(x, df1, df2)
+        if not sf > 0.0:
+            break
+        if abs(sf - alpha) < best_excess:
+            best, best_excess = x, abs(sf - alpha)
+        if best_excess <= 1e-14 * alpha:
+            break
+        # Newton on log f_sf, whose derivative is -pdf / sf; f_sf itself is
+        # only good to ~1e-13 relative here, so the best point seen is kept
+        hazard = math.exp(_f_logpdf(x, df1, df2) - math.log(sf))
+        if not hazard > 0.0 or x + math.log(sf / alpha) / hazard == x:
+            break
+        x += math.log(sf / alpha) / hazard
+    return best
+
+
+def _f_logpdf(x: float, df1: int, df2: int) -> float:
+    """Log density of the F distribution at x > 0."""
+    h1, h2 = 0.5 * df1, 0.5 * df2
+    return (h1 * math.log(df1 / df2) + (h1 - 1.0) * math.log(x)
+            - (h1 + h2) * math.log1p(df1 * x / df2) - float(special.betaln(h1, h2)))
 
 
 @dataclass(frozen=True)

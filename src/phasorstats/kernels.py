@@ -101,11 +101,35 @@ def eigvecs2(a: float, b: float, c: float, lmax: float) -> np.ndarray:
 _DET_RTOL = DEGENERACY_RTOL * (1.0 - DEGENERACY_RTOL)
 
 
-def degenerate(det, trace):
-    """The degeneracy rule lambda_min <= DEGENERACY_RTOL * trace, in its
-    determinant form, for a positive semi-definite 2x2 matrix with this
-    determinant and trace; a zero matrix is degenerate."""
-    return det <= _DET_RTOL * trace * trace
+def _two_product(x, y):
+    """(p, e) with p = fl(x y) and p + e = x y exactly: Dekker's product,
+    on Veltkamp's split of each factor into two halves of 26 bits."""
+    p = x * y
+    xs, ys = 134217729.0 * x, 134217729.0 * y  # 2^27 + 1
+    xh, yh = xs - (xs - x), ys - (ys - y)
+    xl, yl = x - xh, y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def degenerate(a, b, c):
+    """The degeneracy rule lambda_min <= DEGENERACY_RTOL * trace for the
+    positive semi-definite [[a, b], [b, c]], in its determinant form; a zero
+    matrix is degenerate.
+
+    The rounded a c - b b is within 2^-52 (a c + b b) of the exact
+    determinant. Where that is not enough to place it on one side of the
+    threshold, the exact products decide, so a sample at the threshold is
+    decided by the rule and not by rounding (entries past ~1e300, where the
+    split overflows, keep the rounded determinant).
+    """
+    ac, bb = a * c, b * b
+    det = ac - bb
+    limit = _DET_RTOL * (a + c) * (a + c)
+    if np.any(np.abs(det - limit) <= 2.0**-50 * (ac + bb)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = _two_product(a, c)[1] - _two_product(b, b)[1]
+        det = det + np.where(np.isfinite(err), err, 0.0)
+    return det <= limit
 
 
 def _adjugate_form(a, b, c, x, y):
@@ -140,7 +164,7 @@ def pillai(b00, b01, b11, wa, wb, wc, k: int, total_n: int):
     trace within 1e-12 of its maximum gives F = inf (p = 0).
     """
     det_w = wa * wc - wb * wb
-    bad = degenerate(det_w, wa + wc)
+    bad = degenerate(wa, wb, wc)
     s = min(2, k - 1)
     df1 = s * (abs(2 - k + 1) - 1 + s + 1)  # s(2m + s + 1) with 2m integral
     df2 = s * (total_n - k - 3 + s + 1)
@@ -174,7 +198,7 @@ def hotelling(h, a, b, c, diff, df2: int):
     F = T^2 df2 / (2 (df2 + 1))."""
     det = a * c - b * b
     q, bad = _ratio(_adjugate_form(a, b, c, diff.real, diff.imag), det,
-                    degenerate(det, a + c), diff)
+                    degenerate(a, b, c), diff)
     t2 = h * q
     return t2, t2 * df2 / (2.0 * (df2 + 1)), (2, df2), bad
 
@@ -257,7 +281,7 @@ def spectrum(X: np.ndarray):
     lmax, lmin = eig2(a, b, c)
     with np.errstate(divide="ignore"):
         ci = np.sqrt(np.where(lmin > 0.0, lmax / lmin, np.inf))
-    return m, (a, b, c), (lmax, lmin), ci, degenerate(a * c - b * b, a + c)
+    return m, (a, b, c), (lmax, lmin), ci, degenerate(a, b, c)
 
 
 def condition_index(X: np.ndarray):

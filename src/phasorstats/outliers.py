@@ -59,7 +59,7 @@ def _distances(sample: ComplexSample) -> np.ndarray:
             f"Mahalanobis distances need >= 3 observations, got {sample.n}"
         )
     m, a, b, c = kernels.covariance(sample.observations)
-    if kernels.degenerate(a * c - b * b, a + c):
+    if kernels.degenerate(a, b, c):
         raise DegenerateCovariance(
             f"covariance of condition {sample.condition_label!r} is degenerate"
         )
@@ -151,7 +151,7 @@ def pairwise_mahalanobis(a: ComplexSample, b: ComplexSample) -> float:
         )
     diff, av, bv, cv = kernels.pooled(a.observations, b.observations)
     x, y = diff.real, diff.imag
-    if not kernels.degenerate(av * cv - bv * bv, av + cv):
+    if not kernels.degenerate(av, bv, cv):
         return float(np.sqrt(max(kernels.quadform_inv(av, bv, cv, x, y), 0.0)))
     if diff == 0:
         return 0.0

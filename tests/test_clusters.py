@@ -251,6 +251,10 @@ class TestClusterCorrect:
         dict(alpha_forming=1.0),
         dict(alpha_forming=float("nan")),
         dict(n_perm=0),
+        dict(n_perm=2**32),  # p must stay one 32-bit entropy word
+        dict(n_perm=10.0),
+        dict(seed=-1),
+        dict(seed=1.5),
     ])
     def test_bad_arguments_raise_domain_error(self, kwargs):
         args = dict(test="T2circ", n_perm=10, seed=0) | kwargs

@@ -76,6 +76,15 @@ class TestFCdf:
         assert math.isfinite(crit)
         assert f_sf(crit, *df) == pytest.approx(alpha, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("df1", [1, 3, 4, 12])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-10, 1e-100])
+    def test_critical_is_polished_for_every_df2(self, alpha, df1):
+        # betaincinv alone left f_sf(crit) up to 6e-12 relative off alpha for
+        # df1 != 2 at alpha = 1e-100
+        for df2 in range(1, 300):
+            crit = f_critical(alpha, df1, df2)
+            assert f_sf(crit, df1, df2) == pytest.approx(alpha, rel=1e-13, abs=0), df2
+
     def test_sf_complements_cdf(self):
         xs = np.array([0.0, 0.3, 1.0, 4.0, 12.0, np.inf])
         sf = f_sf(xs, 3, 7)

@@ -85,12 +85,15 @@ def test_scalar_tests_are_rows_of_one_batched_call(scale):
 def test_degeneracy_rule_is_shared():
     # lambda_min / trace = 9.9997e-13 sits at the 1e-12 threshold; the
     # eigenvalue and determinant forms of the rule used to disagree here, so
-    # ci_test raised while t2_one_sample returned a result
+    # ci_test raised while t2_one_sample returned a result. The sample is
+    # degenerate: its exact determinant is below the threshold, while
+    # a c - b b rounded to just above it
     z = np.array([-2.5543706144102805 + 0.06144651687543079j,
                   -2.0328941861980665 - 1.9559786093331912j,
                   -2.3988929873164877 - 0.540038977004919j])
     sample = ComplexSample(z)
     flagged = covariance_summary(sample).degenerate
+    assert flagged
     assert bool(kernels.condition_index(z)[1]) == flagged
 
     def raises(test):

@@ -351,7 +351,8 @@ class TestCliOther:
         assert rc == 0
         assert len(out.strip().splitlines()) == 3
 
-    def test_cluster_command(self, tmp_path, capsys):
+    @staticmethod
+    def _cluster_files(tmp_path):
         rng = np.random.default_rng(8)
         paths = []
         for node in range(3):
@@ -365,6 +366,10 @@ class TestCliOther:
             paths.append(str(path))
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n")
+        return paths, edges
+
+    def test_cluster_command(self, tmp_path, capsys):
+        paths, edges = self._cluster_files(tmp_path)
         rc = cli_main(["cluster", *paths, "--edges", str(edges),
                        "--design", "one-sample", "--test", "T2circ",
                        "--perms", "200", "--seed", "4"])
@@ -373,6 +378,18 @@ class TestCliOther:
         payload = json.loads(out)
         assert payload["n_permutations"] == 200
         assert len(payload["node_results"]) == 3
+
+    @pytest.mark.parametrize("flag,word", [
+        (["--seed", "-1"], "seed"),
+        (["--perms", str(2**32)], "n_perm"),
+    ])
+    def test_cluster_precondition_exit_3(self, tmp_path, flag, word, capsys):
+        # numpy's own ValueError used to leak here and exit 2
+        paths, edges = self._cluster_files(tmp_path)
+        rc = cli_main(["cluster", *paths, "--edges", str(edges),
+                       "--design", "one-sample", *flag])
+        assert rc == 3
+        assert word in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
         ["--alpha-forming", "0"],
