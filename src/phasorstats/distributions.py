@@ -97,9 +97,12 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
         # Newton on log f_sf, whose derivative is -pdf / sf; f_sf itself is
         # only good to ~1e-13 relative here, so the best point seen is kept
         hazard = math.exp(_f_logpdf(x, df1, df2) - math.log(sf))
-        if not hazard > 0.0 or x + math.log(sf / alpha) / hazard == x:
+        if not hazard > 0.0:
             break
-        x += math.log(sf / alpha) / hazard
+        step = math.log(sf / alpha) / hazard
+        if x + step == x:
+            break
+        x += step
     return best
 
 

@@ -118,17 +118,16 @@ def degenerate(a, b, c):
 
     The rounded a c - b b is within 2^-52 (a c + b b) of the exact
     determinant. Where that is not enough to place it on one side of the
-    threshold, the exact products decide, so a sample at the threshold is
-    decided by the rule and not by rounding (entries past ~1e300, where the
-    split overflows, keep the rounded determinant).
+    threshold, the exact product errors are added, so a sample at the
+    threshold is decided by the rule and not by rounding. (Such a sample has
+    a finite limit, so its entries are below 1e160 and the split cannot
+    overflow.)
     """
     ac, bb = a * c, b * b
     det = ac - bb
     limit = _DET_RTOL * (a + c) * (a + c)
     if np.any(np.abs(det - limit) <= 2.0**-50 * (ac + bb)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = _two_product(a, c)[1] - _two_product(b, b)[1]
-        det = det + np.where(np.isfinite(err), err, 0.0)
+        det = det + (_two_product(a, c)[1] - _two_product(b, b)[1])
     return det <= limit
 
 
