@@ -12,6 +12,7 @@ Two methods for putting bounds on the amplitude of a coherent mean:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +134,18 @@ def amp_ci_bootstrap(
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    if not n_boot >= 1:
+    try:
+        n_boot = operator.index(n_boot)
+    except TypeError:
+        raise DomainError(f"n_boot must be an integer, got {n_boot!r}") from None
+    if n_boot < 1:
         raise DomainError(f"n_boot must be >= 1, got {n_boot}")
     if sample.n < 2:
         raise TooFewObservations(
             f"bootstrap needs >= 2 observations, got {sample.n}"
         )
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, sample.n, size=(int(n_boot), sample.n))
+    idx = rng.integers(0, sample.n, size=(n_boot, sample.n))
     amps = np.abs(sample.observations[idx].mean(axis=1))
     lo, hi = np.quantile(amps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
     mean = sample.observations.mean()

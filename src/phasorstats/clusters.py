@@ -20,16 +20,17 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from . import kernels, substreams
-from .data import ComplexSample, Design, GroupedDataset, align_paired
-from .distributions import f_critical
-from .exceptions import DesignMismatch, DomainError, InvalidGraph
-from .inference import (
-    TestResult,
-    t2_one_sample,
-    t2_two_sample,
-    t2circ_one_sample,
-    t2circ_two_sample,
+from .data import ComplexSample, Design, GroupedDataset, align_units
+from .distributions import f_critical, f_sf
+from .exceptions import (
+    DegenerateCovariance,
+    DesignMismatch,
+    DomainError,
+    InvalidGraph,
+    TooFewObservations,
+    ZeroResidualVariance,
 )
+from .inference import TestResult
 from .kernels import BLOCK_VALUES
 
 #: Permutation draws computed per pass over the substreams, in permutations
@@ -37,11 +38,7 @@ from .kernels import BLOCK_VALUES
 #: substream arithmetic, and bounding its memory whatever n_perm is.
 DRAW_VALUES = 2**15
 
-_SUPPORTED_DESIGNS = (
-    Design.ONE_SAMPLE,
-    Design.PAIRED,
-    Design.TWO_SAMPLE_INDEPENDENT,
-)
+_SUPPORTED_DESIGNS = (Design.ONE_SAMPLE, Design.PAIRED, Design.TWO_SAMPLE_INDEPENDENT)
 
 
 @dataclass(frozen=True)
@@ -59,9 +56,7 @@ class AdjacencyGraph:
             if i == j:
                 raise InvalidGraph(f"self-loop at node {i}")
             if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise InvalidGraph(
-                    f"edge ({i}, {j}) outside 0..{self.node_count - 1}"
-                )
+                raise InvalidGraph(f"edge ({i}, {j}) outside 0..{self.node_count - 1}")
             seen.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
@@ -89,7 +84,9 @@ class AdjacencyGraph:
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Observed clusters with their permutation-corrected p-values."""
+    """Observed clusters with their permutation-corrected p-values;
+    ``node_results`` are the F values that formed them (units matched by
+    sorted label), so a cluster's mass is the sum of its nodes' f_value."""
 
     clusters: tuple[tuple[int, ...], ...]
     cluster_masses: tuple[float, ...]
@@ -215,19 +212,15 @@ def _validate_nodes(
     node_datasets: Sequence[GroupedDataset], graph: AdjacencyGraph
 ) -> Design:
     if len(node_datasets) != graph.node_count:
-        raise InvalidGraph(
-            f"graph has {graph.node_count} nodes but {len(node_datasets)} "
-            "datasets were supplied"
-        )
+        raise InvalidGraph(f"graph has {graph.node_count} nodes but "
+                           f"{len(node_datasets)} datasets were supplied")
     designs = {d.design for d in node_datasets}
     if len(designs) != 1:
         raise DesignMismatch("all nodes must share one design")
     design = designs.pop()
     if design not in _SUPPORTED_DESIGNS:
-        raise DesignMismatch(
-            f"cluster correction supports {[d.value for d in _SUPPORTED_DESIGNS]}, "
-            f"got {design.value}"
-        )
+        names = [d.value for d in _SUPPORTED_DESIGNS]
+        raise DesignMismatch(f"cluster correction supports {names}, got {design.value}")
     shapes = {tuple(s.n for s in d.samples) for d in node_datasets}
     if len(shapes) != 1:
         raise DesignMismatch("all nodes must have identical group sizes")
@@ -237,43 +230,19 @@ def _validate_nodes(
     return design
 
 
-def _row_aligned(sample, reference: tuple[str, ...] | None) -> np.ndarray:
-    """Observations reordered to the reference unit order.
-
-    One permutation is applied to every node simultaneously, so row j must
-    mean the same unit at every node; otherwise the permutation null loses
-    the spatial correlation structure it is meant to preserve.
-    """
-    if reference is None:
-        if sample.unit_labels is not None:
-            raise DesignMismatch(
-                "either every node carries unit labels or none does"
-            )
-        return sample.observations
-    if sample.unit_labels is None:
-        raise DesignMismatch(
-            "either every node carries unit labels or none does"
-        )
-    if len(set(sample.unit_labels)) != len(sample.unit_labels):
-        raise DesignMismatch(
-            f"duplicate unit labels in condition {sample.condition_label!r}"
-        )
-    if set(sample.unit_labels) != set(reference):
-        raise DesignMismatch("nodes do not share unit labels")
-    order = {u: j for j, u in enumerate(sample.unit_labels)}
-    return sample.observations[[order[u] for u in reference]]
-
-
-def _reference_units(sample) -> tuple[str, ...] | None:
-    """Canonical unit order: sorted labels, so results are invariant to the
-    row order of the input files."""
-    if sample.unit_labels is None:
-        return None
-    if len(set(sample.unit_labels)) != len(sample.unit_labels):
-        raise DesignMismatch(
-            f"duplicate unit labels in condition {sample.condition_label!r}"
-        )
-    return tuple(sorted(sample.unit_labels))
+def _unit_matrix(samples: Sequence[ComplexSample]) -> np.ndarray:
+    """(len(samples), units) observations, column j one unit in every row:
+    labelled samples aligned by ``align_units`` with the columns in sorted
+    label order, so input row order does not matter; unlabelled ones stacked
+    as they are."""
+    labelled = {s.unit_labels is not None for s in samples}
+    if labelled == {False}:
+        return np.stack([s.observations for s in samples])
+    if len(labelled) > 1:
+        raise DesignMismatch("either every node carries unit labels or none does")
+    M, labels = align_units(samples)
+    # row-major, as the kernels' sums and matmuls are laid out
+    return np.ascontiguousarray(M[:, np.argsort(labels)])
 
 
 def cluster_correct(
@@ -291,15 +260,23 @@ def cluster_correct(
     Cluster mass is the sum of F values over a connected supra-threshold
     component; corrected p = (1 + #{null >= observed}) / (1 + n_perm).
 
+    Units are matched across nodes by label (``align_units``) in sorted
+    label order, so the row order of the inputs does not matter; a unit
+    label set that differs across nodes raises ``LabelMismatch``, and either
+    every node carries labels or none does. ``node_results`` are the F
+    values that formed the clusters, from one kernel call over all nodes
+    (p = f_sf(F)), with the scalar tests' preconditions: TooFewObservations
+    below 3 units (T2) or 2 (T2circ) per group, DegenerateCovariance (T2)
+    or ZeroResidualVariance (T2circ) at a node that cannot be tested.
+
     Permutation p draws from its own substream ``default_rng([seed, p])``:
-    its signs are ``integers(0, 2, size=units)`` and its label shuffle is
+    signs ``integers(0, 2, size=units)``, label shuffle
     ``permutation(units)``, so results are reproducible from (seed, p)
-    alone and permutations could run concurrently. ``substreams`` computes
-    those draws for up to ``DRAW_VALUES // units`` permutations in one pass
-    of whole-array numpy arithmetic, bit for bit equal to the generators,
-    without building one. seed must be a non-negative integer and n_perm
-    below 2^32, so that p is one 32-bit entropy word (``DomainError``
-    otherwise).
+    alone. ``substreams`` computes the draws of up to ``DRAW_VALUES //
+    units`` permutations in one pass of whole-array numpy arithmetic, bit
+    for bit equal to the generators. seed must be a non-negative integer
+    and n_perm below 2^32, so that p is one 32-bit entropy word
+    (``DomainError`` otherwise).
 
     Permutations are evaluated in blocks of at most ``BLOCK_VALUES //
     nodes``: the block's draws form a sign or label-mask matrix, one matmul
@@ -328,58 +305,50 @@ def cluster_correct(
     if not 1 <= n_perm < 2**32:  # p of the substream (seed, p) is 32 bits
         raise DomainError(f"n_perm must be in [1, 2^32), got {n_perm}")
     design = _validate_nodes(node_datasets, graph)
+    two_sample = design is Design.TWO_SAMPLE_INDEPENDENT
+    sizes = tuple(s.n for s in node_datasets[0].samples)
+    min_n = 3 if test == "T2" else 2
+    if min(sizes) < min_n:
+        raise TooFewObservations(
+            f"two-sample {test} needs >= {min_n} per group, got {sizes[0]} "
+            f"and {sizes[1]}" if two_sample
+            else f"{test} needs >= {min_n} observations, got {sizes[0]}"
+        )
     k_nodes = len(node_datasets)
+    effect = [None] * k_nodes  # a pairwise distance only between two samples
 
-    if design is Design.TWO_SAMPLE_INDEPENDENT:
-        na = node_datasets[0].samples[0].n
-        n_total = na + node_datasets[0].samples[1].n
-        ref_a = _reference_units(node_datasets[0].samples[0])
-        ref_b = _reference_units(node_datasets[0].samples[1])
-        V = np.empty((k_nodes, n_total), dtype=np.complex128)
-        for i, d in enumerate(node_datasets):
-            V[i, :na] = _row_aligned(d.samples[0], ref_a)
-            V[i, na:] = _row_aligned(d.samples[1], ref_b)
-        base_mask = np.zeros(n_total, dtype=bool)
-        base_mask[:na] = True
+    if two_sample:
+        na = sizes[0]
+        V = np.hstack([_unit_matrix([d.samples[g] for d in node_datasets])
+                       for g in (0, 1)])
+        n_draw = V.shape[1]
+        base_mask = np.arange(n_draw) < na
+        A, B = V[:, base_mask], V[:, ~base_mask]
         kernel = kernels.t2_two_sample if test == "T2" else kernels.t2circ_two_sample
-        obs_f = kernel(V[:, base_mask], V[:, ~base_mask])[1]
+        observed = kernel(A, B)
         block_f = _label_shuffle_block(V, na, test)
-        n_draw = n_total
+        if min(sizes) >= 3:  # the pairwise distance's own minimum
+            d, no_d = kernels.pairwise_mahalanobis(A, B)
+            effect = [None if no else float(x) for x, no in zip(d, no_d)]
 
         def is_identity(masks: np.ndarray) -> np.ndarray:
             same = (masks == base_mask).all(axis=1)
-            if 2 * na == n_total:  # swapping equal groups changes nothing
+            if 2 * na == n_draw:  # swapping equal groups changes nothing
                 same |= (masks != base_mask).all(axis=1)
             return same
-
-        node_results = tuple(
-            (t2_two_sample if test == "T2" else t2circ_two_sample)(
-                d.samples[0], d.samples[1]
-            )
-            for d in node_datasets
-        )
     else:
         # one-sample (differences from mu) and paired (within-unit
         # differences) reduce to sign-flippable difference matrices
         if design is Design.ONE_SAMPLE:
-            n_units = node_datasets[0].samples[0].n
-            reference = _reference_units(node_datasets[0].samples[0])
-            D = np.empty((k_nodes, n_units), dtype=np.complex128)
-            for i, d in enumerate(node_datasets):
-                D[i] = _row_aligned(d.samples[0], reference) - d.mu
+            mu = np.array([d.mu for d in node_datasets])
+            D = _unit_matrix([d.samples[0] for d in node_datasets]) - mu[:, None]
         else:
-            first = node_datasets[0].samples[0]
-            reference = _reference_units(first)
-            n_units = first.n
-            D = np.empty((k_nodes, n_units), dtype=np.complex128)
-            for i, d in enumerate(node_datasets):
-                va, vb, labels = align_paired(d.samples[0], d.samples[1])
-                diffs = ComplexSample(va - vb, "", labels)
-                D[i] = _row_aligned(diffs, reference)
+            M = _unit_matrix([s for d in node_datasets for s in d.samples])
+            D = M[0::2] - M[1::2]
         kernel = kernels.t2_one_sample if test == "T2" else kernels.t2circ_one_sample
-        obs_f = kernel(D)[1]
+        observed = kernel(D)
         block_f = _sign_flip_block(D, test)
-        n_draw = n_units
+        n_draw = D.shape[1]
 
         moved = np.any(D != 0, axis=0)  # units a sign flip changes
 
@@ -388,16 +357,18 @@ def cluster_correct(
             kept = draws[:, moved]
             return (kept == kept[:, :1]).all(axis=1)
 
-        one_sample = t2_one_sample if test == "T2" else t2circ_one_sample
-        node_results = tuple(
-            one_sample(
-                ComplexSample(row, node_datasets[i].samples[0].condition_label),
-                0j,
-            )
-            for i, row in enumerate(D)
-        )
-
-    df = node_results[0].df
+    statistic, obs_f, df, bad = observed
+    if bad.any():
+        node = int(np.flatnonzero(bad)[0])
+        if test == "T2circ":
+            raise ZeroResidualVariance(f"node {node}: all observations coincide")
+        which = "pooled" if two_sample else "sample"
+        raise DegenerateCovariance(f"node {node}: {which} covariance is degenerate")
+    n_per_group = sizes if two_sample else sizes[:1]  # paired: the differences
+    node_results = tuple(
+        TestResult(test, float(t), float(f), df, float(p), e, n_per_group)
+        for t, f, p, e in zip(statistic, obs_f, f_sf(obs_f, *df), effect)
+    )
     f_crit = f_critical(alpha_forming, df[0], df[1])
     edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
 
@@ -416,7 +387,7 @@ def cluster_correct(
     chunk = block * max(1, DRAW_VALUES // (block * n_draw))
     for first in range(0, n_perm, chunk):
         p = np.arange(first, min(first + chunk, n_perm))
-        if design is Design.TWO_SAMPLE_INDEPENDENT:  # base_mask[permutation]
+        if two_sample:  # base_mask[permutation]
             draws = substreams.permutations(seed, p, n_draw) < na
         else:
             draws = substreams.sign_draws(seed, p, n_draw)

@@ -213,12 +213,6 @@ def align_units(
     return out, labels
 
 
-def align_paired(a: ComplexSample, b: ComplexSample) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Return (values_a, values_b, labels) with b reordered to a's units."""
-    (va, vb), labels = align_units((a, b))
-    return va, vb, labels
-
-
 @dataclass(frozen=True, eq=False)
 class CovarianceSummary:
     """Bivariate mean, 2x2 covariance and its eigenstructure for one sample.

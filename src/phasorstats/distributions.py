@@ -29,6 +29,8 @@ from .exceptions import DomainError
 
 _VARIANTS = ("edelman", "modified")
 
+_MAX = float(np.finfo(float).max)
+
 
 def _f_args(x, df1: int, df2: int) -> tuple[np.ndarray, int, int]:
     """Checked F statistic array and integer degrees of freedom."""
@@ -66,6 +68,10 @@ def f_sf(x, df1: int, df2: int):
     """
     arr, df1, df2 = _f_args(x, df1, df2)
     sf = special.fdtrc(df1, df2, arr)
+    huge = np.isfinite(arr) & (arr > _MAX / df1)
+    if huge.any():  # fdtrc gives 0 once df1 x overflows; y = df2 / df1 / x there
+        y = df2 / df1 / np.maximum(arr, 1.0)
+        sf = np.where(huge, special.betainc(0.5 * df2, 0.5 * df1, y), sf)
     return float(sf) if sf.ndim == 0 else sf
 
 
@@ -74,19 +80,26 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
 
     Inverted on the survival side, so it keeps its digits for tiny alpha:
     f_sf(x) = I_y(df2/2, df1/2) with y = df2 / (df2 + df1 x). Where
-    ``betaincinv`` leaves f_sf(x) more than 1e-14 relative off alpha (it
-    can, by ~1e-11, for df1 != 2 and tiny alpha), Newton steps on f_sf
-    polish x and the point nearest alpha is returned; an answer already
-    within 1e-14 keeps its bits.
+    ``betaincinv``'s y underflows (or is nan), x starts from the tail
+    I_y(a, b) ~ y^a / (a B(a, b)) in log space instead. Where that start
+    leaves f_sf(x) more than 1e-14 relative off alpha, Newton steps on
+    log f_sf against log x polish x and the point nearest alpha is
+    returned; an answer already within 1e-14 keeps its bits. DomainError
+    where x is beyond the float range, f_sf(float max) > alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    y = special.betaincinv(df2 / 2.0, df1 / 2.0, alpha)
-    x = float(df2 / df1 * ((1.0 - y) / y))
+    if f_sf(_MAX, df1, df2) > alpha:
+        raise DomainError(f"F({df1}, {df2}) critical value at alpha = {alpha} "
+                          "exceeds the float range")
+    a, b = 0.5 * df2, 0.5 * df1
+    y = float(special.betaincinv(a, b, alpha))
+    x = df2 / df1 * ((1.0 - y) / y) if np.finfo(float).tiny < y < 1.0 else math.inf
+    if not x <= _MAX:  # y underflowed, or is nan
+        log_y = (math.log(alpha) + math.log(a) + float(special.betaln(a, b))) / a
+        x = math.exp(min(math.log(df2 / df1) - log_y, math.log(_MAX)))
     best, best_excess = x, math.inf
-    for _ in range(4):
-        if not 0.0 < x < math.inf:
-            break
+    for _ in range(8):
         sf = f_sf(x, df1, df2)
         if not sf > 0.0:
             break
@@ -94,23 +107,26 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
             best, best_excess = x, abs(sf - alpha)
         if best_excess <= 1e-14 * alpha:
             break
-        # Newton on log f_sf, whose derivative is -pdf / sf; f_sf itself is
-        # only good to ~1e-13 relative here, so the best point seen is kept
-        hazard = math.exp(_f_logpdf(x, df1, df2) - math.log(sf))
-        if not hazard > 0.0:
+        # Newton on log f_sf against log x, whose slope is -x pdf / sf;
+        # f_sf itself is only good to ~1e-13 relative here, so the best
+        # point seen is kept
+        slope = math.exp(_f_logpdf(x, df1, df2) + math.log(x) - math.log(sf))
+        if not slope > 0.0:
             break
-        step = math.log(sf / alpha) / hazard
-        if x + step == x:
+        x_new = min(x * math.exp(math.log(sf / alpha) / slope), _MAX)
+        if x_new == x:
             break
-        x += step
+        x = x_new
     return best
 
 
 def _f_logpdf(x: float, df1: int, df2: int) -> float:
     """Log density of the F distribution at x > 0."""
     h1, h2 = 0.5 * df1, 0.5 * df2
+    # log(1 + df1 x / df2), without overflow where df1 x is past the float range
+    log_1p = math.log(x) + math.log(df1 / df2 + 1.0 / x)
     return (h1 * math.log(df1 / df2) + (h1 - 1.0) * math.log(x)
-            - (h1 + h2) * math.log1p(df1 * x / df2) - float(special.betaln(h1, h2)))
+            - (h1 + h2) * log_1p - float(special.betaln(h1, h2)))
 
 
 @dataclass(frozen=True)

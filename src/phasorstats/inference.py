@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .data import ComplexSample, align_paired, align_units
+from .data import ComplexSample, align_units
 from .distributions import ConditionIndexDistribution, f_sf
 from .exceptions import (
     DegenerateCovariance,
@@ -174,7 +174,7 @@ def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
 
 
 def _paired_differences(a: ComplexSample, b: ComplexSample) -> ComplexSample:
-    va, vb, labels = align_paired(a, b)
+    (va, vb), labels = align_units((a, b))
     return ComplexSample(va - vb, f"{a.condition_label}-{b.condition_label}",
                          labels)
 

@@ -4,8 +4,8 @@ This module is the only home of the bivariate moment sums, the 2x2
 eigenvalues, the degeneracy rule and the inverse quadratic form. The scalar
 tests in ``inference``, ``covariance_summary`` and the Mahalanobis distances
 in ``outliers`` run these functions on a batch of one, so a scalar T2, CI
-test or covariance summary is bit for bit the matching row of a batched
-call.
+test or covariance summary is bit for bit the matching row of a row-major
+batched call (a column-major batch is summed in another order).
 
 Each kernel takes complex observations with the sample along the last axis,
 (..., n), and returns arrays over the leading axes; the k-group kernels take
@@ -82,17 +82,21 @@ def eig2(a, b, c):
     return half + disc, np.maximum(half - disc, 0.0)
 
 
+def _major_axis(a, b, c, lmax):
+    """Unnormalised eigenvector (x, y) of [[a, b], [b, c]] for the eigenvalue
+    lmax; (1, 0) when the matrix is a multiple of the identity."""
+    iso = np.logical_and(a == c, b == 0.0)
+    x = np.where(iso, 1.0, np.where(a >= c, lmax - c, b))
+    y = np.where(iso, 0.0, np.where(a >= c, b, lmax - a))
+    return x, y
+
+
 def eigvecs2(a: float, b: float, c: float, lmax: float) -> np.ndarray:
     """Orthonormal eigenvectors of [[a, b], [b, c]] (scalars) as the columns
     (v_max, v_min), v_max for the eigenvalue lmax; the coordinate axes when
     the matrix is a multiple of the identity."""
-    if a == c and b == 0.0:
-        x, y = 1.0, 0.0
-    else:
-        x, y = (lmax - c, b) if a >= c else (b, lmax - a)
-        norm = math.hypot(x, y)
-        x, y = x / norm, y / norm
-    return np.array([[x, -y], [y, x]])
+    x, y = (float(v) for v in _major_axis(a, b, c, lmax))
+    return np.array([[x, -y], [y, x]]) / math.hypot(x, y)
 
 
 #: lambda_min <= RTOL trace  <=>  det <= RTOL (1 - RTOL) trace^2 for a
@@ -138,6 +142,28 @@ def _adjugate_form(a, b, c, x, y):
 def quadform_inv(a, b, c, x, y):
     """(x, y) [[a, b], [b, c]]^{-1} (x, y)' through the closed-form inverse."""
     return _adjugate_form(a, b, c, x, y) / (a * c - b * b)
+
+
+def pairwise_mahalanobis(A: np.ndarray, B: np.ndarray):
+    """Distance between the means of A and B in pooled-covariance units, and
+    ``bad``. Where the pooled covariance is degenerate, a mean difference
+    along its non-degenerate axis gives the univariate distance along that
+    axis (0 for no difference); one with a component across it, or a zero
+    covariance, is ``bad`` (d = nan)."""
+    diff, a, b, c = pooled(A, B)
+    x, y = diff.real, diff.imag
+    degen = degenerate(a, b, c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.sqrt(np.maximum(quadform_inv(a, b, c, x, y), 0.0))
+        lmax, _ = eig2(a, b, c)
+        ex, ey = _major_axis(a, b, c, lmax)
+        norm = np.hypot(ex, ey)
+        moved = diff != 0
+        across = np.abs(y * ex - x * ey) / norm
+        bad = degen & moved & ((lmax <= 0.0) | (across > 1e-9 * np.abs(diff)))
+        along = np.abs(x * ex + y * ey) / norm
+        d = np.where(degen, np.where(moved, along / np.sqrt(lmax), 0.0), d)
+    return np.where(bad, np.nan, d), bad
 
 
 def f_ratio(ss_model, df_m: int, ss_resid, df_r: int, ss_total):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .data import ComplexSample, Design, GroupedDataset, UNIT_ALIGNED_DESIGNS
-from .exceptions import DegenerateCovariance, TooFewObservations
+from .exceptions import DegenerateCovariance, DomainError, TooFewObservations
 
 DEFAULT_THRESHOLD = 3.0
 
@@ -53,7 +53,16 @@ class ScreeningReport:
         return sum(r.flagged_count for r in self.per_condition)
 
 
-def _distances(sample: ComplexSample) -> np.ndarray:
+def mahalanobis_distances(
+    sample: ComplexSample, threshold: float = DEFAULT_THRESHOLD
+) -> OutlierReport:
+    """Distance of each observation from the sample mean, as D (not D^2).
+
+    Raises DegenerateCovariance when the covariance cannot be inverted and
+    TooFewObservations below N = 3.
+    """
+    if not threshold > 0:
+        raise DomainError(f"threshold must be positive, got {threshold}")
     if sample.n < 3:
         raise TooFewObservations(
             f"Mahalanobis distances need >= 3 observations, got {sample.n}"
@@ -63,26 +72,12 @@ def _distances(sample: ComplexSample) -> np.ndarray:
         raise DegenerateCovariance(
             f"covariance of condition {sample.condition_label!r} is degenerate"
         )
-    d = sample.observations - m
-    return np.sqrt(np.maximum(kernels.quadform_inv(a, b, c, d.real, d.imag), 0.0))
-
-
-def mahalanobis_distances(
-    sample: ComplexSample, threshold: float = DEFAULT_THRESHOLD
-) -> OutlierReport:
-    """Distance of each observation from the sample mean, as D (not D^2).
-
-    Raises DegenerateCovariance when the covariance cannot be inverted and
-    TooFewObservations below N = 3.
-    """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    d = _distances(sample)
-    flagged = tuple(int(i) for i in np.nonzero(d > threshold)[0])
+    z = sample.observations - m
+    d = np.sqrt(np.maximum(kernels.quadform_inv(a, b, c, z.real, z.imag), 0.0))
     return OutlierReport(
         condition=sample.condition_label,
         distances=tuple(float(x) for x in d),
-        flagged=flagged,
+        flagged=tuple(int(i) for i in np.nonzero(d > threshold)[0]),
         threshold=threshold,
     )
 
@@ -136,29 +131,19 @@ def exclude_outliers(
 
 
 def pairwise_mahalanobis(a: ComplexSample, b: ComplexSample) -> float:
-    """Distance between two group means in pooled-covariance units.
-
-    A multivariate effect size equivalent to Cohen's d. When the pooled
-    covariance is degenerate but the mean difference lies along its
-    non-degenerate axis, the distance reduces to the univariate d along
-    that axis and is computed accordingly; a difference with a component
-    along the degenerate axis raises DegenerateCovariance.
+    """Distance between two group means in pooled-covariance units: a
+    multivariate Cohen's d, ``kernels.pairwise_mahalanobis`` on a batch of
+    one. Raises DegenerateCovariance where that is ``bad`` (a difference
+    across the degenerate axis of a degenerate pooled covariance).
     """
     if a.n < 3 or b.n < 3:
         raise TooFewObservations(
             f"pairwise distance needs >= 3 observations per group, "
             f"got {a.n} and {b.n}"
         )
-    diff, av, bv, cv = kernels.pooled(a.observations, b.observations)
-    x, y = diff.real, diff.imag
-    if not kernels.degenerate(av, bv, cv):
-        return float(np.sqrt(max(kernels.quadform_inv(av, bv, cv, x, y), 0.0)))
-    if diff == 0:
-        return 0.0
-    lmax, _ = kernels.eig2(av, bv, cv)
-    along, across = np.array([x, y]) @ kernels.eigvecs2(av, bv, cv, lmax)
-    if lmax <= 0.0 or abs(across) > 1e-9 * abs(diff):
+    d, bad = kernels.pairwise_mahalanobis(a.observations, b.observations)
+    if bad:
         raise DegenerateCovariance(
             "mean difference has a component along the degenerate axis"
         )
-    return float(abs(along) / np.sqrt(lmax))
+    return float(d)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, substreams
 from .amplitude import AmplitudeSummary, amp_ci_bootstrap, amp_errors_ellipse
 from .data import ComplexSample, Design, GroupedDataset, covariance_summary
 from .exceptions import DegenerateCovariance, TooFewObservations
@@ -294,8 +294,9 @@ def run_flowchart(
     the condition-index test picks the branch, the design picks the test,
     and significant multi-group results get Bonferroni-corrected pairwise
     post-hoc comparisons (restricted to ``baseline`` vs the rest when a
-    baseline condition is given).
+    baseline condition is given). seed must be a non-negative integer.
     """
+    seed = substreams.check_seed(seed)
     screening = None
     if screen_outliers:
         screened, screen_report = exclude_outliers(dataset, outlier_threshold)

@@ -120,6 +120,8 @@ class TestBootstrap:
         dict(level=1.0),
         dict(level=1.5),
         dict(level=float("nan")),
+        dict(n_boot=2.5),  # used to run int(2.5) = 2 resamples silently
+        dict(n_boot=100.0),
     ])
     def test_bad_arguments_raise_domain_error(self, kwargs):
         with pytest.raises(DomainError):

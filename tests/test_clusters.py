@@ -9,13 +9,25 @@ from phasorstats import (
     Design,
     GroupedDataset,
     cluster_correct,
+    f_sf,
     t2_one_sample,
     t2_two_sample,
     t2circ_one_sample,
     t2circ_two_sample,
 )
 from phasorstats import clusters, kernels
-from phasorstats.exceptions import DesignMismatch, DomainError, InvalidGraph
+from phasorstats.exceptions import (
+    DegenerateCovariance,
+    DesignMismatch,
+    DomainError,
+    InvalidGraph,
+    LabelMismatch,
+    TooFewObservations,
+    ZeroResidualVariance,
+)
+
+DESIGNS = {"one-sample": Design.ONE_SAMPLE, "paired": Design.PAIRED,
+           "two-sample": Design.TWO_SAMPLE_INDEPENDENT}
 
 
 def line_graph(k):
@@ -56,6 +68,35 @@ def two_sample_nodes(seed, k, na, nb, signal=None):
         )
         for i in range(k)
     ]
+
+
+def labelled_nodes(design, seed, k=6, n=9, signal=None):
+    """Nodes of `design` with unit labels listed in sorted order; group b of
+    a two-sample node has two units more than group a."""
+    rng = np.random.default_rng(seed)
+    signal = signal or {}
+    units = tuple(f"u{j:02d}" for j in range(n))
+    others = tuple(f"v{j:02d}" for j in range(n + 2))
+
+    def sample(condition, labels, shift=0j):
+        z = rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))
+        return ComplexSample(z + shift, condition, labels)
+
+    nodes = []
+    for i in range(k):
+        a = sample("a", units, signal.get(i, 0j))
+        rest = {"one-sample": (), "paired": (sample("b", units),),
+                "two-sample": (sample("b", others),)}[design]
+        nodes.append(GroupedDataset((a, *rest), DESIGNS[design]))
+    return nodes
+
+
+def map_samples(node, fn):
+    """The node with fn(g, observations) in place of its g-th sample's."""
+    return GroupedDataset(
+        tuple(ComplexSample(fn(g, s.observations), s.condition_label, s.unit_labels)
+              for g, s in enumerate(node.samples)),
+        node.design, node.mu)
 
 
 class TestAdjacencyGraph:
@@ -187,26 +228,81 @@ class TestClusterCorrect:
     def test_unit_order_across_nodes_is_canonical(self):
         # one permutation acts on all nodes at once, so a node listing its
         # units in a different row order must give the identical result
-        datasets = one_sample_nodes(40, k=4, n=10, units=True,
-                                    signal={2: 1.2})
         rng = np.random.default_rng(41)
-        shuffled = []
-        for d in datasets:
-            s = d.samples[0]
+
+        def shuffled(s):
             perm = rng.permutation(s.n)
-            shuffled.append(
-                GroupedDataset(
-                    (ComplexSample(s.observations[perm], s.condition_label,
-                                   tuple(s.unit_labels[j] for j in perm)),),
-                    Design.ONE_SAMPLE,
-                )
-            )
+            return ComplexSample(s.observations[perm], s.condition_label,
+                                 tuple(s.unit_labels[j] for j in perm))
+
         g = line_graph(4)
-        a = cluster_correct(datasets, g, "T2circ", n_perm=120, seed=9)
-        b = cluster_correct(shuffled, g, "T2circ", n_perm=120, seed=9)
-        assert a.clusters == b.clusters
-        assert a.cluster_masses == pytest.approx(b.cluster_masses, rel=1e-12)
-        assert np.allclose(a.null_distribution, b.null_distribution)
+        for design in DESIGNS:
+            datasets = labelled_nodes(design, 40, k=4, n=10, signal={2: 1.2})
+            rows = [GroupedDataset(tuple(shuffled(s) for s in d.samples), d.design)
+                    for d in datasets]
+            for test in ("T2", "T2circ"):
+                a = cluster_correct(datasets, g, test, n_perm=120, seed=9)
+                b = cluster_correct(rows, g, test, n_perm=120, seed=9)
+                assert a.to_dict() == b.to_dict(), (design, test)
+
+    @pytest.mark.parametrize("test", ["T2", "T2circ"])
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_node_results_are_the_f_that_formed_the_clusters(self, design, test):
+        nodes = labelled_nodes(design, 80, signal={2: 1.5 + 1j, 3: 1.5 + 1j})
+        res = cluster_correct(nodes, line_graph(6), test, n_perm=50, seed=1)
+        groups = [np.stack([d.samples[g].observations for d in nodes])
+                  for g in range(len(nodes[0].samples))]
+        if design == "two-sample":
+            V = np.hstack(groups)
+            base = np.arange(V.shape[1]) < groups[0].shape[1]
+            kernel = (kernels.t2_two_sample if test == "T2"
+                      else kernels.t2circ_two_sample)
+            statistic, f, df, _ = kernel(V[:, base], V[:, ~base])
+        else:
+            D = groups[0] - groups[1] if design == "paired" else groups[0]
+            kernel = (kernels.t2_one_sample if test == "T2"
+                      else kernels.t2circ_one_sample)
+            statistic, f, df, _ = kernel(D)
+        got = res.node_results
+        assert [r.statistic for r in got] == statistic.tolist()
+        assert [r.f_value for r in got] == f.tolist()
+        assert [r.p_value for r in got] == [f_sf(x, *df) for x in f]
+        assert {r.df for r in got} == {df}
+        # each cluster mass is the sum of its nodes' reported F
+        assert res.clusters
+        for cluster, mass in zip(res.clusters, res.cluster_masses):
+            assert mass == sum(got[i].f_value for i in cluster)
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    @pytest.mark.parametrize("test,n", [("T2", 2), ("T2circ", 1)])
+    def test_too_few_units_raise(self, design, test, n):
+        nodes = labelled_nodes(design, 90, k=3, n=n)
+        with pytest.raises(TooFewObservations, match=f">= {n + 1}"):
+            cluster_correct(nodes, line_graph(3), test, n_perm=10, seed=0)
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_degenerate_node_raises_under_t2(self, design):
+        nodes = labelled_nodes(design, 91, k=3, n=8)
+        nodes[1] = map_samples(nodes[1], lambda g, z: z.real)  # on a line
+        with pytest.raises(DegenerateCovariance, match="covariance is degenerate"):
+            cluster_correct(nodes, line_graph(3), "T2", n_perm=10, seed=0)
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_constant_node_raises_under_t2circ(self, design):
+        nodes = labelled_nodes(design, 92, k=3, n=8)
+        nodes[1] = map_samples(nodes[1],
+                               lambda g, z: np.full_like(z, 1 + 1j if g == 0 else 0j))
+        with pytest.raises(ZeroResidualVariance, match="all observations coincide"):
+            cluster_correct(nodes, line_graph(3), "T2circ", n_perm=10, seed=0)
+
+    def test_unit_labels_must_match_across_nodes(self):
+        nodes = labelled_nodes("paired", 93, k=3, n=8)
+        nodes[2] = GroupedDataset(
+            tuple(ComplexSample(s.observations, s.condition_label,
+                                ("x",) + s.unit_labels[1:]) for s in nodes[2].samples),
+            Design.PAIRED)
+        with pytest.raises(LabelMismatch):
+            cluster_correct(nodes, line_graph(3), "T2circ", n_perm=10, seed=0)
 
     def test_mixed_labelled_and_unlabelled_nodes_rejected(self):
         labelled = one_sample_nodes(42, k=2, n=8, units=True)

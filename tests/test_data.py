@@ -15,7 +15,7 @@ from phasorstats import (
     coherent_mean,
     covariance_summary,
 )
-from phasorstats.data import align_paired
+from phasorstats.data import align_units
 from phasorstats.exceptions import EmptyUnit, LabelMismatch, TooFewObservations
 
 CROSS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -177,7 +177,7 @@ class TestGroupedDataset:
     def test_align_by_label_not_position(self):
         a = make_sample([(1, 0), (2, 0), (3, 0)], units=("u1", "u2", "u3"))
         b = make_sample([(30, 0), (10, 0), (20, 0)], units=("u3", "u1", "u2"))
-        va, vb, labels = align_paired(a, b)
+        (va, vb), labels = align_units((a, b))
         assert labels == ("u1", "u2", "u3")
         assert np.allclose(vb, [10, 20, 30])
 
@@ -185,7 +185,7 @@ class TestGroupedDataset:
         a = make_sample([(1, 0), (2, 0)], units=("u1", "u2"))
         b = make_sample([(1, 0), (2, 0)], units=("u1", "u9"))
         with pytest.raises(LabelMismatch):
-            align_paired(a, b)
+            align_units((a, b))
 
     def test_aligned_matrix(self):
         a = make_sample([(1, 0), (2, 0)], "a", units=("u1", "u2"))

@@ -85,6 +85,36 @@ class TestFCdf:
             crit = f_critical(alpha, df1, df2)
             assert f_sf(crit, df1, df2) == pytest.approx(alpha, rel=1e-13, abs=0), df2
 
+    @pytest.mark.parametrize("df1", [1, 2, 3, 4, 12])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-100, 1e-300])
+    def test_critical_at_tiny_alpha(self, alpha, df1):
+        # at 1e-300 betaincinv's y underflowed (inf or nan thresholds), and
+        # at df2 = 1 the threshold, past the float range, came back ~1e307
+        top = np.finfo(float).max
+        beyond = []
+        for df2 in range(1, 300):
+            if f_sf(top, df1, df2) > alpha:
+                beyond.append(df2)
+                with pytest.raises(DomainError, match="float range"):
+                    f_critical(alpha, df1, df2)
+                continue
+            crit = f_critical(alpha, df1, df2)
+            assert 0.0 < crit <= top, df2
+            if alpha > 1e-300 or df1 <= 2:
+                # for df1 >= 3 near 1e-300 fdtrc itself is off by up to 1e-3
+                # relative (and 0 at some df2): no x meets 1e-13 there
+                assert f_sf(crit, df1, df2) == pytest.approx(alpha, rel=1e-13,
+                                                             abs=0), df2
+        assert beyond == ([1] if alpha == 1e-300 else [])
+
+    def test_sf_past_the_overflow_of_df1_x(self):
+        # fdtrc gives 0 once df1 x overflows; f_sf(x, 2, 1) = (1 + 2x)^-1/2
+        top = np.finfo(float).max
+        expected = 1.0 / math.sqrt(2.0) / math.sqrt(top)  # 2 top overflows
+        assert f_sf(top, 2, 1) == pytest.approx(expected, rel=1e-13)
+        np.testing.assert_array_equal(f_sf(np.array([top, np.inf]), 12, 1),
+                                      [f_sf(top, 12, 1), 0.0])
+
     def test_sf_complements_cdf(self):
         xs = np.array([0.0, 0.3, 1.0, 4.0, 12.0, np.inf])
         sf = f_sf(xs, 3, 7)
@@ -132,6 +162,36 @@ class TestConditionIndexDistribution:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] < 1.0
         assert dist.cdf(math.inf) == 1.0
+
+    @pytest.mark.parametrize("df1", [1, 2, 3, 4, 12])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-100, 1e-300])
+    def test_critical_at_tiny_alpha(self, alpha, df1):
+        # at 1e-300 betaincinv's y underflowed (inf or nan thresholds), and
+        # at df2 = 1 the threshold, past the float range, came back ~1e307
+        top = np.finfo(float).max
+        beyond = []
+        for df2 in range(1, 300):
+            if f_sf(top, df1, df2) > alpha:
+                beyond.append(df2)
+                with pytest.raises(DomainError, match="float range"):
+                    f_critical(alpha, df1, df2)
+                continue
+            crit = f_critical(alpha, df1, df2)
+            assert 0.0 < crit <= top, df2
+            if alpha > 1e-300 or df1 <= 2:
+                # for df1 >= 3 near 1e-300 fdtrc itself is off by up to 1e-3
+                # relative (and 0 at some df2): no x meets 1e-13 there
+                assert f_sf(crit, df1, df2) == pytest.approx(alpha, rel=1e-13,
+                                                             abs=0), df2
+        assert beyond == ([1] if alpha == 1e-300 else [])
+
+    def test_sf_past_the_overflow_of_df1_x(self):
+        # fdtrc gives 0 once df1 x overflows; f_sf(x, 2, 1) = (1 + 2x)^-1/2
+        top = np.finfo(float).max
+        expected = 1.0 / math.sqrt(2.0) / math.sqrt(top)  # 2 top overflows
+        assert f_sf(top, 2, 1) == pytest.approx(expected, rel=1e-13)
+        np.testing.assert_array_equal(f_sf(np.array([top, np.inf]), 12, 1),
+                                      [f_sf(top, 12, 1), 0.0])
 
     def test_sf_complements_cdf(self):
         dist = ConditionIndexDistribution(6)

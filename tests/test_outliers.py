@@ -15,7 +15,11 @@ from phasorstats import (
     mahalanobis_distances,
     pairwise_mahalanobis,
 )
-from phasorstats.exceptions import DegenerateCovariance, TooFewObservations
+from phasorstats.exceptions import (
+    DegenerateCovariance,
+    DomainError,
+    TooFewObservations,
+)
 
 CROSS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
@@ -119,6 +123,12 @@ class TestExcludeOutliers:
         ds = GroupedDataset((s,), Design.ONE_SAMPLE)
         _, strict = exclude_outliers(ds, threshold=0.5)
         assert strict.n_flagged > 0
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_threshold_must_be_positive(self, threshold):
+        # nan used to flag nothing without a word
+        with pytest.raises(DomainError):
+            mahalanobis_distances(gaussian_sample(5), threshold)
 
     def test_single_pass_not_iterative(self):
         # distances are computed once with every point included: removing

@@ -218,6 +218,13 @@ class TestCliAnalyze:
                        "--no-outlier-screen"])
         assert rc == 3
 
+    def test_negative_seed_exit_3(self, capsys):
+        # as for cluster; numpy's own ValueError used to exit 2 here
+        rc = cli_main(["analyze", str(FIXTURES / "mouse_ssvep.csv"),
+                       "--design", "paired", "--seed", "-1"])
+        assert rc == 3
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_design_count_mismatch_exit_2(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("unit,condition,re,im\nu1,a,1,0\nu2,a,2,1\n")
