@@ -130,7 +130,8 @@ def amp_ci_bootstrap(
 
     Resamples the complex observations with replacement, takes the
     amplitude of each resampled coherent mean, and reads the bounds at the
-    (1 -/+ level)/2 quantiles. Deterministic for a given seed.
+    (1 -/+ level)/2 quantiles. Deterministic for a given seed: a
+    non-negative integer or a sequence of them (``DomainError`` otherwise).
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
@@ -144,7 +145,11 @@ def amp_ci_bootstrap(
         raise TooFewObservations(
             f"bootstrap needs >= 2 observations, got {sample.n}"
         )
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise DomainError(f"seed must be a non-negative integer or a sequence of "
+                          f"them, got {seed!r}") from None
     idx = rng.integers(0, sample.n, size=(n_boot, sample.n))
     amps = np.abs(sample.observations[idx].mean(axis=1))
     lo, hi = np.quantile(amps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])

@@ -38,7 +38,19 @@ from .kernels import BLOCK_VALUES
 #: substream arithmetic, and bounding its memory whatever n_perm is.
 DRAW_VALUES = 2**15
 
+#: F values labelled per connected-components call, in permutations x
+#: nodes: many F blocks per call, at a bounded cost in memory.
+SPAN_VALUES = 2**16
+
 _SUPPORTED_DESIGNS = (Design.ONE_SAMPLE, Design.PAIRED, Design.TWO_SAMPLE_INDEPENDENT)
+
+
+def _index(value, what: str) -> int:
+    """value as a plain int; InvalidGraph unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidGraph(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -49,15 +61,22 @@ class AdjacencyGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
+        node_count = _index(self.node_count, "node_count")
+        if node_count < 1:
             raise InvalidGraph("graph needs at least one node")
         seen = set()
-        for i, j in self.edges:
+        for edge in self.edges:
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                raise InvalidGraph(f"edge {edge!r} is not a pair of nodes") from None
+            i, j = _index(i, "node index"), _index(j, "node index")
             if i == j:
                 raise InvalidGraph(f"self-loop at node {i}")
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise InvalidGraph(f"edge ({i}, {j}) outside 0..{self.node_count - 1}")
+            if not (0 <= i < node_count and 0 <= j < node_count):
+                raise InvalidGraph(f"edge ({i}, {j}) outside 0..{node_count - 1}")
             seen.add((min(i, j), max(i, j)))
+        object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @classmethod
@@ -185,27 +204,51 @@ def _label_shuffle_block(V: np.ndarray, na: int, test: str):
     return block_f
 
 
-def _cluster_labels(f: np.ndarray, f_crit: float, edges: np.ndarray):
-    """Connected supra-threshold components of every row of f (B, nodes).
+def _forward_neighbours(graph: AdjacencyGraph):
+    """(first, far): the edges (i, j), j > i, of node i end at
+    far[first[i]:first[i + 1]], as graph.edges are sorted (i, j) pairs."""
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    return np.searchsorted(edges[:, 0], np.arange(graph.node_count + 1)), edges[:, 1]
 
-    The B rows are the B disjoint copies of one graph, labelled by a single
-    connected-components call; an edge is kept where both ends exceed
-    f_crit. Returns (supra, labels, masses): labels (B, nodes) index
-    masses, the summed F of each component (0 for a sub-threshold node).
+
+def _cluster_labels(f: np.ndarray, f_crit: float, forward):
+    """Connected supra-threshold components of every row of f (rows, nodes).
+
+    Only the nodes above f_crit are labelled: flat, their indices into the
+    row-major f. The edges between them are gathered from each one's
+    forward neighbours (``_forward_neighbours``) and kept where the far end
+    is above f_crit too. The rows are disjoint copies of the graph, so one
+    connected-components call labels them all. Returns (flat, labels,
+    masses): labels (one per flat node) index masses, the summed F of each
+    component, added in flat order.
     """
-    rows, k = f.shape
-    supra = f > f_crit
-    row, edge = np.nonzero(supra[:, edges[0]] & supra[:, edges[1]])
-    offset = row * k
+    first, far = forward
+    k = f.shape[1]
+    values = f.ravel()
+    supra = values > f_crit
+    flat = np.flatnonzero(supra)
+    node = flat % k
+    count = first[node + 1] - first[node]
+    src = np.repeat(np.arange(flat.size), count)
+    # each gathered edge: its node's first edge plus its place in that run
+    edge = np.arange(src.size) + np.repeat(first[node] - np.cumsum(count) + count,
+                                           count)
+    dst = np.repeat(flat - node, count) + far[edge]
+    keep = supra[dst]
     graph = sparse.csr_array(
-        (np.ones(edge.size),
-         (offset + edges[0][edge], offset + edges[1][edge])),
-        shape=(rows * k, rows * k),
+        (np.ones(keep.sum()), (src[keep], np.searchsorted(flat, dst[keep]))),
+        shape=(flat.size, flat.size),
     )
-    n_labels, labels = csgraph.connected_components(graph, directed=False)
-    masses = np.bincount(labels, weights=np.where(supra, f, 0.0).ravel(),
-                         minlength=n_labels)
-    return supra, labels.reshape(rows, k), masses
+    _, labels = csgraph.connected_components(graph, directed=False)
+    return flat, labels, np.bincount(labels, weights=values[flat])
+
+
+def _max_masses(f: np.ndarray, f_crit: float, forward) -> np.ndarray:
+    """Largest cluster mass of every row of f, 0 where a row has none."""
+    flat, labels, masses = _cluster_labels(f, f_crit, forward)
+    top = np.zeros(len(f))
+    np.maximum.at(top, flat // f.shape[1], masses[labels])
+    return top
 
 
 def _validate_nodes(
@@ -279,11 +322,13 @@ def cluster_correct(
     (``DomainError`` otherwise).
 
     Permutations are evaluated in blocks of at most ``BLOCK_VALUES //
-    nodes``: the block's draws form a sign or label-mask matrix, one matmul
-    gives every permuted mean (the sums of squares do not move), and one
-    connected-components call labels the clusters of every permutation in
-    the block; the observed clusters come from the same labelling on a block
-    of one. The block size moves the null only in the last bits.
+    nodes``: the block's draws form a sign or label-mask matrix, and one
+    matmul gives every permuted mean (the sums of squares do not move). The
+    F of a span of blocks, up to ``SPAN_VALUES`` values, is then labelled
+    by one connected-components call over its supra-threshold nodes alone;
+    the observed clusters come from the same labelling on a span of one
+    permutation. The block size moves the null only in the last bits; the
+    span size does not move it at all.
 
     Tie rule: a draw that maps the data onto itself (all signs equal,
     ignoring units whose difference is zero at every node; the observed
@@ -370,11 +415,10 @@ def cluster_correct(
         for t, f, p, e in zip(statistic, obs_f, f_sf(obs_f, *df), effect)
     )
     f_crit = f_critical(alpha_forming, df[0], df[1])
-    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    forward = _forward_neighbours(graph)
 
-    supra, labels, component_masses = _cluster_labels(obs_f[None], f_crit, edges)
-    nodes = np.flatnonzero(supra[0])
-    node_labels = labels[0, nodes]
+    nodes, node_labels, component_masses = _cluster_labels(obs_f[None], f_crit,
+                                                           forward)
     _, first = np.unique(node_labels, return_index=True)
     order = node_labels[np.sort(first)]  # by smallest node
     clusters = tuple(tuple(int(i) for i in nodes[node_labels == c]) for c in order)
@@ -383,6 +427,7 @@ def cluster_correct(
 
     null = np.empty(n_perm)
     block = max(1, BLOCK_VALUES // k_nodes)
+    span = block * max(1, SPAN_VALUES // (block * k_nodes))
     # the draws of many F blocks come from one pass over their substreams
     chunk = block * max(1, DRAW_VALUES // (block * n_draw))
     for first in range(0, n_perm, chunk):
@@ -392,12 +437,13 @@ def cluster_correct(
         else:
             draws = substreams.sign_draws(seed, p, n_draw)
         out = null[first:first + p.size]
-        for start in range(0, p.size, block):
-            rows = draws[start:start + block]
-            _, labels, component_masses = _cluster_labels(block_f(rows), f_crit,
-                                                          edges)
-            out[start:start + block] = np.where(is_identity(rows), observed_max,
-                                                component_masses[labels].max(axis=1))
+        for start in range(0, p.size, span):
+            rows = draws[start:start + span]
+            f = np.empty((len(rows), k_nodes))
+            for b in range(0, len(rows), block):
+                f[b:b + block] = block_f(rows[b:b + block])
+            out[start:start + span] = np.where(is_identity(rows), observed_max,
+                                               _max_masses(f, f_crit, forward))
     null.sort()
 
     corrected = tuple(

@@ -34,10 +34,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import kernels, substreams
 from .distributions import ConditionIndexDistribution, f_sf
 from .exceptions import (
     DegenerateCovariance,
+    DomainError,
     InvalidSpec,
     SingularWithinScatter,
     ZeroResidualVariance,
@@ -67,7 +68,8 @@ _KERNELS = {
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """One simulation cell: generator parameters, test, alpha and size."""
+    """One simulation cell: generator parameters, test, alpha, size and
+    seed, a non-negative integer; InvalidSpec for a field out of range."""
 
     test: str
     d: float = 0.0
@@ -112,6 +114,16 @@ class SimulationSpec:
             and self.planted_outlier_distance < 0.0
         ):
             raise InvalidSpec("planted outlier distance must be >= 0")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+
+
+def _check_seed(seed) -> int:
+    """The seed as a Python int; InvalidSpec unless it is a non-negative
+    integer."""
+    try:
+        return substreams.check_seed(seed)
+    except DomainError as exc:
+        raise InvalidSpec(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -289,7 +301,7 @@ def simulate_amplitude_skew(
         raise InvalidSpec(f"d must be >= 0, got {d}")
     if n_reps < 2:
         raise InvalidSpec(f"n_reps must be >= 2, got {n_reps}")
-    rng = np.random.default_rng([seed, 0])
+    rng = np.random.default_rng([_check_seed(seed), 0])
     z = rng.standard_normal((n_reps, 2))
     amps = np.abs((z[:, 0] + d) + 1j * z[:, 1])
     centered = amps - amps.mean()

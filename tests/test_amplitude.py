@@ -122,6 +122,10 @@ class TestBootstrap:
         dict(level=float("nan")),
         dict(n_boot=2.5),  # used to run int(2.5) = 2 resamples silently
         dict(n_boot=100.0),
+        dict(seed=-1),  # numpy's ValueError used to escape
+        dict(seed=1.5),  # and its TypeError
+        dict(seed=[3, -2]),
+        dict(seed="7"),
     ])
     def test_bad_arguments_raise_domain_error(self, kwargs):
         with pytest.raises(DomainError):

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from phasorstats import (
     AdjacencyGraph,
@@ -117,6 +121,25 @@ class TestAdjacencyGraph:
         path.write_text("# comment\n0 1\n\n1 2\n")
         g = AdjacencyGraph.from_edge_list(path, 3)
         assert g.edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("node_count,edges", [
+        (3, ((0, 1.5),)),  # used to be truncated to the edge (0, 1)
+        (2.5, ()),
+        (np.float64(3), ()),
+        (3, ((0, 1, 2),)),
+        (3, ((0,),)),
+        (3, (0,)),
+        (3, (("0", 1),)),
+        ("3", ()),
+    ])
+    def test_rejects_non_integer_nodes_and_non_pair_edges(self, node_count, edges):
+        with pytest.raises(InvalidGraph):
+            AdjacencyGraph(node_count, edges)
+
+    def test_stores_plain_ints(self):
+        g = AdjacencyGraph(np.int64(3), ((np.int32(2), np.uint8(1)), (True, 0)))
+        assert g.node_count == 3 and g.edges == ((0, 1), (1, 2))
+        assert {type(g.node_count)} | {type(i) for e in g.edges for i in e} == {int}
 
     def test_edge_list_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -559,3 +582,126 @@ class TestBlockEvaluation:
             assert single.cluster_masses == whole.cluster_masses
             np.testing.assert_allclose(single.null_distribution,
                                        whole.null_distribution, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("test", ["T2", "T2circ"])
+    @pytest.mark.parametrize("design", ["one-sample", "two-sample"])
+    def test_span_size_leaves_the_result(self, design, test, monkeypatch):
+        # blocks of 4 permutations; identity draws on the first and on the
+        # last row of some block, so at span boundaries when a span is one
+        # block
+        k, n_units, block, n_perm = 8, {"one-sample": 5, "two-sample": 6}[design], 4, 203
+
+        def at_span_ends(seed):
+            hit = np.flatnonzero(self._identity_draws(design, n_units, seed,
+                                                      range(n_perm))) % block
+            return (hit == 0).any() and (hit == block - 1).any()
+
+        seed = next(s for s in range(100) if at_span_ends(s))
+        signal = {i: 3.0 + 1.0j for i in range(3)}
+        if design == "two-sample":
+            datasets = two_sample_nodes(51, k, 3, 3, signal)
+        else:
+            datasets = one_sample_nodes(51, k=k, n=n_units, signal=signal)
+        monkeypatch.setattr(clusters, "BLOCK_VALUES", block * k)
+        monkeypatch.setattr(clusters, "DRAW_VALUES", 10**9)  # one pass of draws
+        results = []
+        for values in (1, 10**9):  # a span of one F block; one span in all
+            monkeypatch.setattr(clusters, "SPAN_VALUES", values)
+            results.append(cluster_correct(datasets, line_graph(k), test,
+                                           n_perm=n_perm, seed=seed).to_dict())
+        assert results[0]["clusters"]
+        assert results[0] == results[1]
+
+
+def _full_graph_labels(f, f_crit, graph):
+    """Reference labelling over every node of every row: B disjoint copies
+    of the graph in one sparse matrix, an edge kept where both ends exceed
+    f_crit, and masses summed over all nodes with 0 below f_crit. Returns
+    (labels (rows, nodes), masses)."""
+    rows, k = f.shape
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    supra = f > f_crit
+    row, edge = np.nonzero(supra[:, edges[0]] & supra[:, edges[1]])
+    offset = row * k
+    adjacency = sparse.csr_array(
+        (np.ones(edge.size), (offset + edges[0][edge], offset + edges[1][edge])),
+        shape=(rows * k, rows * k),
+    )
+    n_labels, labels = csgraph.connected_components(adjacency, directed=False)
+    masses = np.bincount(labels, weights=np.where(supra, f, 0.0).ravel(),
+                         minlength=n_labels)
+    return labels.reshape(rows, k), masses
+
+
+def _bfs_components(f, f_crit, graph):
+    """Supra-threshold components of every row by breadth-first search, as
+    sets of indices into the row-major f."""
+    rows, k = f.shape
+    neighbours = [set() for _ in range(k)]
+    for i, j in graph.edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    components = set()
+    for r in range(rows):
+        seen = set()
+        for start in range(k):
+            if f[r, start] <= f_crit or start in seen:
+                continue
+            component, frontier = {start}, [start]
+            while frontier:
+                frontier = [j for i in frontier for j in neighbours[i]
+                            if f[r, j] > f_crit and j not in component]
+                component.update(frontier)
+            seen |= component
+            components.add(frozenset(r * k + i for i in component))
+    return components
+
+
+@st.composite
+def _graphs(draw):
+    """Random edge sets, chains, stars, complete graphs and graphs without
+    edges, with isolated nodes added and the node numbers shuffled."""
+    k = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["random", "chain", "star", "complete", "none"]))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges = {
+        "random": [p for p in pairs if draw(st.booleans())],
+        "chain": [(i, i + 1) for i in range(k - 1)],
+        "star": [(0, i) for i in range(1, k)],
+        "complete": pairs,
+        "none": [],
+    }[kind]
+    total = k + draw(st.integers(0, 3))  # nodes without edges
+    name = draw(st.permutations(range(total)))
+    return AdjacencyGraph(total, tuple(
+        (name[j], name[i]) if draw(st.booleans()) else (name[i], name[j])
+        for i, j in edges))
+
+
+class TestSupraLabelling:
+    """``_cluster_labels`` over the supra-threshold nodes alone against a
+    breadth-first search and against the labelling of every node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=_graphs(), rows=st.integers(1, 6),
+           supra_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_graph_labelling(self, graph, rows, supra_fraction, seed):
+        rng = np.random.default_rng(seed)
+        f_crit = 3.0
+        shape = (rows, graph.node_count)
+        # supra values over six decades, so that the order of summation
+        # shows in the last bits of a mass; some exactly at f_crit
+        f = np.where(rng.uniform(size=shape) < supra_fraction,
+                     f_crit + rng.exponential(size=shape) * 10.0 ** rng.uniform(-3, 3, shape),
+                     f_crit * rng.uniform(size=shape))
+        f[rng.uniform(size=shape) < 0.05] = f_crit
+        forward = clusters._forward_neighbours(graph)
+        flat, labels, masses = clusters._cluster_labels(f, f_crit, forward)
+
+        assert np.array_equal(flat, np.flatnonzero(f > f_crit))
+        assert {frozenset(flat[labels == c]) for c in np.unique(labels)} == \
+            _bfs_components(f, f_crit, graph)
+        full_labels, full_masses = _full_graph_labels(f, f_crit, graph)
+        assert np.array_equal(masses[labels], full_masses[full_labels.ravel()[flat]])
+        assert np.array_equal(clusters._max_masses(f, f_crit, forward),
+                              full_masses[full_labels].max(axis=1))

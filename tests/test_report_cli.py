@@ -302,6 +302,19 @@ class TestCliSimulate:
         assert rc == 0
         assert out.startswith("test,d,n,")
 
+    @pytest.mark.parametrize("preset", ["fig3", "fig2", "fig5b"])
+    def test_negative_seed_exit_3(self, capsys, preset):
+        # numpy's own ValueError used to exit 2 here
+        rc = cli_main(["simulate", preset, "--reps", "50", "--seed", "-1"])
+        assert rc == 3
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_negative_seed_in_spec_file_exit_3(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"test": "T2circ", "n": 8, "seed": -5}))
+        assert cli_main(["simulate", str(spec), "--reps", "10"]) == 3
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_bad_spec_file_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "broken.json"
         spec.write_text("{not json")

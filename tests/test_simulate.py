@@ -44,6 +44,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             SimulationSpec(test="ANOVA2circ", k=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", [1, 2], None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidSpec, match="seed must be a non-negative integer"):
+            SimulationSpec(test="T2", seed=seed)
+
+    def test_seed_stored_as_plain_int(self):
+        spec = SimulationSpec(test="T2", seed=np.uint32(4))
+        assert spec.seed == 4 and type(spec.seed) is int
+
     @pytest.mark.parametrize("fields", [
         dict(test="T2", n=2),
         dict(test="CI_test", n=2),
@@ -242,6 +251,11 @@ class TestAmplitudeSkew:
     def test_near_normal_at_d4(self):
         _, skew = simulate_amplitude_skew(4.0, 100000, seed=17)
         assert abs(skew) < 0.05
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_raises_invalid_spec(self, seed):
+        with pytest.raises(InvalidSpec, match="seed"):
+            simulate_amplitude_skew(1.0, 100, seed=seed)
 
     def test_skew_decreases_with_d(self):
         skews = [simulate_amplitude_skew(d, 50000, seed=18)[1]
