@@ -691,8 +691,9 @@ class TestSupraLabelling:
         shape = (rows, graph.node_count)
         # supra values over six decades, so that the order of summation
         # shows in the last bits of a mass; some exactly at f_crit
+        spread = 10.0 ** rng.uniform(-3, 3, shape)
         f = np.where(rng.uniform(size=shape) < supra_fraction,
-                     f_crit + rng.exponential(size=shape) * 10.0 ** rng.uniform(-3, 3, shape),
+                     f_crit + rng.exponential(size=shape) * spread,
                      f_crit * rng.uniform(size=shape))
         f[rng.uniform(size=shape) < 0.05] = f_crit
         forward = clusters._forward_neighbours(graph)
