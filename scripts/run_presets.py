@@ -2,9 +2,10 @@
 """Regenerate every simulation preset's data files at desk scale.
 
 Writes one CSV per preset into out/ (createable anywhere via --outdir).
-At the default 10000 replicates the full run takes 7-9 s on a 2-vCPU
-Xeon host (Python 3.11, numpy 2.4.6), about half of it in fig6; pass
---reps 1000 for a quick pass.
+At the default 10000 replicates the full run took 7.9-8.7 s in three
+runs on a 2-vCPU Xeon host (Python 3.11.7, numpy 2.4.6, scipy 1.17.1),
+about half of it in fig6; the same host has also run it in 3.6 s, as its
+speed varies by up to 2x. Pass --reps 1000 for a quick pass.
 
     python scripts/run_presets.py --outdir out --reps 10000 --seed 0
 """

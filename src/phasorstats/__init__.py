@@ -13,7 +13,7 @@ from .data import (
     coherent_mean,
     covariance_summary,
 )
-from .distributions import ConditionIndexDistribution, f_cdf, f_critical, f_sf
+from .distributions import ConditionIndexDistribution, f_critical, f_sf
 from .inference import (
     TestResult,
     anova2circ_independent,
@@ -81,7 +81,6 @@ __all__ = [
     "covariance_summary",
     "exclude_outliers",
     "extract_component",
-    "f_cdf",
     "f_critical",
     "f_sf",
     "mahalanobis_distances",

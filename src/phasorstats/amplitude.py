@@ -16,7 +16,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .data import ComplexSample, covariance_summary
 from .exceptions import DegenerateCovariance, DomainError, TooFewObservations
@@ -76,9 +75,10 @@ def amp_errors_ellipse(sample: ComplexSample, level: float = 0.68) -> AmplitudeS
     """Amplitude bounds from the standard-error ellipse of the mean.
 
     The ellipse is the covariance of the mean (sample covariance / N)
-    scaled by the chi-square quantile for ``level``; bounds are its extremal
-    distances from the origin, found by golden-section search over the
-    ellipse angle. If the origin lies inside the ellipse, error_low is 0.
+    scaled by the chi-square(2) quantile for ``level``, -2 log(1 - level);
+    bounds are its extremal distances from the origin, found by
+    golden-section search over the ellipse angle. If the origin lies inside
+    the ellipse, error_low is 0.
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
@@ -89,7 +89,7 @@ def amp_errors_ellipse(sample: ComplexSample, level: float = 0.68) -> AmplitudeS
     summary = covariance_summary(sample)
     if summary.degenerate:
         raise DegenerateCovariance("sample covariance is degenerate")
-    scale = chi2.ppf(level, df=2) / sample.n
+    scale = -2.0 * math.log1p(-level) / sample.n
     lmax, lmin = summary.eigenvalues
     vmax = summary.eigenvectors[:, 0]
     vmin = summary.eigenvectors[:, 1]
@@ -146,6 +146,8 @@ def amp_ci_bootstrap(
             f"bootstrap needs >= 2 observations, got {sample.n}"
         )
     try:
+        if seed is None:  # default_rng would draw fresh OS entropy
+            raise TypeError
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError):
         raise DomainError(f"seed must be a non-negative integer or a sequence of "

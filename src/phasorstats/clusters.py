@@ -19,17 +19,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from . import kernels, substreams
+from . import inference, kernels, substreams
 from .data import ComplexSample, Design, GroupedDataset, align_units
 from .distributions import f_critical, f_sf
-from .exceptions import (
-    DegenerateCovariance,
-    DesignMismatch,
-    DomainError,
-    InvalidGraph,
-    TooFewObservations,
-    ZeroResidualVariance,
-)
+from .exceptions import DesignMismatch, DomainError, InvalidGraph
 from .inference import TestResult
 from .kernels import BLOCK_VALUES
 
@@ -43,6 +36,12 @@ DRAW_VALUES = 2**15
 SPAN_VALUES = 2**16
 
 _SUPPORTED_DESIGNS = (Design.ONE_SAMPLE, Design.PAIRED, Design.TWO_SAMPLE_INDEPENDENT)
+
+#: The one- and two-sample contracts (inference.py) of each node test.
+_CONTRACTS = {
+    "T2": (inference.T2, inference.T2_TWO_SAMPLE),
+    "T2circ": (inference.T2CIRC, inference.T2CIRC_TWO_SAMPLE),
+}
 
 
 def _index(value, what: str) -> int:
@@ -64,8 +63,13 @@ class AdjacencyGraph:
         node_count = _index(self.node_count, "node_count")
         if node_count < 1:
             raise InvalidGraph("graph needs at least one node")
+        try:
+            edges = iter(self.edges)
+        except TypeError:
+            raise InvalidGraph(f"edges {self.edges!r} are not a sequence of "
+                               "node pairs") from None
         seen = set()
-        for edge in self.edges:
+        for edge in edges:
             try:
                 i, j = edge
             except (TypeError, ValueError):
@@ -308,9 +312,10 @@ def cluster_correct(
     label set that differs across nodes raises ``LabelMismatch``, and either
     every node carries labels or none does. ``node_results`` are the F
     values that formed the clusters, from one kernel call over all nodes
-    (p = f_sf(F)), with the scalar tests' preconditions: TooFewObservations
-    below 3 units (T2) or 2 (T2circ) per group, DegenerateCovariance (T2)
-    or ZeroResidualVariance (T2circ) at a node that cannot be tested.
+    (p = f_sf(F)), with the scalar tests' contracts (``inference``):
+    TooFewObservations below 3 units (T2) or 2 (T2circ) per group, and
+    DegenerateCovariance (T2) or ZeroResidualVariance (T2circ), its message
+    prefixed by the node, at a node that cannot be tested.
 
     Permutation p draws from its own substream ``default_rng([seed, p])``:
     signs ``integers(0, 2, size=units)``, label shuffle
@@ -338,7 +343,7 @@ def cluster_correct(
     groups is not detected as one; it is evaluated like any other draw, and
     its maximum may differ from the observed one in the last bits.
     """
-    if test not in ("T2", "T2circ"):
+    if test not in _CONTRACTS:
         raise DomainError(f"test must be 'T2' or 'T2circ', got {test!r}")
     if not 0.0 < alpha_forming < 1.0:
         raise DomainError(f"alpha_forming must be in (0, 1), got {alpha_forming}")
@@ -352,13 +357,8 @@ def cluster_correct(
     design = _validate_nodes(node_datasets, graph)
     two_sample = design is Design.TWO_SAMPLE_INDEPENDENT
     sizes = tuple(s.n for s in node_datasets[0].samples)
-    min_n = 3 if test == "T2" else 2
-    if min(sizes) < min_n:
-        raise TooFewObservations(
-            f"two-sample {test} needs >= {min_n} per group, got {sizes[0]} "
-            f"and {sizes[1]}" if two_sample
-            else f"{test} needs >= {min_n} observations, got {sizes[0]}"
-        )
+    contract = _CONTRACTS[test][two_sample]
+    contract.check(sizes)
     k_nodes = len(node_datasets)
     effect = [None] * k_nodes  # a pairwise distance only between two samples
 
@@ -369,8 +369,7 @@ def cluster_correct(
         n_draw = V.shape[1]
         base_mask = np.arange(n_draw) < na
         A, B = V[:, base_mask], V[:, ~base_mask]
-        kernel = kernels.t2_two_sample if test == "T2" else kernels.t2circ_two_sample
-        observed = kernel(A, B)
+        observed = contract.run(A, B, at="node {}: ")
         block_f = _label_shuffle_block(V, na, test)
         if min(sizes) >= 3:  # the pairwise distance's own minimum
             d, no_d = kernels.pairwise_mahalanobis(A, B)
@@ -390,8 +389,7 @@ def cluster_correct(
         else:
             M = _unit_matrix([s for d in node_datasets for s in d.samples])
             D = M[0::2] - M[1::2]
-        kernel = kernels.t2_one_sample if test == "T2" else kernels.t2circ_one_sample
-        observed = kernel(D)
+        observed = contract.run(D, at="node {}: ")
         block_f = _sign_flip_block(D, test)
         n_draw = D.shape[1]
 
@@ -402,13 +400,7 @@ def cluster_correct(
             kept = draws[:, moved]
             return (kept == kept[:, :1]).all(axis=1)
 
-    statistic, obs_f, df, bad = observed
-    if bad.any():
-        node = int(np.flatnonzero(bad)[0])
-        if test == "T2circ":
-            raise ZeroResidualVariance(f"node {node}: all observations coincide")
-        which = "pooled" if two_sample else "sample"
-        raise DegenerateCovariance(f"node {node}: {which} covariance is degenerate")
+    statistic, obs_f, df, _ = observed
     n_per_group = sizes if two_sample else sizes[:1]  # paired: the differences
     node_results = tuple(
         TestResult(test, float(t), float(f), df, float(p), e, n_per_group)

@@ -45,26 +45,14 @@ def _f_args(x, df1: int, df2: int) -> tuple[np.ndarray, int, int]:
     return arr, df1, df2
 
 
-def f_cdf(x, df1: int, df2: int):
-    """P(F <= x) for an F distribution with (df1, df2) degrees of freedom.
-
-    Computed through the regularized incomplete beta function; monotone
-    nondecreasing in x. ``x`` is a scalar (float result) or an array of
-    statistics (array result); inf maps to 1.
-    """
-    arr, df1, df2 = _f_args(x, df1, df2)
-    with np.errstate(invalid="ignore"):
-        t = df1 * arr / (df1 * arr + df2)
-    cdf = np.where(np.isinf(arr), 1.0, special.betainc(0.5 * df1, 0.5 * df2, t))
-    return float(cdf) if cdf.ndim == 0 else cdf
-
-
 def f_sf(x, df1: int, df2: int):
     """P(F > x) for an F distribution with (df1, df2) degrees of freedom.
 
-    Computed directly (``special.fdtrc``), not as 1 - f_cdf, so the far
-    tail keeps its digits instead of rounding to 0. Arguments and checks as
-    ``f_cdf``; inf maps to 0.
+    Computed directly (``special.fdtrc``), not as 1 - cdf, so the far tail
+    keeps its digits instead of rounding to 0. ``x`` is a scalar (float
+    result) or an array of statistics (array result), each >= 0
+    (``DomainError`` otherwise, as for degrees of freedom below 1); inf maps
+    to 0.
     """
     arr, df1, df2 = _f_args(x, df1, df2)
     sf = special.fdtrc(df1, df2, arr)

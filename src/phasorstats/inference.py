@@ -16,12 +16,20 @@ Implemented statistics:
   test rejects in multi-group designs.
 
 All p-values are upper-tail; the statistics are nonnegative.
+
+Each test's contract is declared once in this module, as a ``Contract``
+(``T2``, ``T2_TWO_SAMPLE``, ``T2CIRC``, ``T2CIRC_TWO_SAMPLE``, ``CI_TEST``,
+``ANOVA2CIRC``, ``ANOVA2CIRC_REPEATED``, ``MANOVA``): its batched kernel
+from ``kernels``, its minimum observations per group, and the typed error
+and message raised where the kernel marks a sample ``bad``. The scalar
+tests below run it on a batch of one; ``simulate`` and ``clusters`` read
+the same declarations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .data import ComplexSample, align_units
 from .distributions import ConditionIndexDistribution, f_sf
 from .exceptions import (
     DegenerateCovariance,
+    PhasorStatsError,
     SingularWithinScatter,
     TooFewGroups,
     TooFewObservations,
@@ -59,17 +68,79 @@ class TestResult(Record):
     n_per_group: tuple[int, ...] = ()
 
 
-def _f_result(
-    name: str,
-    statistic: float,
-    f_value: float,
-    df: tuple[int, int],
-    effect_size: Optional[float],
-    n_per_group: tuple[int, ...],
-) -> TestResult:
-    p = f_sf(f_value, df[0], df[1])
-    return TestResult(name, float(statistic), float(f_value), df, p,
-                      effect_size, n_per_group)
+@dataclass(frozen=True)
+class Contract:
+    """One test's contract, declared once below for the scalar test, the
+    Monte Carlo harness (``simulate``) and the cluster test (``clusters``):
+    the batched kernel (``kernels``), the fewest observations per group it
+    can test, and the error raised where the kernel marks a sample ``bad``.
+
+    A ``k_group`` kernel takes its k >= 2 groups as one argument; the
+    others take the sample, or the two samples, as arguments of their own.
+    MANOVA also needs more than k + ``spare`` observations in all, and its
+    results carry the name of its statistic, ``statistic_name``.
+    """
+
+    name: str
+    kernel: Callable
+    min_n: int
+    error: type[PhasorStatsError]
+    message: str
+    k_group: bool = False
+    spare: int = 0
+    statistic_name: str = ""
+
+    def check(self, sizes: Sequence[int]) -> None:
+        """TooFewGroups or TooFewObservations unless groups of these sizes
+        can be tested."""
+        k, total = len(sizes), sum(sizes)
+        if self.k_group and k < 2:
+            raise TooFewGroups(f"{self.name} needs >= 2 groups, got {k}")
+        if min(sizes) < self.min_n:
+            raise TooFewObservations(f"{self.name} needs >= {self.min_n} "
+                                     f"observations per group, got {min(sizes)}")
+        if total <= k + self.spare:
+            raise TooFewObservations(f"{self.name} needs total N > k + "
+                                     f"{self.spare}, got N={total}, k={k}")
+
+    def run(self, *args, at: str = ""):
+        """The kernel on a batch; ``error`` where it marks a sample ``bad``,
+        its message prefixed by ``at`` formatted with the flat index of the
+        first such sample (the cluster test's ``"node {}: "``)."""
+        result = self.kernel(*args)
+        bad = np.flatnonzero(result[-1])
+        if bad.size:
+            raise self.error(at.format(bad[0]) + self.message)
+        return result
+
+
+T2 = Contract("T2", kernels.t2_one_sample, 3, DegenerateCovariance,
+              "sample covariance is degenerate")
+T2_TWO_SAMPLE = Contract("T2", kernels.t2_two_sample, 3, DegenerateCovariance,
+                         "pooled covariance is degenerate")
+T2CIRC = Contract("T2circ", kernels.t2circ_one_sample, 2, ZeroResidualVariance,
+                  "all observations coincide")
+T2CIRC_TWO_SAMPLE = replace(T2CIRC, kernel=kernels.t2circ_two_sample)
+CI_TEST = Contract("CI_test", kernels.condition_index, 3, DegenerateCovariance,
+                   "sample covariance is degenerate")
+ANOVA2CIRC = Contract("ANOVA2circ", kernels.anova2circ_independent, 2,
+                      ZeroResidualVariance, "residual variation is zero",
+                      k_group=True)
+ANOVA2CIRC_REPEATED = replace(ANOVA2CIRC, kernel=kernels.anova2circ_repeated)
+MANOVA = Contract("MANOVA", kernels.manova_oneway, 2, SingularWithinScatter,
+                  "within-group scatter matrix is singular", k_group=True,
+                  spare=2, statistic_name="MANOVA_pillai")
+
+
+def _f_result(contract: Contract, sizes: tuple[int, ...], *args,
+              effect_size: Optional[float] = None) -> TestResult:
+    """The F test ``contract`` on groups of these sizes, its kernel run on
+    ``args``."""
+    contract.check(sizes)
+    statistic, f, df, _ = contract.run(*args)
+    return TestResult(contract.statistic_name or contract.name,
+                      float(statistic), float(f), df,
+                      f_sf(f, df[0], df[1]), effect_size, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +153,7 @@ def t2_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     T^2 = N (xbar - mu)' C^{-1} (xbar - mu); F = T^2 (N-2) / (2(N-1)) with
     (2, N-2) degrees of freedom.
     """
-    n = sample.n
-    if n < 3:
-        raise TooFewObservations(f"T2 needs >= 3 observations, got {n}")
-    t2, f, df, bad = kernels.t2_one_sample(sample.observations, complex(mu))
-    if bad:
-        raise DegenerateCovariance("sample covariance is degenerate")
-    return _f_result("T2", t2, f, df, None, (n,))
+    return _f_result(T2, (sample.n,), sample.observations, complex(mu))
 
 
 def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
@@ -98,13 +163,7 @@ def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     F = N * T^2_circ follows F(2, 2N-2). No covariance term: the real and
     imaginary parts are assumed uncorrelated with equal variance.
     """
-    n = sample.n
-    if n < 2:
-        raise TooFewObservations(f"T2circ needs >= 2 observations, got {n}")
-    t2c, f, df, bad = kernels.t2circ_one_sample(sample.observations, complex(mu))
-    if bad:
-        raise ZeroResidualVariance("all observations coincide")
-    return _f_result("T2circ", t2c, f, df, None, (n,))
+    return _f_result(T2CIRC, (sample.n,), sample.observations, complex(mu))
 
 
 def ci_test(sample: ComplexSample) -> TestResult:
@@ -116,13 +175,10 @@ def ci_test(sample: ComplexSample) -> TestResult:
     are violated and the covariance-aware tests should be used instead.
     """
     n = sample.n
-    if n < 3:
-        raise TooFewObservations(f"condition-index test needs >= 3, got {n}")
-    ci, bad = kernels.condition_index(sample.observations)
-    if bad:
-        raise DegenerateCovariance("sample covariance is degenerate")
+    CI_TEST.check((n,))
+    ci, _ = CI_TEST.run(sample.observations)
     p = ConditionIndexDistribution(n=n, variant="modified").sf(ci)
-    return TestResult("CI_test", float(ci), None, None, p, None, (n,))
+    return TestResult(CI_TEST.name, float(ci), None, None, p, None, (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +198,8 @@ def t2_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
     df = (2, Na + Nb - 3); the pairwise Mahalanobis distance of the two
     means is attached as the effect size.
     """
-    na, nb = a.n, b.n
-    if na < 3 or nb < 3:
-        raise TooFewObservations(
-            f"two-sample T2 needs >= 3 per group, got {na} and {nb}"
-        )
-    t2, f, df, bad = kernels.t2_two_sample(a.observations, b.observations)
-    if bad:
-        raise DegenerateCovariance("pooled covariance is degenerate")
-    return _f_result("T2", t2, f, df, _safe_pairwise_d(a, b), (na, nb))
+    return _f_result(T2_TWO_SAMPLE, (a.n, b.n), a.observations, b.observations,
+                     effect_size=_safe_pairwise_d(a, b))
 
 
 def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
@@ -162,15 +211,8 @@ def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
     of freedom. For two equal groups it coincides with the k = 2 one-way
     ANOVA^2_circ.
     """
-    na, nb = a.n, b.n
-    if na < 2 or nb < 2:
-        raise TooFewObservations(
-            f"two-sample T2circ needs >= 2 per group, got {na} and {nb}"
-        )
-    t2c, f, df, bad = kernels.t2circ_two_sample(a.observations, b.observations)
-    if bad:
-        raise ZeroResidualVariance("all observations coincide")
-    return _f_result("T2circ", t2c, f, df, _safe_pairwise_d(a, b), (na, nb))
+    return _f_result(T2CIRC_TWO_SAMPLE, (a.n, b.n), a.observations,
+                     b.observations, effect_size=_safe_pairwise_d(a, b))
 
 
 def _paired_differences(a: ComplexSample, b: ComplexSample) -> ComplexSample:
@@ -195,17 +237,6 @@ def t2circ_paired(a: ComplexSample, b: ComplexSample) -> TestResult:
 # k-group tests
 # ---------------------------------------------------------------------------
 
-def _check_groups(groups: Sequence[ComplexSample], min_n: int, what: str) -> None:
-    if len(groups) < 2:
-        raise TooFewGroups(f"{what} needs >= 2 groups, got {len(groups)}")
-    for g in groups:
-        if g.n < min_n:
-            raise TooFewObservations(
-                f"{what} needs >= {min_n} observations per group, "
-                f"got {g.n} in condition {g.condition_label!r}"
-            )
-
-
 def anova2circ_independent(groups: Sequence[ComplexSample]) -> TestResult:
     """One-way independent ANOVA^2_circ over k groups.
 
@@ -214,13 +245,8 @@ def anova2circ_independent(groups: Sequence[ComplexSample]) -> TestResult:
     its group mean over df_R = 2(sum N_k - k). F = MS_M / MS_R.
     """
     groups = list(groups)
-    _check_groups(groups, 2, "ANOVA2circ")
-    _, f, df, bad = kernels.anova2circ_independent(
-        [g.observations for g in groups]
-    )
-    if bad:
-        raise ZeroResidualVariance("residual variation is zero")
-    return _f_result("ANOVA2circ", f, f, df, None, tuple(g.n for g in groups))
+    return _f_result(ANOVA2CIRC, tuple(g.n for g in groups),
+                     [g.observations for g in groups])
 
 
 def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
@@ -232,25 +258,9 @@ def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
     paired T^2_circ test.
     """
     groups = list(groups)
-    _check_groups(groups, 2, "ANOVA2circ")
-    matrix, _ = align_units(groups)
-    k, n = matrix.shape
-    if n < 2:
-        raise TooFewObservations("repeated-measures ANOVA2circ needs >= 2 units")
-    cond_means = matrix.mean(axis=1, keepdims=True)
-    unit_means = matrix.mean(axis=0, keepdims=True)
-    grand = matrix.mean()
-    resid = matrix - cond_means - unit_means + grand
-    ss_model = float(n * (np.abs(cond_means[:, 0] - grand) ** 2).sum())
-    ss_resid = float((np.abs(resid) ** 2).sum())
-    ss_total = float((np.abs(matrix - grand) ** 2).sum())
-    df_m = 2 * (k - 1)
-    df_r = 2 * (n - 1) * (k - 1)
-    f, bad = kernels.f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)
-    if bad:
-        raise ZeroResidualVariance("residual variation is zero")
-    return _f_result("ANOVA2circ", f, f, (df_m, df_r), None,
-                     tuple(g.n for g in groups))
+    sizes = tuple(g.n for g in groups)
+    ANOVA2CIRC_REPEATED.check(sizes)  # before align_units, which needs a group
+    return _f_result(ANOVA2CIRC_REPEATED, sizes, align_units(groups)[0])
 
 
 def manova_oneway(groups: Sequence[ComplexSample]) -> TestResult:
@@ -262,17 +272,5 @@ def manova_oneway(groups: Sequence[ComplexSample]) -> TestResult:
     For k = 2 the p-value equals the two-sample T^2 p-value.
     """
     groups = list(groups)
-    _check_groups(groups, 2, "MANOVA")
-    k = len(groups)
-    total_n = sum(g.n for g in groups)
-    if total_n <= k + 2:
-        raise TooFewObservations(
-            f"MANOVA needs total N > k + 2, got N={total_n}, k={k}"
-        )
-    trace, f, df, singular = kernels.manova_oneway(
-        [g.observations for g in groups]
-    )
-    if singular:
-        raise SingularWithinScatter("within-group scatter matrix is singular")
-    return _f_result("MANOVA_pillai", trace, f, df, None,
-                     tuple(g.n for g in groups))
+    return _f_result(MANOVA, tuple(g.n for g in groups),
+                     [g.observations for g in groups])

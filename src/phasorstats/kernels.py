@@ -10,10 +10,14 @@ batched call (a column-major batch is summed in another order).
 Each kernel takes complex observations with the sample along the last axis,
 (..., n), and returns arrays over the leading axes; the k-group kernels take
 a list of k such arrays. F kernels return ``(statistic, f, (df1, df2), bad)``.
-``bad`` marks samples on which the scalar test raises (degenerate
-covariance, zero residual); there F = inf, so the simulator can raise the
-scalar test's error and cluster permutations count the node as
-supra-threshold. An exactly zero mean difference gives F = 0.
+``bad`` marks samples on which the test cannot be evaluated (degenerate
+covariance, zero residual); there F = inf, so cluster permutations count
+the node as supra-threshold. An exactly zero mean difference gives F = 0.
+
+Each test's contract, the kernel with its minimum observations per group
+and the typed error that ``bad`` maps to, is declared once in ``inference``
+(``inference.Contract``); the scalar tests, the simulator and the cluster
+test raise that error through it.
 """
 
 from __future__ import annotations
@@ -278,6 +282,25 @@ def anova2circ_independent(groups):
         ss_model = ss_model + g.shape[-1] * abs(m - grand) ** 2  # see circular
         ss_resid = ss_resid + resid
     df_m, df_r = 2 * (len(groups) - 1), 2 * (values.shape[-1] - len(groups))
+    f, bad = f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)
+    return f, f, (df_m, df_r), bad
+
+
+def anova2circ_repeated(X: np.ndarray):
+    """Repeated-measures ANOVA^2_circ over the (..., k, n) matrix of k
+    conditions by n units: the residual is the condition-by-unit
+    interaction. The statistic is F, df (2(k-1), 2(n-1)(k-1)), zero and
+    ``bad`` as in f_ratio."""
+    k, n = X.shape[-2:]
+    cond = _mean(X)
+    unit = X.sum(axis=-2) / k
+    flat = X.reshape(X.shape[:-2] + (k * n,))
+    grand = _mean(flat)
+    resid = X - cond[..., None] - unit[..., None, :] + grand[..., None, None]
+    ss_model = n * (np.abs(cond - grand[..., None]) ** 2).sum(axis=-1)
+    ss_resid = (np.abs(resid.reshape(flat.shape)) ** 2).sum(axis=-1)
+    ss_total = (np.abs(flat - grand[..., None]) ** 2).sum(axis=-1)
+    df_m, df_r = 2 * (k - 1), 2 * (n - 1) * (k - 1)
     f, bad = f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)
     return f, f, (df_m, df_r), bad
 

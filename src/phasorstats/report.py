@@ -202,39 +202,30 @@ def _decide_branch(
     return "circ", rationale
 
 
+#: Each flowchart leaf, keyed by (design, branch): its name and the call of
+#: its test on the dataset.
 _LEAVES = {
-    (Design.ONE_SAMPLE, "circ"): "one_sample_t2circ",
-    (Design.ONE_SAMPLE, "classic"): "one_sample_t2",
-    (Design.TWO_SAMPLE_INDEPENDENT, "circ"): "two_sample_t2circ",
-    (Design.TWO_SAMPLE_INDEPENDENT, "classic"): "two_sample_t2",
-    (Design.PAIRED, "circ"): "paired_t2circ",
-    (Design.PAIRED, "classic"): "paired_t2",
-    (Design.ONEWAY_INDEPENDENT, "circ"): "anova2circ_independent",
-    (Design.ONEWAY_INDEPENDENT, "classic"): "manova",
-    (Design.ONEWAY_REPEATED, "circ"): "anova2circ_repeated",
-    (Design.ONEWAY_REPEATED, "classic"): "manova",
-}
-
-
-def _primary_test(dataset: GroupedDataset, branch: str) -> TestResult:
-    circ = branch == "circ"
-    s = dataset.samples
-    if dataset.design is Design.ONE_SAMPLE:
-        fn = t2circ_one_sample if circ else t2_one_sample
-        return fn(s[0], dataset.mu)
-    if dataset.design is Design.TWO_SAMPLE_INDEPENDENT:
-        fn = t2circ_two_sample if circ else t2_two_sample
-        return fn(s[0], s[1])
-    if dataset.design is Design.PAIRED:
-        fn = t2circ_paired if circ else t2_paired
-        return fn(s[0], s[1])
-    if dataset.design is Design.ONEWAY_INDEPENDENT:
-        return anova2circ_independent(s) if circ else manova_oneway(s)
-    if circ:
-        return anova2circ_repeated(s)
+    (Design.ONE_SAMPLE, "circ"):
+        ("one_sample_t2circ", lambda d: t2circ_one_sample(d.samples[0], d.mu)),
+    (Design.ONE_SAMPLE, "classic"):
+        ("one_sample_t2", lambda d: t2_one_sample(d.samples[0], d.mu)),
+    (Design.TWO_SAMPLE_INDEPENDENT, "circ"):
+        ("two_sample_t2circ", lambda d: t2circ_two_sample(*d.samples)),
+    (Design.TWO_SAMPLE_INDEPENDENT, "classic"):
+        ("two_sample_t2", lambda d: t2_two_sample(*d.samples)),
+    (Design.PAIRED, "circ"): ("paired_t2circ", lambda d: t2circ_paired(*d.samples)),
+    (Design.PAIRED, "classic"): ("paired_t2", lambda d: t2_paired(*d.samples)),
+    (Design.ONEWAY_INDEPENDENT, "circ"):
+        ("anova2circ_independent", lambda d: anova2circ_independent(d.samples)),
+    (Design.ONEWAY_INDEPENDENT, "classic"):
+        ("manova", lambda d: manova_oneway(d.samples)),
+    (Design.ONEWAY_REPEATED, "circ"):
+        ("anova2circ_repeated", lambda d: anova2circ_repeated(d.samples)),
     # no repeated-measures MANOVA variant here; the one-way Pillai test is
     # the documented fallback when assumptions are violated
-    return manova_oneway(s)
+    (Design.ONEWAY_REPEATED, "classic"):
+        ("manova", lambda d: manova_oneway(d.samples)),
+}
 
 
 def _posthoc_tests(
@@ -304,8 +295,8 @@ def run_flowchart(
         dataset = screened
     conditions = tuple(_summarize_condition(s) for s in dataset.samples)
     branch, rationale = _decide_branch(conditions, alpha)
-    leaf = _LEAVES[(dataset.design, branch)]
-    primary = _primary_test(dataset, branch)
+    leaf, primary_test = _LEAVES[(dataset.design, branch)]
+    primary = primary_test(dataset)
     posthoc: tuple[PosthocResult, ...] = ()
     m = 0
     if (

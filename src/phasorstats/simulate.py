@@ -34,36 +34,21 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import kernels, substreams
+from . import inference, kernels, substreams
 from .distributions import ConditionIndexDistribution, f_sf
-from .exceptions import (
-    DegenerateCovariance,
-    DomainError,
-    InvalidSpec,
-    SingularWithinScatter,
-    ZeroResidualVariance,
-)
+from .exceptions import DomainError, InvalidSpec, TooFewGroups, TooFewObservations
 from .records import Record
 
-TESTS = ("T2", "T2circ", "ANOVA2circ", "MANOVA", "CI_test")
-
-#: Smallest n per group each test can evaluate (MANOVA also needs k n > k + 2).
-_MIN_N = {"T2": 3, "T2circ": 2, "ANOVA2circ": 2, "MANOVA": 2, "CI_test": 3}
-
-#: Batched kernel on a (B, k, n) block, and the error (type, message) its
-#: scalar test raises on a degenerate replicate.
-_KERNELS = {
-    "T2": (lambda X: kernels.t2_one_sample(X[:, 0]),
-           DegenerateCovariance, "sample covariance is degenerate"),
-    "T2circ": (lambda X: kernels.t2circ_one_sample(X[:, 0]),
-               ZeroResidualVariance, "all observations coincide"),
-    "ANOVA2circ": (lambda X: kernels.anova2circ_independent(list(X.swapaxes(0, 1))),
-                   ZeroResidualVariance, "residual variation is zero"),
-    "MANOVA": (lambda X: kernels.manova_oneway(list(X.swapaxes(0, 1))),
-               SingularWithinScatter, "within-group scatter matrix is singular"),
-    "CI_test": (lambda X: kernels.condition_index(X[:, 0]),
-                DegenerateCovariance, "sample covariance is degenerate"),
+#: The contract (inference.py) of each test a cell can run: the one-sample
+#: tests on the first group, the k-group tests on all k.
+_CONTRACTS = {
+    "T2": inference.T2,
+    "T2circ": inference.T2CIRC,
+    "ANOVA2circ": inference.ANOVA2CIRC,
+    "MANOVA": inference.MANOVA,
+    "CI_test": inference.CI_TEST,
 }
+TESTS = tuple(_CONTRACTS)
 
 
 @dataclass(frozen=True)
@@ -85,10 +70,11 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.test not in TESTS:
             raise InvalidSpec(f"unknown test {self.test!r}; choose from {TESTS}")
-        if self.n < _MIN_N[self.test]:
-            raise InvalidSpec(
-                f"{self.test} needs n >= {_MIN_N[self.test]}, got {self.n}"
-            )
+        contract = _CONTRACTS[self.test]
+        try:
+            contract.check((self.n,) * (self.k if contract.k_group else 1))
+        except (TooFewGroups, TooFewObservations) as exc:
+            raise InvalidSpec(str(exc)) from None
         if self.n_reps < 1:
             raise InvalidSpec(f"n_reps must be >= 1, got {self.n_reps}")
         if not abs(self.correlation) < 1.0:
@@ -101,12 +87,6 @@ class SimulationSpec:
             raise InvalidSpec(f"alpha must be in (0, 1), got {self.alpha}")
         if self.k < 1:
             raise InvalidSpec(f"k must be >= 1, got {self.k}")
-        if self.test in ("ANOVA2circ", "MANOVA") and self.k < 2:
-            raise InvalidSpec(f"{self.test} needs k >= 2 groups")
-        if self.test == "MANOVA" and self.k * self.n <= self.k + 2:
-            raise InvalidSpec(
-                f"MANOVA needs k n > k + 2, got k={self.k}, n={self.n}"
-            )
         if self.d < 0.0:
             raise InvalidSpec(f"d must be >= 0, got {self.d}")
         if (
@@ -205,11 +185,9 @@ def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarr
 
 def _p_values(spec: SimulationSpec, X: np.ndarray) -> np.ndarray:
     """p-value of spec.test for each replicate of a (B, k, n) block; raises
-    the scalar test's error if any replicate is degenerate."""
-    kernel, error, message = _KERNELS[spec.test]
-    result = kernel(X)
-    if result[-1].any():
-        raise error(message)
+    the test's contract error if any replicate is degenerate."""
+    contract = _CONTRACTS[spec.test]
+    result = contract.run(list(X.swapaxes(0, 1)) if contract.k_group else X[:, 0])
     if spec.test == "CI_test":
         return ConditionIndexDistribution(spec.n, "modified").sf(result[0])
     _, f, df, _ = result

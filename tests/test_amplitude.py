@@ -1,11 +1,16 @@
 """Amplitude error bars: ellipse extrema and bootstrap intervals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import phasorstats
 from phasorstats import ComplexSample, amp_ci_bootstrap, amp_errors_ellipse
 from phasorstats.exceptions import (
     DegenerateCovariance,
@@ -126,6 +131,7 @@ class TestBootstrap:
         dict(seed=1.5),  # and its TypeError
         dict(seed=[3, -2]),
         dict(seed="7"),
+        dict(seed=None),  # used to draw fresh OS entropy on every call
     ])
     def test_bad_arguments_raise_domain_error(self, kwargs):
         with pytest.raises(DomainError):
@@ -177,3 +183,16 @@ class TestBootstrap:
             if res.error_low <= med <= res.error_high:
                 hits += 1
         assert hits >= 38
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the ellipse scale is the closed-form chi-square(2) quantile, so a fresh
+    # interpreter pays nothing for scipy.stats when importing the package
+    src = str(Path(phasorstats.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, phasorstats; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+

@@ -131,6 +131,8 @@ class TestAdjacencyGraph:
         (3, (0,)),
         (3, (("0", 1),)),
         ("3", ()),
+        (3, None),  # non-iterable edges used to escape as a raw TypeError
+        (3, 5),
     ])
     def test_rejects_non_integer_nodes_and_non_pair_edges(self, node_count, edges):
         with pytest.raises(InvalidGraph):

@@ -7,6 +7,7 @@ from phasorstats import (
     ComplexSample,
     ConditionIndexDistribution,
     anova2circ_independent,
+    anova2circ_repeated,
     ci_test,
     covariance_summary,
     f_sf,
@@ -78,6 +79,18 @@ def test_scalar_tests_are_rows_of_one_batched_call(scale):
         for res, (stat, f, df, _) in ((t2_one_sample(a, mu), t2),
                                       (t2_paired(a, b), paired),
                                       (t2_two_sample(a, b), two)):
+            assert (res.statistic, res.f_value, res.df) == (stat[i], f[i], df)
+            assert res.p_value == f_sf(f[i], *df)
+    # repeated-measures ANOVA2circ over random (k, n) condition-by-unit blocks
+    rng = np.random.default_rng(int(scale * 1e3))
+    for k, m in rng.integers(2, 9, size=(6, 2)):
+        Y = scale * groups_block(int(k * m), 10, k, m)
+        stat, f, df, bad = kernels.anova2circ_repeated(Y)
+        assert not bad.any()
+        units = tuple(f"u{j}" for j in range(m))
+        for i in range(len(Y)):
+            res = anova2circ_repeated([ComplexSample(g, str(j), units)
+                                       for j, g in enumerate(Y[i])])
             assert (res.statistic, res.f_value, res.df) == (stat[i], f[i], df)
             assert res.p_value == f_sf(f[i], *df)
 

@@ -24,9 +24,14 @@ from phasorstats import (
 from phasorstats.exceptions import (
     DegenerateCovariance,
     InvalidSpec,
+    PhasorStatsError,
     SingularWithinScatter,
 )
 from phasorstats.kernels import condition_index
+from phasorstats.simulate import _CONTRACTS, _p_values
+
+LINE = np.array([1.0, 2.0, 3.0, 5.0]) * (1 + 1j)  # rank-one covariance
+SAME = np.full(4, 2 + 1j)  # zero residual power
 
 RAYLEIGH_SKEW = 2 * math.sqrt(math.pi) * (math.pi - 3) / (4 - math.pi) ** 1.5
 
@@ -178,6 +183,27 @@ class TestBatchedMatchesScalar:
             scalar_hits(spec)
         with pytest.raises(error):
             simulate_rates(spec)
+
+    @pytest.mark.parametrize("test,groups,scalar", [
+        ("T2", [LINE], lambda s: t2_one_sample(s[0])),
+        ("T2circ", [SAME], lambda s: t2circ_one_sample(s[0])),
+        ("CI_test", [LINE], lambda s: ci_test(s[0])),
+        ("ANOVA2circ", [SAME, SAME + 1.0], anova2circ_independent),
+        ("MANOVA", [LINE, LINE + 1.0], manova_oneway),
+    ], ids=["T2", "T2circ", "CI_test", "ANOVA2circ", "MANOVA"])
+    def test_degenerate_batch_raises_the_contract_error(self, test, groups, scalar):
+        # each test's contract is declared once: the scalar test and the
+        # simulator's p-value path raise the same class with the same message
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal((len(groups), 4, 2))
+        X = np.stack([z[..., 0] + 1j * z[..., 1], groups])  # replicate 1 is bad
+        with pytest.raises(PhasorStatsError) as from_scalar:
+            scalar([ComplexSample(g, str(j)) for j, g in enumerate(groups)])
+        with pytest.raises(PhasorStatsError) as from_batch:
+            _p_values(SimulationSpec(test=test, k=len(groups), n=4), X)
+        assert type(from_scalar.value) is _CONTRACTS[test].error
+        assert type(from_batch.value) is type(from_scalar.value)
+        assert str(from_batch.value) == str(from_scalar.value)
 
 
 class TestCalibrationQuick:
