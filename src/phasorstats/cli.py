@@ -5,7 +5,9 @@ Subcommands: ``analyze`` (flowchart-driven analysis of a components CSV),
 presets or a JSON spec), ``power`` (rate tables over d and N grids) and
 ``cluster`` (permutation cluster correction over per-node files).
 
-Exit codes: 0 success, 2 input error, 3 statistical preconditions unmet.
+Exit codes: 0 success; otherwise the ``exit_code`` that the raised
+``PhasorStatsError`` declares (2 input error, 3 statistical preconditions
+unmet), and 2 for an unreadable file or a bad argument.
 """
 
 from __future__ import annotations
@@ -23,22 +25,7 @@ from . import __version__
 from .clusters import AdjacencyGraph, cluster_correct
 from .data import Design
 from .distributions import ConditionIndexDistribution
-from .exceptions import (
-    DegenerateCovariance,
-    DesignMismatch,
-    DomainError,
-    EmptyUnit,
-    FrequencyNotResolvable,
-    InvalidGraph,
-    InvalidSpec,
-    LabelMismatch,
-    MalformedInput,
-    NonIntegerCycles,
-    SingularWithinScatter,
-    TooFewGroups,
-    TooFewObservations,
-    ZeroResidualVariance,
-)
+from .exceptions import InvalidSpec, MalformedInput
 from .ingest import (
     build_dataset,
     read_components_csv,
@@ -56,27 +43,6 @@ from .simulate import (
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_PRECONDITION = 3
-
-_INPUT_ERRORS = (
-    MalformedInput,
-    InvalidGraph,
-    NonIntegerCycles,
-    FrequencyNotResolvable,
-    OSError,
-)
-_PRECONDITION_ERRORS = (
-    TooFewObservations,
-    TooFewGroups,
-    DegenerateCovariance,
-    ZeroResidualVariance,
-    SingularWithinScatter,
-    LabelMismatch,
-    EmptyUnit,
-    DesignMismatch,
-    DomainError,
-    InvalidSpec,
-)
 
 _DESIGNS = {
     "one-sample": Design.ONE_SAMPLE,
@@ -85,6 +51,8 @@ _DESIGNS = {
     "oneway": Design.ONEWAY_INDEPENDENT,
     "oneway-rm": Design.ONEWAY_REPEATED,
 }
+
+_DEFAULT_REPS = SimulationSpec.n_reps
 
 _D_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 _N_GRID = (4, 8, 16, 32, 64)
@@ -204,7 +172,8 @@ def _preset_table(name: str, reps: int, seed: int):
 
 def _cmd_simulate(args) -> int:
     name = args.preset
-    reps, seed = args.reps, args.seed
+    reps = _DEFAULT_REPS if args.reps is None else args.reps
+    seed = 0 if args.seed is None else args.seed
     if name in ("fig3", "fig4a", "fig4b", "fig6", "outliers"):
         table = _preset_table(name, reps, seed)
         _emit(table.to_json() if args.json else table.to_csv(), args.out)
@@ -255,12 +224,12 @@ def _cmd_simulate(args) -> int:
         payload = json.loads(Path(name).read_text())
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{name}: not valid JSON ({exc})") from None
-    if args.reps_given:
-        payload["n_reps"] = reps
-    payload.setdefault("n_reps", reps)
-    payload["seed"] = seed if args.seed_given else payload.get("seed", seed)
+    # --reps and --seed override the file; absent from both, the
+    # SimulationSpec defaults apply, which are the flags' defaults
+    given = {k: v for k, v in (("n_reps", args.reps), ("seed", args.seed))
+             if v is not None}
     try:
-        spec = SimulationSpec(**payload)
+        spec = SimulationSpec(**{**payload, **given})
     except TypeError as exc:
         raise MalformedInput(f"{name}: bad spec field ({exc})") from None
     table = simulate_rates(spec)
@@ -297,7 +266,7 @@ def _cmd_cluster(args) -> int:
         n_perm=args.perms,
         seed=args.seed,
     )
-    _emit(json.dumps(result.to_dict(), indent=2) + "\n", args.out)
+    _emit(result.to_json(), args.out)
     return EXIT_OK
 
 
@@ -335,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"run a named preset ({', '.join(PRESETS)}) or a JSON spec file",
     )
     p.add_argument("preset")
-    p.add_argument("--reps", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=int, default=None,
+                   help=f"default {_DEFAULT_REPS}")
+    p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--json", action="store_true", help="emit JSON, not CSV")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
@@ -372,26 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    if args.command == "simulate":
-        args.reps_given = any(a == "--reps" or a.startswith("--reps=") for a in argv)
-        args.seed_given = any(a == "--seed" or a.startswith("--seed=") for a in argv)
     try:
         return args.func(args)
-    except _PRECONDITION_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # PhasorStatsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return getattr(exc, "exit_code", EXIT_INPUT)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,6 +25,7 @@ from .distributions import f_critical, f_sf
 from .exceptions import DesignMismatch, DomainError, InvalidGraph
 from .inference import TestResult
 from .kernels import BLOCK_VALUES
+from .records import Record
 
 #: Permutation draws computed per pass over the substreams, in permutations
 #: x units: large enough to amortise the per-call cost of the whole-array
@@ -106,31 +107,19 @@ class AdjacencyGraph:
 
 
 @dataclass(frozen=True)
-class ClusterResult:
+class ClusterResult(Record):
     """Observed clusters with their permutation-corrected p-values;
     ``node_results`` are the F values that formed them (units matched by
     sorted label), so a cluster's mass is the sum of its nodes' f_value."""
 
+    test: str
+    alpha_forming: float
+    n_permutations: int
     clusters: tuple[tuple[int, ...], ...]
     cluster_masses: tuple[float, ...]
     corrected_p: tuple[float, ...]
-    null_distribution: np.ndarray
-    alpha_forming: float
-    test: str
-    n_permutations: int
     node_results: tuple[TestResult, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "alpha_forming": self.alpha_forming,
-            "n_permutations": self.n_permutations,
-            "clusters": [list(c) for c in self.clusters],
-            "cluster_masses": list(self.cluster_masses),
-            "corrected_p": list(self.corrected_p),
-            "node_results": [r.to_dict() for r in self.node_results],
-            "null_distribution": [float(x) for x in self.null_distribution],
-        }
+    null_distribution: np.ndarray
 
 
 def _columns(X: np.ndarray) -> np.ndarray:

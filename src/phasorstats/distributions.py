@@ -34,10 +34,11 @@ _MAX = float(np.finfo(float).max)
 
 def _f_args(x, df1: int, df2: int) -> tuple[np.ndarray, int, int]:
     """Checked F statistic array and integer degrees of freedom."""
+    if not all(float(df).is_integer() and df >= 1 for df in (df1, df2)):
+        raise DomainError(
+            f"degrees of freedom must be integers >= 1, got ({df1}, {df2})")
     df1 = int(df1)
     df2 = int(df2)
-    if df1 < 1 or df2 < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
     arr = np.asarray(x, dtype=float)
     invalid = ~(arr >= 0.0)  # negative or NaN
     if invalid.any():
@@ -51,8 +52,8 @@ def f_sf(x, df1: int, df2: int):
     Computed directly (``special.fdtrc``), not as 1 - cdf, so the far tail
     keeps its digits instead of rounding to 0. ``x`` is a scalar (float
     result) or an array of statistics (array result), each >= 0
-    (``DomainError`` otherwise, as for degrees of freedom below 1); inf maps
-    to 0.
+    (``DomainError`` otherwise, as for degrees of freedom that are not
+    integers >= 1); inf maps to 0.
     """
     arr, df1, df2 = _f_args(x, df1, df2)
     sf = special.fdtrc(df1, df2, arr)
@@ -187,6 +188,6 @@ class ConditionIndexDistribution:
 
 def _support(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 1.0):
+    if not np.all(arr >= 1.0):  # below 1 or NaN
         raise DomainError("condition index is >= 1 by definition")
     return arr

@@ -1,8 +1,15 @@
-"""Typed exceptions for statistical preconditions and input validation."""
+"""Typed exceptions for statistical preconditions and input validation.
+
+Each class declares the CLI's exit status for it as ``exit_code``: 2 for an
+input the program cannot read, 3 (the default) for a statistical
+precondition the input does not meet.
+"""
 
 
 class PhasorStatsError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
 
 
 class DomainError(PhasorStatsError, ValueError):
@@ -44,6 +51,8 @@ class DesignMismatch(PhasorStatsError, ValueError):
 class InvalidGraph(PhasorStatsError, ValueError):
     """Adjacency graph is malformed."""
 
+    exit_code = 2
+
 
 class InvalidSpec(PhasorStatsError, ValueError):
     """Simulation specification violates its parameter constraints."""
@@ -52,10 +61,16 @@ class InvalidSpec(PhasorStatsError, ValueError):
 class NonIntegerCycles(PhasorStatsError, ValueError):
     """Time series does not span a whole number of stimulation cycles."""
 
+    exit_code = 2
+
 
 class FrequencyNotResolvable(PhasorStatsError, ValueError):
     """Target frequency is not a resolvable DFT bin of the series."""
 
+    exit_code = 2
+
 
 class MalformedInput(PhasorStatsError, ValueError):
     """Input file cannot be parsed; message carries the offending line."""
+
+    exit_code = 2

@@ -1,10 +1,12 @@
 """JSON layout of result records, derived from their dataclass fields.
 
 ``to_dict`` gives one key per field, in field order, with nested records as
-dicts and tuples as lists. ``from_dict`` rebuilds the record from the field
-annotations: records, ``tuple[X, ...]``, ``tuple[X, Y]``, ``Optional[X]``
-and str, int, float, bool; any other raises TypeError on first use. A
-missing field raises MalformedInput; extra keys are ignored.
+dicts, tuples as lists and numpy arrays as (nested) lists. ``from_dict``
+rebuilds the record from the field annotations: records, ``tuple[X, ...]``,
+``tuple[X, Y]``, ``Optional[X]``, str, int, float, bool, and ``np.ndarray``
+(a read-only float array); any other raises TypeError on first use. A
+missing field raises MalformedInput; extra keys are ignored. ``to_json`` /
+``from_json`` are the same layout as text: indent 2, trailing newline.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import json
 import typing
+
+import numpy as np
 
 from .exceptions import MalformedInput
 
@@ -20,7 +25,8 @@ _SCALARS = (str, int, float, bool)
 
 
 class Record:
-    """Mixin giving a dataclass ``to_dict`` and ``from_dict``."""
+    """Mixin giving a dataclass ``to_dict`` / ``from_dict`` and
+    ``to_json`` / ``from_json``."""
 
     def to_dict(self) -> dict:
         return {name: _encode(getattr(self, name))
@@ -35,17 +41,32 @@ class Record:
             fields[name] = dec(d[name])
         return cls(**fields)
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
 
 def _encode(value):
     if isinstance(value, Record):
         return value.to_dict()
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value
 
 
 def _same(value):
     return value
+
+
+def _array(value) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def _decoder(tp) -> typing.Callable:
@@ -65,6 +86,8 @@ def _decoder(tp) -> typing.Callable:
         return tp.from_dict
     if tp in _SCALARS:
         return _same
+    if tp is np.ndarray:
+        return _array
     raise TypeError(f"no JSON layout for annotation {tp!r}")
 
 

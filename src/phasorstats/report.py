@@ -10,7 +10,6 @@ with pairwise Mahalanobis distances as effect sizes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -107,13 +106,6 @@ class AnalysisReport(Record):
     n_comparisons: int
     amplitudes: tuple[AmplitudeEntry, ...]
     provenance: Provenance
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls.from_dict(json.loads(text))
 
 
 def _summarize_condition(sample: ComplexSample) -> ConditionSummary:

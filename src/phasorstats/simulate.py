@@ -27,8 +27,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
@@ -54,7 +54,8 @@ TESTS = tuple(_CONTRACTS)
 @dataclass(frozen=True)
 class SimulationSpec:
     """One simulation cell: generator parameters, test, alpha, size and
-    seed, a non-negative integer; InvalidSpec for a field out of range."""
+    seed, a non-negative integer; InvalidSpec for a field out of range or
+    for n, k or n_reps that is not an integer."""
 
     test: str
     d: float = 0.0
@@ -70,6 +71,12 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.test not in TESTS:
             raise InvalidSpec(f"unknown test {self.test!r}; choose from {TESTS}")
+        for name in ("n", "k", "n_reps"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
         contract = _CONTRACTS[self.test]
         try:
             contract.check((self.n,) * (self.k if contract.k_group else 1))
@@ -122,11 +129,11 @@ class RateCell(Record):
 
 
 @dataclass(frozen=True)
-class RateTable:
+class RateTable(Record):
     """Rejection rates over a grid of simulation cells."""
 
-    cells: tuple[RateCell, ...]
     seed: int
+    cells: tuple[RateCell, ...]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -135,13 +142,6 @@ class RateTable:
         for c in self.cells:
             writer.writerow(c.to_dict().values())
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "cells": [c.to_dict() for c in self.cells],
-        }
-        return json.dumps(payload, indent=2) + "\n"
 
     def rate(self, **filters) -> float:
         """Rate of the single cell matching the given field values."""
@@ -217,7 +217,7 @@ def _rejection_rate(spec: SimulationSpec, cell_index: int, seed: int) -> RateCel
 
 def simulate_rates(spec: SimulationSpec) -> RateTable:
     """Rejection rate of one simulation cell; a pure function of its inputs."""
-    return RateTable((_rejection_rate(spec, 0, spec.seed),), spec.seed)
+    return RateTable(spec.seed, (_rejection_rate(spec, 0, spec.seed),))
 
 
 def simulate_grid(
@@ -250,7 +250,7 @@ def simulate_grid(
         _rejection_rate(replace(base, **dict(zip(axes, point))), index, base.seed)
         for index, point in enumerate(grid)
     )
-    return RateTable(cells, base.seed)
+    return RateTable(base.seed, cells)
 
 
 def simulate_ci_distribution(n: int, n_reps: int, seed: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Permutation cluster correction: kernels, determinism, calibration."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from scipy.sparse import csgraph
 
 from phasorstats import (
     AdjacencyGraph,
+    ClusterResult,
     ComplexSample,
     Design,
     GroupedDataset,
@@ -209,6 +212,21 @@ class TestClusterCorrect:
         assert np.array_equal(a.null_distribution, b.null_distribution)
         c = cluster_correct(datasets, line_graph(8), "T2circ", n_perm=300, seed=12)
         assert not np.array_equal(a.null_distribution, c.null_distribution)
+
+    def test_json_round_trip(self):
+        datasets = one_sample_nodes(6, signal={3: 1.5, 4: 1.5})
+        res = cluster_correct(datasets, line_graph(8), "T2", n_perm=100, seed=11)
+        assert res.clusters
+        text = res.to_json()
+        assert list(json.loads(text)) == [
+            "test", "alpha_forming", "n_permutations", "clusters",
+            "cluster_masses", "corrected_p", "node_results", "null_distribution"]
+        parsed = ClusterResult.from_json(text)
+        assert parsed.to_json() == text  # == on the records meets the ndarray
+        assert parsed.node_results == res.node_results
+        null = parsed.null_distribution
+        assert null.dtype == float and not null.flags.writeable
+        np.testing.assert_array_equal(null, res.null_distribution)
 
     def test_corrected_p_floor(self):
         datasets = one_sample_nodes(7, signal={2: 3.0, 3: 3.0})

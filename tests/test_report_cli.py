@@ -15,8 +15,9 @@ from phasorstats import (
     run_flowchart,
     t2_two_sample,
 )
+from phasorstats import exceptions
 from phasorstats.cli import main as cli_main
-from phasorstats.exceptions import MalformedInput
+from phasorstats.exceptions import MalformedInput, PhasorStatsError
 from phasorstats.report import format_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -324,6 +325,26 @@ class TestCliSimulate:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"test": "T2circ", "n": 1}))
         assert cli_main(["simulate", str(spec)]) == 3
+        # a float size used to exit 1 with a traceback
+        for name, value in (("n", 8.0), ("k", 2.0), ("n_reps", 10.5)):
+            spec.write_text(json.dumps({"test": "T2circ", name: value}))
+            assert cli_main(["simulate", str(spec)]) == 3
+            assert f"{name} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("in_file,flags,expected", [
+        # abbreviated flags went unseen and the file's values won
+        ({"n_reps": 50, "seed": 3}, ["--rep", "7", "--se", "9"], (7, 9)),
+        ({"n_reps": 50, "seed": 3}, ["--reps", "7"], (7, 3)),
+        ({"n_reps": 50, "seed": 3}, [], (50, 3)),
+        ({}, [], (10000, 0)),
+    ])
+    def test_spec_file_precedence(self, tmp_path, capsys, in_file, flags,
+                                  expected):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"test": "T2circ", "n": 2, **in_file}))
+        assert cli_main(["simulate", str(spec), "--json", *flags]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert (table["cells"][0]["n_reps"], table["seed"]) == expected
 
     @pytest.mark.parametrize("fields", [
         {"test": "T2", "n": 2},
@@ -431,6 +452,20 @@ class TestCliOther:
         out = capsys.readouterr().out
         assert rc == 0
         assert phasorstats.__version__ in out
+
+
+INPUT_ERRORS = {"MalformedInput", "InvalidGraph", "NonIntegerCycles",
+                "FrequencyNotResolvable"}
+ERRORS = [c for c in vars(exceptions).values()
+          if isinstance(c, type) and issubclass(c, PhasorStatsError)
+          and c is not PhasorStatsError]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda c: c.__name__)
+def test_each_error_declares_its_exit_code(error):
+    # 2: an input the program cannot read; 3: a statistical precondition
+    assert INPUT_ERRORS <= {c.__name__ for c in ERRORS}
+    assert error.exit_code == (2 if error.__name__ in INPUT_ERRORS else 3)
 
 
 class TestGoldenReports:

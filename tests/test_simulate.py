@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, calibration sanity, generators."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 from phasorstats import (
     ComplexSample,
+    RateTable,
     SimulationSpec,
     anova2circ_independent,
     ci_test,
@@ -48,6 +50,10 @@ class TestSpecValidation:
             SimulationSpec(test="T2", variance_ratio=0.0)
         with pytest.raises(InvalidSpec):
             SimulationSpec(test="ANOVA2circ", k=1)
+        # non-integral sizes used to fail later with a raw TypeError
+        for fields in (dict(n=5.0), dict(n_reps=10.5), dict(k=2.0), dict(n="8")):
+            with pytest.raises(InvalidSpec, match="must be an integer"):
+                SimulationSpec(test="T2", **fields)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", [1, 2], None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -57,6 +63,9 @@ class TestSpecValidation:
     def test_seed_stored_as_plain_int(self):
         spec = SimulationSpec(test="T2", seed=np.uint32(4))
         assert spec.seed == 4 and type(spec.seed) is int
+        spec = SimulationSpec(test="T2", n=np.int64(6), n_reps=np.int32(9))
+        assert (spec.n, spec.n_reps) == (6, 9)
+        assert type(spec.n) is int and type(spec.n_reps) is int
 
     @pytest.mark.parametrize("fields", [
         dict(test="T2", n=2),
@@ -332,6 +341,14 @@ class TestRateTable:
         assert 0.0 <= table.rate(d=1.0) <= 1.0
         with pytest.raises(KeyError):
             table.rate(d=2.0)
+
+    def test_json_round_trip(self):
+        base = SimulationSpec(test="T2circ", n_reps=100, seed=24)
+        table = simulate_grid(base, d_values=[0.0, 1.0])
+        text = table.to_json()
+        assert list(json.loads(text)) == ["seed", "cells"]
+        assert RateTable.from_json(text).to_json() == text
+        assert RateTable.from_json(text) == table
 
     def test_se_is_binomial(self):
         table = simulate_rates(SimulationSpec(test="T2", n_reps=400, seed=23))
