@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .exceptions import EmptyUnit, LabelMismatch, TooFewObservations
+from .exceptions import EmptyUnit, LabelMismatch, MalformedInput, TooFewObservations
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,10 @@ def _check_alignable(samples: Sequence[ComplexSample]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GroupedDataset:
-    """Samples for one analysis, with the design and comparison point."""
+    """Samples for one analysis, with the design and comparison point.
+
+    MalformedInput when the number of samples does not fit the design.
+    """
 
     samples: tuple[ComplexSample, ...]
     design: Design
@@ -170,11 +173,11 @@ class GroupedDataset:
         k = len(self.samples)
         design = self.design
         if design is Design.ONE_SAMPLE and k != 1:
-            raise ValueError(f"one_sample design needs 1 sample, got {k}")
+            raise MalformedInput(f"one_sample design needs 1 sample, got {k}")
         if design in (Design.TWO_SAMPLE_INDEPENDENT, Design.PAIRED) and k != 2:
-            raise ValueError(f"{design.value} design needs 2 samples, got {k}")
+            raise MalformedInput(f"{design.value} design needs 2 samples, got {k}")
         if design in (Design.ONEWAY_INDEPENDENT, Design.ONEWAY_REPEATED) and k < 2:
-            raise ValueError(f"{design.value} design needs >= 2 samples, got {k}")
+            raise MalformedInput(f"{design.value} design needs >= 2 samples, got {k}")
         if design in UNIT_ALIGNED_DESIGNS:
             _check_alignable(self.samples)
 

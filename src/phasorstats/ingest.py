@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ComplexObservation, ComplexSample, Design, GroupedDataset, coherent_mean
+from .data import ComplexObservation, ComplexSample, Design, GroupedDataset
 from .exceptions import (
     FrequencyNotResolvable,
     MalformedInput,
@@ -146,11 +146,15 @@ def build_dataset(
         units.setdefault(r.unit, []).append(complex(r.re, r.im))
     samples = []
     for condition, units in by_condition.items():
-        per_unit = [
-            ComplexSample(np.asarray(values), condition, (unit,) * len(values))
-            for unit, values in units.items()
+        # the reduction coherent_mean runs; numpy's mean of one value is
+        # that value added to 0, which only turns a -0.0 part into 0.0
+        means = [
+            values[0] + 0j if len(values) == 1 else np.asarray(values).mean()
+            for values in units.values()
         ]
-        samples.append(coherent_mean(per_unit, condition))
+        samples.append(ComplexSample(
+            np.asarray(means, dtype=np.complex128), condition, tuple(units)
+        ))
     return GroupedDataset(tuple(samples), design, mu)
 
 

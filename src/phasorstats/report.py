@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import __version__, substreams
 from .amplitude import AmplitudeSummary, amp_ci_bootstrap, amp_errors_ellipse
 from .data import ComplexSample, Design, GroupedDataset, covariance_summary
-from .exceptions import DegenerateCovariance, TooFewObservations
+from .exceptions import DegenerateCovariance, MalformedInput, TooFewObservations
 from .inference import (
     TestResult,
     anova2circ_independent,
@@ -229,7 +229,7 @@ def _posthoc_tests(
     labels = dataset.condition_labels
     if baseline is not None:
         if baseline not in labels:
-            raise ValueError(f"baseline {baseline!r} is not a condition")
+            raise MalformedInput(f"baseline {baseline!r} is not a condition")
         pairs = [
             (baseline, other) for other in labels if other != baseline
         ]
@@ -298,16 +298,15 @@ def run_flowchart(
         posthoc, m = _posthoc_tests(dataset, branch, alpha, baseline)
     amplitudes = []
     for i, s in enumerate(dataset.samples):
+        # a condition without an ellipse gets no entry, so its bootstrap is
+        # not drawn; each condition has its own [seed, i] stream
         try:
             ellipse = amp_errors_ellipse(s, level=0.68)
         except (TooFewObservations, DegenerateCovariance):
-            ellipse = None
+            continue
         boot = amp_ci_bootstrap(s, level=0.68, n_boot=bootstrap_reps,
                                 seed=[seed, i])
-        if ellipse is not None:
-            amplitudes.append(
-                AmplitudeEntry(s.condition_label, ellipse, boot)
-            )
+        amplitudes.append(AmplitudeEntry(s.condition_label, ellipse, boot))
     return AnalysisReport(
         design=dataset.design.value,
         alpha=alpha,

@@ -28,6 +28,7 @@ import csv
 import io
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
@@ -54,8 +55,10 @@ TESTS = tuple(_CONTRACTS)
 @dataclass(frozen=True)
 class SimulationSpec:
     """One simulation cell: generator parameters, test, alpha, size and
-    seed, a non-negative integer; InvalidSpec for a field out of range or
-    for n, k or n_reps that is not an integer."""
+    seed, a non-negative integer; InvalidSpec for a field out of range, for
+    n, k or n_reps that is not an integer, or for d, correlation,
+    variance_ratio, alpha or a planted outlier distance that is not a
+    finite real number."""
 
     test: str
     d: float = 0.0
@@ -77,6 +80,15 @@ class SimulationSpec:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+        for name in ("d", "correlation", "variance_ratio", "alpha",
+                     "planted_outlier_distance"):
+            value = getattr(self, name)
+            if value is None and name == "planted_outlier_distance":
+                continue
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InvalidSpec(
+                    f"{name} must be a finite real number, got {value!r}"
+                )
         contract = _CONTRACTS[self.test]
         try:
             contract.check((self.n,) * (self.k if contract.k_group else 1))

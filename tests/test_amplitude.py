@@ -8,10 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import phasorstats
-from phasorstats import ComplexSample, amp_ci_bootstrap, amp_errors_ellipse
+from phasorstats import (
+    ComplexSample,
+    amp_ci_bootstrap,
+    amp_errors_ellipse,
+    covariance_summary,
+)
+from phasorstats.amplitude import AmplitudeSummary, _golden_min
 from phasorstats.exceptions import (
     DegenerateCovariance,
     DomainError,
@@ -114,6 +122,98 @@ class TestEllipse:
             amp_errors_ellipse(
                 ComplexSample([(x, 0) for x in (1.0, 2.0, 3.0)]), 0.68
             )
+
+
+def numpy_ellipse(sample, level):
+    """Oracle: the ellipse bounds with the distance evaluated on numpy
+    2-vectors, as ``amp_errors_ellipse`` did before it moved to floats; the
+    search itself is the library's."""
+    summary = covariance_summary(sample)
+    scale = -2.0 * math.log1p(-level) / sample.n
+    lmax, lmin = summary.eigenvalues
+    vmax = summary.eigenvectors[:, 0]
+    vmin = summary.eigenvectors[:, 1]
+    r1 = math.sqrt(lmax * scale)
+    r2 = math.sqrt(lmin * scale)
+    center = np.array(summary.mean)
+
+    def point(theta):
+        return center + r1 * math.cos(theta) * vmax + r2 * math.sin(theta) * vmin
+
+    def dist(theta):
+        p = point(theta)
+        return math.hypot(p[0], p[1])
+
+    def extremal(f, sign):
+        grid = np.linspace(0.0, 2.0 * math.pi, 49)
+        values = np.array([sign * f(t) for t in grid])
+        step = grid[1] - grid[0]
+        best = math.inf
+        for i in np.argsort(values)[:3]:
+            t = _golden_min(lambda x: sign * f(x), grid[i] - step, grid[i] + step)
+            best = min(best, sign * f(t))
+        return sign * best
+
+    u = ((center @ vmax) / r1) ** 2 + ((center @ vmin) / r2) ** 2
+    high = extremal(dist, -1.0)
+    low = 0.0 if u <= 1.0 else extremal(dist, 1.0)
+    return AmplitudeSummary(
+        mean_amplitude=math.hypot(center[0], center[1]),
+        mean_phase=math.atan2(center[1], center[0]),
+        error_low=low,
+        error_high=high,
+        method="ellipse_se",
+        level=level,
+    )
+
+
+@st.composite
+def ellipse_cases(draw):
+    """A sample and a level. The scatter is whitened and then shaped: a
+    general rotated ellipse, a near circle (lmin / lmax > 1 - 1e-9) or a
+    scatter mirrored about the real axis with its mean on that axis (a
+    principal axis). The mean sits 0-3 ellipse radii from the origin, so
+    the origin falls inside and outside; the whole sample is then scaled by
+    10^-100 ... 10^100."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["general", "near_circle", "on_axis"]))
+    level = draw(st.sampled_from([0.5, 0.68, 0.95]))
+    offset = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    exponent = draw(st.integers(-100, 100))
+    z = rng.standard_normal((n, 2))
+    z = z - z.mean(axis=0)
+    z = z @ np.linalg.inv(np.linalg.cholesky(np.cov(z.T))).T
+    radius = math.sqrt(-2.0 * math.log1p(-level) / n)
+    if shape == "on_axis":
+        half = z[: n // 2] * draw(st.floats(0.05, 20.0))
+        mid = [(draw(st.floats(-1.0, 1.0)), 0.0)] * (n % 2)
+        z = np.concatenate([half, half * [1.0, -1.0], np.reshape(mid, (-1, 2))])
+        x = z[:, 0] + offset * radius * draw(st.sampled_from([-1.0, 1.0]))
+        obs = x + 1j * z[:, 1]
+    else:
+        aspect = (1.0 + draw(st.floats(0.0, 1e-10)) if shape == "near_circle"
+                  else draw(st.floats(0.02, 1.0)))
+        angle = draw(st.floats(-math.pi, math.pi))
+        c, s = math.cos(angle), math.sin(angle)
+        z = z @ np.diag([1.0, aspect]) @ np.array([[c, s], [-s, c]])
+        phase = draw(st.floats(-math.pi, math.pi))
+        obs = z[:, 0] + 1j * z[:, 1] + offset * radius * complex(
+            math.cos(phase), math.sin(phase)
+        )
+    return ComplexSample(obs * 10.0 ** exponent), level
+
+
+@settings(max_examples=300, deadline=None)
+@given(ellipse_cases())
+def test_ellipse_bit_for_bit_with_numpy_evaluation(case):
+    sample, level = case
+    try:
+        got = amp_errors_ellipse(sample, level)
+    except DegenerateCovariance:
+        assert covariance_summary(sample).degenerate
+        return
+    assert got.to_json() == numpy_ellipse(sample, level).to_json()
 
 
 class TestBootstrap:

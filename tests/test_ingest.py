@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasorstats import (
+    ComplexSample,
     Design,
     build_dataset,
+    coherent_mean,
     extract_component,
     read_components_csv,
     read_timeseries_csv,
@@ -17,7 +21,7 @@ from phasorstats.exceptions import (
     MalformedInput,
     NonIntegerCycles,
 )
-from phasorstats.ingest import write_components_csv
+from phasorstats.ingest import ComponentRow, write_components_csv
 
 
 def oracle_dft_bin(series, k):
@@ -145,8 +149,52 @@ class TestBuildDataset:
     def test_design_count_mismatch(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("unit,condition,re,im\nu1,a,1,0\nu2,a,2,0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInput, match="needs 2 samples, got 1"):
             build_dataset(read_components_csv(path), Design.PAIRED)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        reps=st.sampled_from([1, 2, 3, 4, 5, 9]),
+        n_units=st.integers(1, 6),
+        n_conditions=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_means_equal_coherent_mean_bit_for_bit(
+        self, reps, n_units, n_conditions, seed
+    ):
+        rng = np.random.default_rng(seed)
+        cells = [(f"u{u}", f"c{c}") for u in range(n_units)
+                 for c in range(n_conditions)] * reps
+        cells = [cells[i] for i in rng.permutation(len(cells))]
+        # magnitudes over 1e-300 ... 1e300, with signed zeros mixed in
+        values = rng.standard_normal(2 * len(cells)) * 10.0 ** rng.integers(
+            -300, 300, 2 * len(cells))
+        values[rng.random(values.size) < 0.1] = 0.0
+        values = np.copysign(values, rng.standard_normal(values.size))
+        rows = [ComponentRow(unit, cond, float(values[2 * i]),
+                             float(values[2 * i + 1]))
+                for i, (unit, cond) in enumerate(cells)]
+        ds = build_dataset(rows, Design.ONEWAY_INDEPENDENT)
+        # one ComplexSample per unit, collapsed by coherent_mean, with
+        # conditions and units in order of first appearance
+        conditions = list(dict.fromkeys(r.condition for r in rows))
+        assert list(ds.condition_labels) == conditions
+        for sample, cond in zip(ds.samples, conditions):
+            units = list(dict.fromkeys(r.unit for r in rows
+                                       if r.condition == cond))
+            expected = coherent_mean([
+                ComplexSample(
+                    np.asarray([complex(r.re, r.im) for r in rows
+                                if (r.unit, r.condition) == (unit, cond)]),
+                    cond, (unit,) * reps,
+                )
+                for unit in units
+            ], cond)
+            assert sample.condition_label == expected.condition_label == cond
+            assert sample.unit_labels == expected.unit_labels == tuple(units)
+            assert sample.observations.dtype == np.complex128
+            assert (sample.observations.tobytes()
+                    == expected.observations.tobytes())
 
 
 class TestTimeseriesCsv:

@@ -11,14 +11,16 @@ from phasorstats import (
     ComplexSample,
     Design,
     GroupedDataset,
+    amp_ci_bootstrap,
+    amp_errors_ellipse,
     ci_test,
     run_flowchart,
     t2_two_sample,
 )
-from phasorstats import exceptions
+from phasorstats import exceptions, report as report_module
 from phasorstats.cli import main as cli_main
 from phasorstats.exceptions import MalformedInput, PhasorStatsError
-from phasorstats.report import format_text
+from phasorstats.report import AmplitudeEntry, format_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -106,6 +108,43 @@ class TestFlowchart:
         report = run_flowchart(ds, seed=1, baseline="g0")
         assert report.n_comparisons == 3
         assert all(ph.pair[0] == "g0" for ph in report.posthoc)
+
+    def test_unknown_baseline_is_malformed_input(self):
+        groups = tuple(
+            spherical_sample(30 + i, condition=f"g{i}", mean=2.5 * i, n=14)
+            for i in range(3)
+        )
+        ds = GroupedDataset(groups, Design.ONEWAY_INDEPENDENT)
+        with pytest.raises(MalformedInput, match="baseline 'g9'"):
+            run_flowchart(ds, seed=1, baseline="g9")
+
+    def test_no_bootstrap_without_an_ellipse(self, monkeypatch):
+        # the middle condition is collinear: it has no ellipse and no
+        # amplitude entry, so no bootstrap is drawn for it
+        line = ComplexSample(np.arange(8.0) * (1 + 2j) + 0.3, "line")
+        ds = GroupedDataset(
+            (spherical_sample(60, condition="a", mean=2.0), line,
+             spherical_sample(61, condition="c")),
+            Design.ONEWAY_INDEPENDENT,
+        )
+        calls = []
+
+        def counting(sample, *args, **kwargs):
+            calls.append(sample.condition_label)
+            return amp_ci_bootstrap(sample, *args, **kwargs)
+
+        monkeypatch.setattr(report_module, "amp_ci_bootstrap", counting)
+        report = run_flowchart(ds, seed=4, screen_outliers=False,
+                               bootstrap_reps=500)
+        assert calls == ["a", "c"]
+        # the others keep their own [seed, i] streams, so the report is
+        # what it was when every condition drew
+        assert report.amplitudes == tuple(
+            AmplitudeEntry(s.condition_label, amp_errors_ellipse(s, 0.68),
+                           amp_ci_bootstrap(s, 0.68, 500, seed=[4, i]))
+            for i, s in enumerate(ds.samples) if i != 1
+        )
+        assert [c.condition for c in report.conditions] == ["a", "line", "c"]
 
     def test_screening_disabled(self):
         values = list(spherical_sample(40, units=False).observations)
@@ -231,6 +270,17 @@ class TestCliAnalyze:
         path.write_text("unit,condition,re,im\nu1,a,1,0\nu2,a,2,1\n")
         rc = cli_main(["analyze", str(path), "--design", "paired"])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: paired design needs 2 samples, got 1" in err
+        assert "Traceback" not in err
+
+    def test_unknown_baseline_exit_2(self, capsys):
+        rc = cli_main(["analyze", str(FIXTURES / "human_ssvep.csv"),
+                       "--design", "oneway-rm", "--baseline", "99"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: baseline '99' is not a condition" in err
+        assert "Traceback" not in err
 
     def test_bad_flag_exit_2(self, capsys):
         rc = cli_main(["analyze", "x.csv", "--design", "sideways"])

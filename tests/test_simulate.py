@@ -54,6 +54,13 @@ class TestSpecValidation:
         for fields in (dict(n=5.0), dict(n_reps=10.5), dict(k=2.0), dict(n="8")):
             with pytest.raises(InvalidSpec, match="must be an integer"):
                 SimulationSpec(test="T2", **fields)
+        # NaN and inf pass the range comparisons, so finiteness and type
+        # are checked on their own
+        for name in ("d", "correlation", "variance_ratio", "alpha",
+                     "planted_outlier_distance"):
+            for value in (math.nan, math.inf, -math.inf, "0.5", 0.5j, [0.5]):
+                with pytest.raises(InvalidSpec, match="must be a finite real"):
+                    SimulationSpec(test="CI_test", **{name: value})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", [1, 2], None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
