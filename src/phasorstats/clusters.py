@@ -16,21 +16,14 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
-from . import inference, kernels, substreams
-from .data import ComplexSample, Design, GroupedDataset, align_units
+from . import inference, kernels
+from .data import ComplexSample, Design, GroupedDataset, align_units, check_seed
 from .distributions import f_critical, f_sf
 from .exceptions import DesignMismatch, DomainError, InvalidGraph
 from .inference import TestResult
 from .kernels import BLOCK_VALUES
 from .records import Record
-
-#: Permutation draws computed per pass over the substreams, in permutations
-#: x units: large enough to amortise the per-call cost of the whole-array
-#: substream arithmetic, and bounding its memory whatever n_perm is.
-DRAW_VALUES = 2**15
 
 #: F values labelled per connected-components call, in permutations x
 #: nodes: many F blocks per call, at a bounded cost in memory.
@@ -215,6 +208,11 @@ def _cluster_labels(f: np.ndarray, f_crit: float, forward):
     masses): labels (one per flat node) index masses, the summed F of each
     component, added in flat order.
     """
+    # imported here: scipy.sparse would add ~0.2 s to every import of
+    # phasorstats, and only the cluster test needs it
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     first, far = forward
     k = f.shape[1]
     values = f.ravel()
@@ -306,23 +304,22 @@ def cluster_correct(
     DegenerateCovariance (T2) or ZeroResidualVariance (T2circ), its message
     prefixed by the node, at a node that cannot be tested.
 
-    Permutation p draws from its own substream ``default_rng([seed, p])``:
-    signs ``integers(0, 2, size=units)``, label shuffle
-    ``permutation(units)``, so results are reproducible from (seed, p)
-    alone. ``substreams`` computes the draws of up to ``DRAW_VALUES //
-    units`` permutations in one pass of whole-array numpy arithmetic, bit
-    for bit equal to the generators. seed must be a non-negative integer
-    and n_perm below 2^32, so that p is one 32-bit entropy word
+    Every call draws its permutations, in order, from one generator
+    ``default_rng(seed)``: permutation p is row p of ``u =
+    default_rng(seed).random((n_perm, units))``, whatever the block and
+    span sizes. Its signs are ``u < 0.5`` and its label mask (True for
+    group A) is ``argsort(u) < na``, a uniform shuffle of the observed
+    labels. seed must be a non-negative integer and n_perm in [1, 2^32)
     (``DomainError`` otherwise).
 
-    Permutations are evaluated in blocks of at most ``BLOCK_VALUES //
-    nodes``: the block's draws form a sign or label-mask matrix, and one
-    matmul gives every permuted mean (the sums of squares do not move). The
-    F of a span of blocks, up to ``SPAN_VALUES`` values, is then labelled
-    by one connected-components call over its supra-threshold nodes alone;
-    the observed clusters come from the same labelling on a span of one
-    permutation. The block size moves the null only in the last bits; the
-    span size does not move it at all.
+    Permutations are drawn and evaluated in blocks of at most
+    ``BLOCK_VALUES // nodes``: the block's draws form a sign or label-mask
+    matrix, and one matmul gives every permuted mean (the sums of squares
+    do not move). The F of a span of blocks, up to ``SPAN_VALUES`` values,
+    is then labelled by one connected-components call over its
+    supra-threshold nodes alone; the observed clusters come from the same
+    labelling on a span of one permutation. The block size moves the null
+    only in the last bits; the span size does not move it at all.
 
     Tie rule: a draw that maps the data onto itself (all signs equal,
     ignoring units whose difference is zero at every node; the observed
@@ -336,12 +333,12 @@ def cluster_correct(
         raise DomainError(f"test must be 'T2' or 'T2circ', got {test!r}")
     if not 0.0 < alpha_forming < 1.0:
         raise DomainError(f"alpha_forming must be in (0, 1), got {alpha_forming}")
-    seed = substreams.check_seed(seed)
+    seed = check_seed(seed)
     try:
         n_perm = operator.index(n_perm)
     except TypeError:
         raise DomainError(f"n_perm must be an integer, got {n_perm!r}") from None
-    if not 1 <= n_perm < 2**32:  # p of the substream (seed, p) is 32 bits
+    if not 1 <= n_perm < 2**32:
         raise DomainError(f"n_perm must be in [1, 2^32), got {n_perm}")
     design = _validate_nodes(node_datasets, graph)
     two_sample = design is Design.TWO_SAMPLE_INDEPENDENT
@@ -357,7 +354,8 @@ def cluster_correct(
                        for g in (0, 1)])
         n_draw = V.shape[1]
         base_mask = np.arange(n_draw) < na
-        A, B = V[:, base_mask], V[:, ~base_mask]
+        # row-major slices, so that each row sums in the scalar test's order
+        A, B = V[:, :na], V[:, na:]
         observed = contract.run(A, B, at="node {}: ")
         block_f = _label_shuffle_block(V, na, test)
         if min(sizes) >= 3:  # the pairwise distance's own minimum
@@ -409,22 +407,18 @@ def cluster_correct(
     null = np.empty(n_perm)
     block = max(1, BLOCK_VALUES // k_nodes)
     span = block * max(1, SPAN_VALUES // (block * k_nodes))
-    # the draws of many F blocks come from one pass over their substreams
-    chunk = block * max(1, DRAW_VALUES // (block * n_draw))
-    for first in range(0, n_perm, chunk):
-        p = np.arange(first, min(first + chunk, n_perm))
-        if two_sample:  # base_mask[permutation]
-            draws = substreams.permutations(seed, p, n_draw) < na
-        else:
-            draws = substreams.sign_draws(seed, p, n_draw)
-        out = null[first:first + p.size]
-        for start in range(0, p.size, span):
-            rows = draws[start:start + span]
-            f = np.empty((len(rows), k_nodes))
-            for b in range(0, len(rows), block):
-                f[b:b + block] = block_f(rows[b:b + block])
-            out[start:start + span] = np.where(is_identity(rows), observed_max,
-                                               _max_masses(f, f_crit, forward))
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_perm, span):
+        rows = min(span, n_perm - start)
+        f = np.empty((rows, k_nodes))
+        identity = np.empty(rows, dtype=bool)
+        for b in range(0, rows, block):
+            u = rng.random((min(block, rows - b), n_draw))
+            draws = np.argsort(u, axis=1) < na if two_sample else u < 0.5
+            f[b:b + len(u)] = block_f(draws)
+            identity[b:b + len(u)] = is_identity(draws)
+        null[start:start + rows] = np.where(identity, observed_max,
+                                            _max_masses(f, f_crit, forward))
     null.sort()
 
     corrected = tuple(

@@ -9,6 +9,7 @@ concurrently running simulation workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -16,7 +17,25 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .exceptions import EmptyUnit, LabelMismatch, MalformedInput, TooFewObservations
+from .exceptions import (
+    DomainError,
+    EmptyUnit,
+    LabelMismatch,
+    MalformedInput,
+    TooFewObservations,
+)
+
+
+def check_seed(seed) -> int:
+    """The seed as a Python int; a ``DomainError`` unless it is a
+    non-negative integer, which is what ``SeedSequence`` accepts."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if value < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
 @dataclass(frozen=True)

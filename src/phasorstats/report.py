@@ -14,9 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import __version__, substreams
+from . import __version__
 from .amplitude import AmplitudeSummary, amp_ci_bootstrap, amp_errors_ellipse
-from .data import ComplexSample, Design, GroupedDataset, covariance_summary
+from .data import (
+    ComplexSample,
+    Design,
+    GroupedDataset,
+    check_seed,
+    covariance_summary,
+)
 from .exceptions import DegenerateCovariance, MalformedInput, TooFewObservations
 from .inference import (
     TestResult,
@@ -228,8 +234,6 @@ def _posthoc_tests(
 ) -> tuple[tuple[PosthocResult, ...], int]:
     labels = dataset.condition_labels
     if baseline is not None:
-        if baseline not in labels:
-            raise MalformedInput(f"baseline {baseline!r} is not a condition")
         pairs = [
             (baseline, other) for other in labels if other != baseline
         ]
@@ -279,7 +283,9 @@ def run_flowchart(
     post-hoc comparisons (restricted to ``baseline`` vs the rest when a
     baseline condition is given). seed must be a non-negative integer.
     """
-    seed = substreams.check_seed(seed)
+    seed = check_seed(seed)
+    if baseline is not None and baseline not in dataset.condition_labels:
+        raise MalformedInput(f"baseline {baseline!r} is not a condition")
     screening = None
     if screen_outliers:
         screened, screen_report = exclude_outliers(dataset, outlier_threshold)

@@ -35,7 +35,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import inference, kernels, substreams
+from . import inference, kernels
+from .data import check_seed
 from .distributions import ConditionIndexDistribution, f_sf
 from .exceptions import DomainError, InvalidSpec, TooFewGroups, TooFewObservations
 from .records import Record
@@ -120,7 +121,7 @@ def _check_seed(seed) -> int:
     """The seed as a Python int; InvalidSpec unless it is a non-negative
     integer."""
     try:
-        return substreams.check_seed(seed)
+        return check_seed(seed)
     except DomainError as exc:
         raise InvalidSpec(str(exc)) from None
 

@@ -285,14 +285,16 @@ class TestBootstrap:
         assert hits >= 38
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # the ellipse scale is the closed-form chi-square(2) quantile, so a fresh
-    # interpreter pays nothing for scipy.stats when importing the package
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    # the ellipse scale is the closed-form chi-square(2) quantile, and the
+    # cluster labelling imports scipy.sparse when it runs, so a fresh
+    # interpreter pays for neither when importing the package
     src = str(Path(phasorstats.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, phasorstats; print('scipy.stats' in sys.modules)"],
+         f"import sys, phasorstats; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 

@@ -1,6 +1,8 @@
 """Permutation cluster correction: kernels, determinism, calibration."""
 
 import json
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from phasorstats import (
     ComplexSample,
     Design,
     GroupedDataset,
+    build_dataset,
     cluster_correct,
+    f_critical,
     f_sf,
+    read_components_csv,
     t2_one_sample,
     t2_two_sample,
     t2circ_one_sample,
@@ -35,6 +40,8 @@ from phasorstats.exceptions import (
 
 DESIGNS = {"one-sample": Design.ONE_SAMPLE, "paired": Design.PAIRED,
            "two-sample": Design.TWO_SAMPLE_INDEPENDENT}
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def line_graph(k):
@@ -296,11 +303,12 @@ class TestClusterCorrect:
         groups = [np.stack([d.samples[g].observations for d in nodes])
                   for g in range(len(nodes[0].samples))]
         if design == "two-sample":
-            V = np.hstack(groups)
-            base = np.arange(V.shape[1]) < groups[0].shape[1]
             kernel = (kernels.t2_two_sample if test == "T2"
                       else kernels.t2circ_two_sample)
-            statistic, f, df, _ = kernel(V[:, base], V[:, ~base])
+            statistic, f, df, _ = kernel(*groups)  # row-major, as the node test
+            if test == "T2":  # the scalar test's bits, node by node
+                assert f.tolist() == [t2_two_sample(*d.samples).f_value
+                                      for d in nodes]
         else:
             D = groups[0] - groups[1] if design == "paired" else groups[0]
             kernel = (kernels.t2_one_sample if test == "T2"
@@ -390,7 +398,7 @@ class TestClusterCorrect:
         dict(alpha_forming=1.0),
         dict(alpha_forming=float("nan")),
         dict(n_perm=0),
-        dict(n_perm=2**32),  # p must stay one 32-bit entropy word
+        dict(n_perm=2**32),
         dict(n_perm=10.0),
         dict(seed=-1),
         dict(seed=1.5),
@@ -529,23 +537,20 @@ class TestBlockEvaluation:
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9, atol=0)
 
     @staticmethod
-    def _identity_draws(design, n_units, seed, perms):
-        """Replays the (seed, p) substreams: which draws leave the data as
-        they are (all signs equal, unit 0 aside when it is zero everywhere;
-        the observed labels or, for equal groups, their swap)."""
-        hits = []
-        for p in perms:
-            rng = np.random.default_rng([seed, p])
-            if design == "two-sample":
-                base = np.arange(n_units) < n_units // 2
-                m = base[rng.permutation(n_units)]
-                hits.append((m == base).all() or (m != base).all())
-            else:
-                d = rng.integers(0, 2, size=n_units)
-                if design == "one-sample-zero-unit":
-                    d = d[1:]  # flipping a zero changes nothing
-                hits.append(d.min() == d.max())
-        return np.array(hits)
+    def _identity_draws(design, n_units, seed, n_perm):
+        """Replays the draws ``default_rng(seed).random((n_perm, n_units))``
+        of ``cluster_correct``: which permutations leave the data as they
+        are (all signs equal, unit 0 aside when it is zero everywhere; the
+        observed labels or, for equal groups, their swap)."""
+        u = np.random.default_rng(seed).random((n_perm, n_units))
+        if design == "two-sample":
+            base = np.arange(n_units) < n_units // 2
+            m = np.argsort(u, axis=1) < n_units // 2
+            return (m == base).all(axis=1) | (m != base).all(axis=1)
+        d = u < 0.5
+        if design == "one-sample-zero-unit":
+            d = d[:, 1:]  # flipping a zero changes nothing
+        return d.min(axis=1) == d.max(axis=1)
 
     @pytest.mark.parametrize("test", ["T2", "T2circ"])
     @pytest.mark.parametrize("design",
@@ -559,8 +564,8 @@ class TestBlockEvaluation:
         # block; pick a seed whose single-row block is an identity draw
         n_perm = clusters.BLOCK_VALUES // k + 1
         seed = next(s for s in range(1000)
-                    if self._identity_draws(design, n_units, s, [n_perm - 1])[0])
-        identity = self._identity_draws(design, n_units, seed, range(n_perm))
+                    if self._identity_draws(design, n_units, s, n_perm)[-1])
+        identity = self._identity_draws(design, n_units, seed, n_perm)
         signal = {i: 3.0 + 1.0j for i in range(3)}
         if design == "two-sample":
             datasets = two_sample_nodes(50, k, 3, 3, signal)
@@ -582,6 +587,45 @@ class TestBlockEvaluation:
         ge = int((res.null_distribution >= top).sum())
         assert ge >= identity.sum()
         assert res.corrected_p[i] == (1 + ge) / (1 + n_perm)
+
+    @pytest.mark.parametrize("test", ["T2", "T2circ"])
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_draws_are_rows_of_one_generator(self, design, test, monkeypatch):
+        # permutation p is row p of default_rng(seed).random((n_perm, units))
+        # for any block and span size: one permutation per block and span,
+        # blocks of 3 in spans of 2 blocks, and the defaults, over 700
+        # permutations that end on a partial block
+        k, n_perm, seed = 8, 700, 2**33 + 3
+        nodes = labelled_nodes(design, 94, k=k, n=10, signal={2: 1.5, 3: 1.5})
+        n_units = {"two-sample": 22}.get(design, 10)
+        u = np.random.default_rng(seed).random((n_perm, n_units))
+        want = np.argsort(u, axis=1) < 10 if design == "two-sample" else u < 0.5
+        name = ("_label_shuffle_block" if design == "two-sample"
+                else "_sign_flip_block")
+        make_block_f = getattr(clusters, name)
+        seen = []
+
+        def recording(*args):
+            block_f = make_block_f(*args)
+
+            def record(draws):
+                seen.append(draws.copy())
+                return block_f(draws)
+            return record
+
+        monkeypatch.setattr(clusters, name, recording)
+        for block, span in ((k, 1), (3 * k, 6 * k),
+                            (clusters.BLOCK_VALUES, clusters.SPAN_VALUES)):
+            monkeypatch.setattr(clusters, "BLOCK_VALUES", block)
+            monkeypatch.setattr(clusters, "SPAN_VALUES", span)
+            seen.clear()
+            res = cluster_correct(nodes, line_graph(k), test, n_perm=n_perm,
+                                  seed=seed)
+            assert max(len(d) for d in seen) == min(block // k, n_perm)
+            np.testing.assert_array_equal(np.concatenate(seen), want)
+            again = cluster_correct(nodes, line_graph(k), test, n_perm=n_perm,
+                                    seed=seed)
+            assert again.to_json() == res.to_json()
 
     @pytest.mark.parametrize("design", ["one-sample", "two-sample"])
     def test_block_cap_moves_only_last_bits(self, design, monkeypatch):
@@ -613,7 +657,7 @@ class TestBlockEvaluation:
 
         def at_span_ends(seed):
             hit = np.flatnonzero(self._identity_draws(design, n_units, seed,
-                                                      range(n_perm))) % block
+                                                      n_perm)) % block
             return (hit == 0).any() and (hit == block - 1).any()
 
         seed = next(s for s in range(100) if at_span_ends(s))
@@ -623,7 +667,6 @@ class TestBlockEvaluation:
         else:
             datasets = one_sample_nodes(51, k=k, n=n_units, signal=signal)
         monkeypatch.setattr(clusters, "BLOCK_VALUES", block * k)
-        monkeypatch.setattr(clusters, "DRAW_VALUES", 10**9)  # one pass of draws
         results = []
         for values in (1, 10**9):  # a span of one F block; one span in all
             monkeypatch.setattr(clusters, "SPAN_VALUES", values)
@@ -631,6 +674,58 @@ class TestBlockEvaluation:
                                            n_perm=n_perm, seed=seed).to_dict())
         assert results[0]["clusters"]
         assert results[0] == results[1]
+
+
+def _exact_p(nodes, graph, test):
+    """The one observed cluster's mass and its exact corrected p: the share
+    of every distinct draw (2^n sign vectors, or C(n, na) label masks)
+    whose maximum mass reaches it, from the module's own block_f and
+    _max_masses, identity draws at the observed mass."""
+    observed = cluster_correct(nodes, graph, test, n_perm=1, seed=0)
+    (mass,) = observed.cluster_masses
+    if nodes[0].design is Design.TWO_SAMPLE_INDEPENDENT:
+        V = np.hstack([clusters._unit_matrix([d.samples[g] for d in nodes])
+                       for g in (0, 1)])
+        n, na = V.shape[1], nodes[0].samples[0].n
+        draws = np.array([np.isin(np.arange(n), c) for c in combinations(range(n), na)])
+        base = np.arange(n) < na
+        identity = (draws == base).all(axis=1) | (draws == ~base).all(axis=1)
+        block_f = clusters._label_shuffle_block(V, na, test)
+    else:
+        M = clusters._unit_matrix([s for d in nodes for s in d.samples])
+        D = M[0::2] - M[1::2]
+        draws = np.array(list(product([False, True], repeat=D.shape[1])))
+        identity = draws.all(axis=1) | ~draws.any(axis=1)
+        block_f = clusters._sign_flip_block(D, test)
+    f = block_f(draws)
+    f_crit = f_critical(observed.alpha_forming, *observed.node_results[0].df)
+    top = np.where(identity, mass,
+                   clusters._max_masses(f, f_crit, clusters._forward_neighbours(graph)))
+    return mass, float(np.mean(top >= mass))
+
+
+class TestExactPValue:
+    """Over 20 seeds, the sampled corrected p of a small design centres on
+    the exact p from enumerating all of its draws."""
+
+    @pytest.mark.parametrize("case", ["mouse-paired", "two-sample-3-3"])
+    def test_mean_corrected_p_meets_the_enumerated_exact_p(self, case):
+        if case == "mouse-paired":  # the fixture at three nodes on a line
+            mouse = build_dataset(read_components_csv(FIXTURES / "mouse_ssvep.csv"),
+                                  Design.PAIRED)
+            nodes = [mouse] * 3
+        else:
+            nodes = two_sample_nodes(52, 3, 3, 3, {i: 2.0 + 1.0j for i in range(3)})
+        graph, n_perm, seeds = line_graph(3), 1000, range(20)
+        mass, exact = _exact_p(nodes, graph, "T2circ")
+        if case == "mouse-paired":
+            assert exact == 2 / 64  # only D and -D reach the observed mass
+        sampled = [cluster_correct(nodes, graph, "T2circ", n_perm=n_perm, seed=s)
+                   for s in seeds]
+        assert all(r.cluster_masses == (mass,) for r in sampled)
+        mean_p = np.mean([r.corrected_p[0] for r in sampled])
+        se = np.sqrt(exact * (1 - exact) / (n_perm * len(seeds)))
+        assert abs(mean_p - exact) <= 4 * se, (mean_p, exact, se)
 
 
 def _full_graph_labels(f, f_crit, graph):

@@ -15,8 +15,13 @@ from phasorstats import (
     coherent_mean,
     covariance_summary,
 )
-from phasorstats.data import align_units
-from phasorstats.exceptions import EmptyUnit, LabelMismatch, TooFewObservations
+from phasorstats.data import align_units, check_seed
+from phasorstats.exceptions import (
+    DomainError,
+    EmptyUnit,
+    LabelMismatch,
+    TooFewObservations,
+)
 
 CROSS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
@@ -194,3 +199,11 @@ class TestGroupedDataset:
         matrix, labels = ds.aligned_matrix()
         assert labels == ("u1", "u2")
         assert np.allclose(matrix, [[1, 2], [4, 5]])
+
+
+def test_check_seed():
+    assert check_seed(np.int64(5)) == 5
+    assert type(check_seed(np.int64(5))) is int
+    for bad in (-1, 1.5, 2.0, "3", None):
+        with pytest.raises(DomainError):
+            check_seed(bad)

@@ -110,13 +110,18 @@ class TestFlowchart:
         assert all(ph.pair[0] == "g0" for ph in report.posthoc)
 
     def test_unknown_baseline_is_malformed_input(self):
-        groups = tuple(
+        significant = GroupedDataset(tuple(
             spherical_sample(30 + i, condition=f"g{i}", mean=2.5 * i, n=14)
             for i in range(3)
-        )
-        ds = GroupedDataset(groups, Design.ONEWAY_INDEPENDENT)
-        with pytest.raises(MalformedInput, match="baseline 'g9'"):
-            run_flowchart(ds, seed=1, baseline="g9")
+        ), Design.ONEWAY_INDEPENDENT)
+        # no post-hoc tests run here, and the baseline is still checked
+        null = GroupedDataset(tuple(
+            spherical_sample(20 + i, condition=f"g{i}") for i in range(3)
+        ), Design.ONEWAY_INDEPENDENT)
+        assert run_flowchart(null, seed=1).primary.p_value > 0.05
+        for ds in (significant, null):
+            with pytest.raises(MalformedInput, match="baseline 'g9'"):
+                run_flowchart(ds, seed=1, baseline="g9")
 
     def test_no_bootstrap_without_an_ellipse(self, monkeypatch):
         # the middle condition is collinear: it has no ellipse and no
@@ -280,6 +285,15 @@ class TestCliAnalyze:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error: baseline '99' is not a condition" in err
+        assert "Traceback" not in err
+
+    def test_unknown_baseline_without_posthoc_exit_2(self, capsys):
+        # a paired design runs no post-hoc tests
+        rc = cli_main(["analyze", str(FIXTURES / "mouse_ssvep.csv"),
+                       "--design", "paired", "--baseline", "nope"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: baseline 'nope' is not a condition" in err
         assert "Traceback" not in err
 
     def test_bad_flag_exit_2(self, capsys):
