@@ -139,7 +139,11 @@ class ConditionIndexDistribution:
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}")
-        if int(self.n) != self.n or self.n < 3:
+        try:
+            whole = int(self.n) == self.n
+        except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
+            whole = False
+        if not whole or self.n < 3:
             raise DomainError(f"sample size must be an integer >= 3, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 

@@ -166,16 +166,16 @@ def extract_component(
     Normalized by 2/M with a cosine phase convention: a pure
     A cos(2 pi f t) sampled over whole cycles returns (A, 0), and
     A sin(2 pi f t) returns amplitude A at phase -pi/2. The series must
-    span an integer number of cycles, with the target strictly between DC
-    and the Nyquist frequency; no windowing is applied.
+    span a whole number (>= 1) of cycles, with the target strictly between
+    DC and the Nyquist frequency; no windowing is applied.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise MalformedInput("series must be one-dimensional with >= 2 samples")
-    if sample_rate <= 0.0:
+    if not sample_rate > 0.0:
         raise FrequencyNotResolvable(f"sample rate must be > 0, got {sample_rate}")
     m = x.size
-    if target_frequency <= 0.0 or target_frequency >= sample_rate / 2.0:
+    if not 0.0 < target_frequency < sample_rate / 2.0:
         raise FrequencyNotResolvable(
             f"target {target_frequency} Hz not strictly between 0 and the "
             f"Nyquist frequency {sample_rate / 2.0} Hz"
@@ -186,6 +186,12 @@ def extract_component(
         raise NonIntegerCycles(
             f"series of {m} samples at {sample_rate} Hz spans {cycles} cycles "
             f"of {target_frequency} Hz; a whole number is required"
+        )
+    if k == 0:
+        raise FrequencyNotResolvable(
+            f"series of {m} samples at {sample_rate} Hz spans {cycles} cycles "
+            f"of {target_frequency} Hz, which rounds to the DC bin; at least "
+            "one whole cycle is required"
         )
     t = np.arange(m)
     coeff = (2.0 / m) * complex((x * np.exp(-2j * math.pi * k * t / m)).sum())

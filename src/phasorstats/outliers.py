@@ -17,6 +17,7 @@ import numpy as np
 from . import kernels
 from .data import ComplexSample, Design, GroupedDataset, UNIT_ALIGNED_DESIGNS
 from .exceptions import DegenerateCovariance, DomainError, TooFewObservations
+from .records import Record
 
 DEFAULT_THRESHOLD = 3.0
 
@@ -30,13 +31,20 @@ class OutlierReport:
     flagged: tuple[int, ...]
     threshold: float
 
-    @property
-    def flagged_count(self) -> int:
-        return len(self.flagged)
+
+@dataclass(frozen=True)
+class ConditionScreening(Record):
+    """What screening flagged in one condition: indices into the sample as
+    it was before screening and, where it has unit labels, their units."""
+
+    condition: str
+    n_before: int
+    flagged_indices: tuple[int, ...]
+    flagged_units: tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class ScreeningReport:
+class ScreeningReport(Record):
     """Outcome of screening a whole dataset.
 
     ``excluded_units`` is filled for unit-aligned designs (whole units are
@@ -44,13 +52,13 @@ class ScreeningReport:
     observations one by one and leave it empty.
     """
 
-    per_condition: tuple[OutlierReport, ...]
-    excluded_units: tuple[str, ...]
     threshold: float
+    excluded_units: tuple[str, ...]
+    per_condition: tuple[ConditionScreening, ...]
 
     @property
     def n_flagged(self) -> int:
-        return sum(r.flagged_count for r in self.per_condition)
+        return sum(len(c.flagged_indices) for c in self.per_condition)
 
 
 def mahalanobis_distances(
@@ -93,41 +101,37 @@ def exclude_outliers(
     conditions; otherwise flagged observations are dropped individually.
     Conditions too small (N < 3) or degenerate are left unscreened.
     """
-    reports = []
+    per_condition = []
     for s in dataset.samples:
         try:
-            reports.append(mahalanobis_distances(s, threshold))
+            flagged = mahalanobis_distances(s, threshold).flagged
         except (TooFewObservations, DegenerateCovariance):
-            reports.append(
-                OutlierReport(s.condition_label, tuple(), tuple(), threshold)
-            )
+            flagged = ()
+        units = tuple(s.unit_labels[i] for i in flagged) if s.unit_labels else ()
+        per_condition.append(
+            ConditionScreening(s.condition_label, s.n, flagged, units)
+        )
     unit_level = dataset.design in UNIT_ALIGNED_DESIGNS or (
         dataset.design is Design.ONE_SAMPLE
         and dataset.samples[0].unit_labels is not None
     )
     if unit_level:
-        excluded: set[str] = set()
-        for s, rep in zip(dataset.samples, reports):
-            excluded.update(s.unit_labels[i] for i in rep.flagged)
-        new_samples = []
-        for s in dataset.samples:
-            keep = [i for i, u in enumerate(s.unit_labels) if u not in excluded]
-            new_samples.append(s.subset(keep))
+        excluded = {u for c in per_condition for u in c.flagged_units}
+        keeps = [[i for i, u in enumerate(s.unit_labels) if u not in excluded]
+                 for s in dataset.samples]
         # preserve input order of the first condition's labels
-        ordered = tuple(
+        excluded_units = tuple(
             u for u in dataset.samples[0].unit_labels if u in excluded
         )
-        report = ScreeningReport(tuple(reports), ordered, threshold)
     else:
-        new_samples = []
-        for s, rep in zip(dataset.samples, reports):
-            keep = [i for i in range(s.n) if i not in rep.flagged]
-            new_samples.append(s.subset(keep))
-        report = ScreeningReport(tuple(reports), tuple(), threshold)
+        keeps = [[i for i in range(s.n) if i not in c.flagged_indices]
+                 for s, c in zip(dataset.samples, per_condition)]
+        excluded_units = ()
+    new_samples = [s.subset(keep) for s, keep in zip(dataset.samples, keeps)]
     if any(s.n == 0 for s in new_samples):
         warnings.warn("outlier screening removed every observation of a condition")
     screened = GroupedDataset(tuple(new_samples), dataset.design, dataset.mu)
-    return screened, report
+    return screened, ScreeningReport(threshold, excluded_units, tuple(per_condition))
 
 
 def pairwise_mahalanobis(a: ComplexSample, b: ComplexSample) -> float:

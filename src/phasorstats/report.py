@@ -10,7 +10,9 @@ with pairwise Mahalanobis distances as effect sizes.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,7 +25,12 @@ from .data import (
     check_seed,
     covariance_summary,
 )
-from .exceptions import DegenerateCovariance, MalformedInput, TooFewObservations
+from .exceptions import (
+    DegenerateCovariance,
+    DomainError,
+    MalformedInput,
+    TooFewObservations,
+)
 from .inference import (
     TestResult,
     anova2circ_independent,
@@ -59,21 +66,6 @@ class ConditionSummary(Record):
 
 
 @dataclass(frozen=True)
-class ConditionScreening(Record):
-    condition: str
-    n_before: int
-    flagged_indices: tuple[int, ...]
-    flagged_units: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ScreeningSummary(Record):
-    threshold: float
-    excluded_units: tuple[str, ...]
-    per_condition: tuple[ConditionScreening, ...]
-
-
-@dataclass(frozen=True)
 class PosthocResult(Record):
     pair: tuple[str, str]
     result: TestResult
@@ -106,7 +98,7 @@ class AnalysisReport(Record):
     flowchart_leaf: str
     rationale: str
     conditions: tuple[ConditionSummary, ...]
-    screening: Optional[ScreeningSummary]
+    screening: Optional[ScreeningReport]
     primary: TestResult
     posthoc: tuple[PosthocResult, ...]
     n_comparisons: int
@@ -135,29 +127,6 @@ def _summarize_condition(sample: ComplexSample) -> ConditionSummary:
         ),
         degenerate=summary.degenerate,
         ci_p_value=ci_p,
-    )
-
-
-def _screening_summary(
-    dataset: GroupedDataset, report: ScreeningReport
-) -> ScreeningSummary:
-    per_condition = []
-    for sample, rep in zip(dataset.samples, report.per_condition):
-        units = tuple(
-            sample.unit_labels[i] for i in rep.flagged
-        ) if sample.unit_labels else ()
-        per_condition.append(
-            ConditionScreening(
-                condition=sample.condition_label,
-                n_before=sample.n,
-                flagged_indices=rep.flagged,
-                flagged_units=units,
-            )
-        )
-    return ScreeningSummary(
-        threshold=report.threshold,
-        excluded_units=report.excluded_units,
-        per_condition=tuple(per_condition),
     )
 
 
@@ -201,28 +170,35 @@ def _decide_branch(
 
 
 #: Each flowchart leaf, keyed by (design, branch): its name and the call of
-#: its test on the dataset.
+#: its test on the samples and mu. The two-group leaves also serve as the
+#: post-hoc tests of the one-way designs, on the design of _PAIR_DESIGN.
 _LEAVES = {
     (Design.ONE_SAMPLE, "circ"):
-        ("one_sample_t2circ", lambda d: t2circ_one_sample(d.samples[0], d.mu)),
+        ("one_sample_t2circ", lambda s, mu: t2circ_one_sample(s[0], mu)),
     (Design.ONE_SAMPLE, "classic"):
-        ("one_sample_t2", lambda d: t2_one_sample(d.samples[0], d.mu)),
+        ("one_sample_t2", lambda s, mu: t2_one_sample(s[0], mu)),
     (Design.TWO_SAMPLE_INDEPENDENT, "circ"):
-        ("two_sample_t2circ", lambda d: t2circ_two_sample(*d.samples)),
+        ("two_sample_t2circ", lambda s, mu: t2circ_two_sample(*s)),
     (Design.TWO_SAMPLE_INDEPENDENT, "classic"):
-        ("two_sample_t2", lambda d: t2_two_sample(*d.samples)),
-    (Design.PAIRED, "circ"): ("paired_t2circ", lambda d: t2circ_paired(*d.samples)),
-    (Design.PAIRED, "classic"): ("paired_t2", lambda d: t2_paired(*d.samples)),
+        ("two_sample_t2", lambda s, mu: t2_two_sample(*s)),
+    (Design.PAIRED, "circ"): ("paired_t2circ", lambda s, mu: t2circ_paired(*s)),
+    (Design.PAIRED, "classic"): ("paired_t2", lambda s, mu: t2_paired(*s)),
     (Design.ONEWAY_INDEPENDENT, "circ"):
-        ("anova2circ_independent", lambda d: anova2circ_independent(d.samples)),
+        ("anova2circ_independent", lambda s, mu: anova2circ_independent(s)),
     (Design.ONEWAY_INDEPENDENT, "classic"):
-        ("manova", lambda d: manova_oneway(d.samples)),
+        ("manova", lambda s, mu: manova_oneway(s)),
     (Design.ONEWAY_REPEATED, "circ"):
-        ("anova2circ_repeated", lambda d: anova2circ_repeated(d.samples)),
+        ("anova2circ_repeated", lambda s, mu: anova2circ_repeated(s)),
     # no repeated-measures MANOVA variant here; the one-way Pillai test is
     # the documented fallback when assumptions are violated
     (Design.ONEWAY_REPEATED, "classic"):
-        ("manova", lambda d: manova_oneway(d.samples)),
+        ("manova", lambda s, mu: manova_oneway(s)),
+}
+
+#: The design of each pair of conditions in a one-way post-hoc comparison.
+_PAIR_DESIGN = {
+    Design.ONEWAY_INDEPENDENT: Design.TWO_SAMPLE_INDEPENDENT,
+    Design.ONEWAY_REPEATED: Design.PAIRED,
 }
 
 
@@ -234,26 +210,16 @@ def _posthoc_tests(
 ) -> tuple[tuple[PosthocResult, ...], int]:
     labels = dataset.condition_labels
     if baseline is not None:
-        pairs = [
-            (baseline, other) for other in labels if other != baseline
-        ]
+        pairs = [(baseline, other) for other in labels if other != baseline]
     else:
-        pairs = [
-            (labels[i], labels[j])
-            for i in range(len(labels))
-            for j in range(i + 1, len(labels))
-        ]
+        pairs = list(itertools.combinations(labels, 2))
     m = len(pairs)
     adjusted = alpha / m
-    circ = branch == "circ"
-    if dataset.design is Design.ONEWAY_REPEATED:
-        fn = t2circ_paired if circ else t2_paired
-    else:
-        fn = t2circ_two_sample if circ else t2_two_sample
+    _, test = _LEAVES[(_PAIR_DESIGN[dataset.design], branch)]
     by_label = {s.condition_label: s for s in dataset.samples}
     results = []
     for a, b in pairs:
-        res = fn(by_label[a], by_label[b])
+        res = test((by_label[a], by_label[b]), dataset.mu)
         results.append(
             PosthocResult(
                 pair=(a, b),
@@ -281,38 +247,39 @@ def run_flowchart(
     the condition-index test picks the branch, the design picks the test,
     and significant multi-group results get Bonferroni-corrected pairwise
     post-hoc comparisons (restricted to ``baseline`` vs the rest when a
-    baseline condition is given). seed must be a non-negative integer.
+    baseline condition is given). alpha must be a real number in (0, 1)
+    and seed a non-negative integer.
     """
     seed = check_seed(seed)
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
     if baseline is not None and baseline not in dataset.condition_labels:
         raise MalformedInput(f"baseline {baseline!r} is not a condition")
     screening = None
     if screen_outliers:
-        screened, screen_report = exclude_outliers(dataset, outlier_threshold)
-        screening = _screening_summary(dataset, screen_report)
-        dataset = screened
+        dataset, screening = exclude_outliers(dataset, outlier_threshold)
     conditions = tuple(_summarize_condition(s) for s in dataset.samples)
     branch, rationale = _decide_branch(conditions, alpha)
     leaf, primary_test = _LEAVES[(dataset.design, branch)]
-    primary = primary_test(dataset)
+    primary = primary_test(dataset.samples, dataset.mu)
     posthoc: tuple[PosthocResult, ...] = ()
     m = 0
-    if (
-        dataset.design in (Design.ONEWAY_INDEPENDENT, Design.ONEWAY_REPEATED)
-        and primary.p_value < alpha
-    ):
+    if dataset.design in _PAIR_DESIGN and primary.p_value < alpha:
         posthoc, m = _posthoc_tests(dataset, branch, alpha, baseline)
-    amplitudes = []
-    for i, s in enumerate(dataset.samples):
-        # a condition without an ellipse gets no entry, so its bootstrap is
-        # not drawn; each condition has its own [seed, i] stream
-        try:
-            ellipse = amp_errors_ellipse(s, level=0.68)
-        except (TooFewObservations, DegenerateCovariance):
-            continue
-        boot = amp_ci_bootstrap(s, level=0.68, n_boot=bootstrap_reps,
-                                seed=[seed, i])
-        amplitudes.append(AmplitudeEntry(s.condition_label, ellipse, boot))
+    # ci_test and amp_errors_ellipse both need N >= 3 and a non-degenerate
+    # covariance, so the conditions with a CI p-value are exactly those with
+    # an ellipse; the others get no entry and draw no bootstrap. Each
+    # condition has its own [seed, i] stream.
+    amplitudes = tuple(
+        AmplitudeEntry(
+            s.condition_label,
+            amp_errors_ellipse(s, level=0.68),
+            amp_ci_bootstrap(s, level=0.68, n_boot=bootstrap_reps,
+                             seed=[seed, i]),
+        )
+        for i, (s, c) in enumerate(zip(dataset.samples, conditions))
+        if c.ci_p_value is not None
+    )
     return AnalysisReport(
         design=dataset.design.value,
         alpha=alpha,
@@ -325,7 +292,7 @@ def run_flowchart(
         primary=primary,
         posthoc=posthoc,
         n_comparisons=m,
-        amplitudes=tuple(amplitudes),
+        amplitudes=amplitudes,
         provenance=Provenance(input_sha256, seed, __version__),
     )
 
@@ -356,12 +323,10 @@ def format_text(report: AnalysisReport) -> str:
             if report.screening.excluded_units
             else "none"
         )
-        flagged = sum(
-            len(c.flagged_indices) for c in report.screening.per_condition
-        )
         lines.append(
             f"outlier screening: threshold D > "
-            f"{report.screening.threshold:g}; {flagged} flagged; "
+            f"{report.screening.threshold:g}; "
+            f"{report.screening.n_flagged} flagged; "
             f"excluded units: {excluded}"
         )
     lines.append("conditions:")

@@ -12,9 +12,8 @@ complex values, which keeps temporaries small: one
 ``standard_normal((B, k*n, 2))`` call, which consumes the generator exactly
 as B sequential (k*n, 2) draws do, then one batched kernel call
 (kernels.py) and vectorised p-values.
-Cells with a planted outlier draw replicate by replicate, the normals and
-then the ``uniform`` angle, keeping that interleaved stream order; their
-statistics are still batched.
+Cells with a planted outlier first draw all n_reps outlier angles with one
+``uniform`` call, then the normals block by block as the other cells do.
 
 Determinism: all draws come from numpy PCG64 generators seeded through
 SeedSequence as (seed, cell_index), with replicates consumed sequentially
@@ -76,20 +75,11 @@ class SimulationSpec:
         if self.test not in TESTS:
             raise InvalidSpec(f"unknown test {self.test!r}; choose from {TESTS}")
         for name in ("n", "k", "n_reps"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
-        for name in ("d", "correlation", "variance_ratio", "alpha",
-                     "planted_outlier_distance"):
-            value = getattr(self, name)
-            if value is None and name == "planted_outlier_distance":
-                continue
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise InvalidSpec(
-                    f"{name} must be a finite real number, got {value!r}"
-                )
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("d", "correlation", "variance_ratio", "alpha"):
+            _finite(name, getattr(self, name))
+        if self.planted_outlier_distance is not None:
+            _finite("planted_outlier_distance", self.planted_outlier_distance)
         contract = _CONTRACTS[self.test]
         try:
             contract.check((self.n,) * (self.k if contract.k_group else 1))
@@ -115,6 +105,20 @@ class SimulationSpec:
         ):
             raise InvalidSpec("planted outlier distance must be >= 0")
         object.__setattr__(self, "seed", _check_seed(self.seed))
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int; InvalidSpec unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+
+
+def _finite(name: str, value) -> None:
+    """InvalidSpec unless value is a finite real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise InvalidSpec(f"{name} must be a finite real number, got {value!r}")
 
 
 def _check_seed(seed) -> int:
@@ -174,17 +178,12 @@ def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarr
     per_block = max(1, kernels.BLOCK_VALUES // kn)
     dist = spec.planted_outlier_distance
     planted = dist is not None and dist > 0
+    if planted:
+        angles = rng.uniform(0.0, 2.0 * math.pi, spec.n_reps)
+        offsets = dist * (np.cos(angles) + 1j * np.sin(angles))
     for start in range(0, spec.n_reps, per_block):
         b = min(per_block, spec.n_reps - start)
-        if planted:
-            z = np.empty((b, kn, 2))
-            offsets = np.empty(b, dtype=np.complex128)
-            for i in range(b):
-                z[i] = rng.standard_normal((kn, 2))
-                angle = rng.uniform(0.0, 2.0 * math.pi)
-                offsets[i] = dist * complex(math.cos(angle), math.sin(angle))
-        else:
-            z = rng.standard_normal((b, kn, 2))
+        z = rng.standard_normal((b, kn, 2))
         # Cholesky transform to covariance [[1, r sqrt(v)], [., v]]
         r, v = spec.correlation, spec.variance_ratio
         im = r * math.sqrt(v) * z[..., 0] + math.sqrt(v * (1.0 - r * r)) * z[..., 1]
@@ -192,7 +191,7 @@ def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarr
         X[:, 0] += spec.d
         if planted:
             # displace the first point of group 0 from the mean of the rest
-            X[:, 0, 0] = X[:, 0, 1:].mean(axis=-1) + offsets
+            X[:, 0, 0] = X[:, 0, 1:].mean(axis=-1) + offsets[start:start + b]
         yield X
 
 
@@ -284,10 +283,13 @@ def simulate_amplitude_skew(
 ) -> tuple[np.ndarray, float]:
     """Amplitudes of unit-variance isotropic draws centered at (d, 0).
 
-    Returns the amplitude sample and its skewness (m3 / m2^1.5). At d = 0
+    Returns the amplitude sample and its skewness (m3 / m2^1.5); InvalidSpec
+    unless d is a finite real >= 0 and n_reps an integer >= 2. At d = 0
     the amplitudes are Rayleigh with skewness 2 sqrt(pi) (pi - 3) /
     (4 - pi)^1.5; skew decays toward 0 as d grows.
     """
+    _finite("d", d)
+    n_reps = _integer("n_reps", n_reps)
     if d < 0.0:
         raise InvalidSpec(f"d must be >= 0, got {d}")
     if n_reps < 2:

@@ -155,8 +155,10 @@ class TestConditionIndexDistribution:
             dist.cdf(0.99)
         with pytest.raises(DomainError):
             dist.quantile(1.0)
-        with pytest.raises(DomainError):
-            ConditionIndexDistribution(2)
+        # nan and inf used to raise a raw ValueError and OverflowError
+        for n in (2, np.nan, np.inf):
+            with pytest.raises(DomainError, match="sample size"):
+                ConditionIndexDistribution(n)
         # NaN is not a condition index; sf(nan) used to return nan
         for method in (dist.pdf, dist.sf, dist.cdf):
             for x in (np.nan, np.array([2.0, np.nan])):

@@ -66,10 +66,13 @@ class TestExtractComponent:
             extract_component(np.zeros(100), 100.0, 7.3)
 
     def test_frequency_out_of_range(self):
-        with pytest.raises(FrequencyNotResolvable):
-            extract_component(np.zeros(100), 100.0, 60.0)  # above Nyquist
-        with pytest.raises(FrequencyNotResolvable):
-            extract_component(np.zeros(100), 100.0, 0.0)
+        # above Nyquist, DC, NaN rate or target (a raw ValueError from
+        # round(nan) once), and 1e-9 cycles, which rounds to the DC bin and
+        # used to return 2 * mean
+        for fs, f in ((100.0, 60.0), (100.0, 0.0), (math.nan, 10.0),
+                      (100.0, math.nan), (1e12, 10.0)):
+            with pytest.raises(FrequencyNotResolvable):
+                extract_component(np.ones(100), fs, f)
 
 
 class TestComponentsCsv:

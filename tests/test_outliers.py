@@ -95,7 +95,7 @@ class TestExcludeOutliers:
         values = list(gaussian_sample(2, n=15).observations) + [40 + 40j]
         ds = GroupedDataset((ComplexSample(values, "a"),), Design.ONE_SAMPLE)
         screened, report = exclude_outliers(ds)
-        assert report.per_condition[0].flagged == (15,)
+        assert report.per_condition[0].flagged_indices == (15,)
         assert screened.samples[0].n == 15
 
     def test_unit_level_removal(self):
@@ -137,11 +137,12 @@ class TestExcludeOutliers:
         values = list(gaussian_sample(5, n=12).observations) + [30 + 0j]
         ds = GroupedDataset((ComplexSample(values),), Design.ONE_SAMPLE)
         screened, report = exclude_outliers(ds)
-        assert report.per_condition[0].flagged == (12,)
+        assert report.per_condition[0].flagged_indices == (12,)
         rescreened, second = exclude_outliers(screened)
         # determinism of the single pass
         again = exclude_outliers(ds)[1]
-        assert again.per_condition[0].flagged == report.per_condition[0].flagged
+        assert (again.per_condition[0].flagged_indices
+                == report.per_condition[0].flagged_indices)
 
     def test_planted_outlier_detected_reliably(self):
         # the outlier itself inflates the sample covariance, capping its

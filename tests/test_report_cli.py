@@ -1,6 +1,7 @@
 """Flowchart reports, JSON round-trips, CLI behavior and exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +12,22 @@ from phasorstats import (
     ComplexSample,
     Design,
     GroupedDataset,
+    ScreeningReport,
     amp_ci_bootstrap,
     amp_errors_ellipse,
+    build_dataset,
     ci_test,
+    exclude_outliers,
+    read_components_csv,
     run_flowchart,
+    t2_paired,
     t2_two_sample,
+    t2circ_paired,
+    t2circ_two_sample,
 )
 from phasorstats import exceptions, report as report_module
 from phasorstats.cli import main as cli_main
-from phasorstats.exceptions import MalformedInput, PhasorStatsError
+from phasorstats.exceptions import DomainError, MalformedInput, PhasorStatsError
 from phasorstats.report import AmplitudeEntry, format_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,6 +130,54 @@ class TestFlowchart:
         for ds in (significant, null):
             with pytest.raises(MalformedInput, match="baseline 'g9'"):
                 run_flowchart(ds, seed=1, baseline="g9")
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan, "0.05"])
+    def test_alpha_outside_unit_interval_is_domain_error(self, alpha):
+        # 1.5 used to give a classic-branch report, 0 or nan a circ one, and
+        # a string a raw TypeError
+        ds = GroupedDataset((spherical_sample(60, mean=2.0),), Design.ONE_SAMPLE)
+        with pytest.raises(DomainError, match="alpha must be in"):
+            run_flowchart(ds, alpha=alpha)
+
+    @pytest.mark.parametrize("design,classic,two_group", [
+        (Design.ONEWAY_INDEPENDENT, False, t2circ_two_sample),
+        (Design.ONEWAY_INDEPENDENT, True, t2_two_sample),
+        (Design.ONEWAY_REPEATED, False, t2circ_paired),
+        (Design.ONEWAY_REPEATED, True, t2_paired),
+    ])
+    def test_posthoc_results_are_the_two_group_tests(self, design, classic,
+                                                      two_group):
+        # anisotropic scatter takes the classic branch; the means differ
+        # along the narrow axis, so the omnibus test is significant
+        rng = np.random.default_rng(70)
+        scale = np.diag([6.0, 0.5]) if classic else np.eye(2)
+        labels = tuple(f"u{i}" for i in range(14))
+        groups = []
+        for i in range(3):
+            z = rng.standard_normal((14, 2)) @ scale
+            groups.append(ComplexSample(z[:, 0] + 1j * z[:, 1] + 3j * i,
+                                        f"g{i}", labels))
+        report = run_flowchart(GroupedDataset(tuple(groups), design),
+                               screen_outliers=False, bootstrap_reps=50)
+        assert report.branch == ("classic" if classic else "circ")
+        assert len(report.posthoc) == 3
+        by_label = {s.condition_label: s for s in groups}
+        for ph in report.posthoc:
+            assert ph.result == two_group(*(by_label[c] for c in ph.pair))
+
+    @pytest.mark.parametrize("case", ["unit_level", "observation_level"])
+    def test_report_holds_the_screening_record(self, case):
+        if case == "unit_level":
+            ds = build_dataset(read_components_csv(FIXTURES / "human_ssvep.csv"),
+                               Design.ONEWAY_REPEATED)
+        else:
+            values = list(spherical_sample(40, units=False).observations)
+            ds = GroupedDataset((ComplexSample(values + [50 + 50j], "a"),),
+                                Design.ONE_SAMPLE)
+        screening = exclude_outliers(ds)[1]
+        assert screening.n_flagged > 0
+        assert run_flowchart(ds, bootstrap_reps=50).screening == screening
+        assert ScreeningReport.from_json(screening.to_json()) == screening
 
     def test_no_bootstrap_without_an_ellipse(self, monkeypatch):
         # the middle condition is collinear: it has no ellipse and no

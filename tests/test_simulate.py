@@ -29,6 +29,7 @@ from phasorstats.exceptions import (
     PhasorStatsError,
     SingularWithinScatter,
 )
+from phasorstats import kernels
 from phasorstats.kernels import condition_index
 from phasorstats.simulate import _CONTRACTS, _p_values
 
@@ -125,22 +126,24 @@ class TestDeterminism:
 
 
 def scalar_hits(spec, cell_index=0):
-    """Per-replicate reference: one draw per replicate (normals, then the
-    outlier angle), public scalar tests on ComplexSamples, p < alpha."""
+    """Per-replicate reference: the outlier angles of every replicate
+    first, then one normal draw per replicate, public scalar tests on
+    ComplexSamples, p < alpha."""
     rng = np.random.default_rng([spec.seed, cell_index])
     r, v, n = spec.correlation, spec.variance_ratio, spec.n
     dist = spec.planted_outlier_distance
+    if dist:
+        angles = rng.uniform(0.0, 2.0 * math.pi, spec.n_reps)
     hits = 0
-    for _ in range(spec.n_reps):
+    for rep in range(spec.n_reps):
         z = rng.standard_normal((spec.k * n, 2))
         values = z[:, 0] + 1j * (r * math.sqrt(v) * z[:, 0]
                                  + math.sqrt(v * (1.0 - r * r)) * z[:, 1])
         groups = [values[g * n:(g + 1) * n].copy() for g in range(spec.k)]
         groups[0] = groups[0] + spec.d
         if dist:
-            angle = rng.uniform(0.0, 2.0 * math.pi)
             groups[0][0] = groups[0][1:].mean() + dist * complex(
-                math.cos(angle), math.sin(angle))
+                math.cos(angles[rep]), math.sin(angles[rep]))
         samples = [ComplexSample(g, str(i)) for i, g in enumerate(groups)]
         if spec.test == "T2":
             res = t2_one_sample(samples[0], 0j)
@@ -178,6 +181,19 @@ class TestBatchedMatchesScalar:
         spec = SimulationSpec(n_reps=300, seed=seed, **fields)
         rate = simulate_rates(spec).cells[0].rate
         assert round(rate * spec.n_reps) == scalar_hits(spec)
+
+    @pytest.mark.parametrize("fields", [
+        dict(test="T2circ", n=6, d=0.5),
+        dict(test="CI_test", n=8, planted_outlier_distance=3.0),
+    ])
+    def test_block_size_leaves_the_rates(self, fields, monkeypatch):
+        # planted outlier angles are drawn ahead of the normals, so no
+        # cell's output depends on how its replicates are blocked
+        spec = SimulationSpec(n_reps=300, seed=3, **fields)
+        expected = simulate_rates(spec).to_json()
+        for block in (7 * spec.n, spec.n, 1):
+            monkeypatch.setattr(kernels, "BLOCK_VALUES", block)
+            assert simulate_rates(spec).to_json() == expected
 
     def test_grid_cells_use_their_own_stream(self):
         base = SimulationSpec(test="T2circ", n=5, n_reps=200, seed=4)
@@ -298,6 +314,19 @@ class TestAmplitudeSkew:
     def test_bad_seed_raises_invalid_spec(self, seed):
         with pytest.raises(InvalidSpec, match="seed"):
             simulate_amplitude_skew(1.0, 100, seed=seed)
+
+    # d = nan used to return a NaN skew, d = inf to warn, and n_reps = 2.5
+    # to raise a raw TypeError
+    @pytest.mark.parametrize("d,n_reps,match", [
+        (-1.0, 100, "d must be >= 0"),
+        (math.nan, 10, "d must be a finite real"),
+        (math.inf, 10, "d must be a finite real"),
+        (1.0, 1, "n_reps must be >= 2"),
+        (1.0, 2.5, "n_reps must be an integer"),
+    ])
+    def test_bad_arguments_raise_invalid_spec(self, d, n_reps, match):
+        with pytest.raises(InvalidSpec, match=match):
+            simulate_amplitude_skew(d, n_reps, seed=0)
 
     def test_skew_decreases_with_d(self):
         skews = [simulate_amplitude_skew(d, 50000, seed=18)[1]
