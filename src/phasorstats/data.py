@@ -9,6 +9,7 @@ concurrently running simulation workers.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +25,15 @@ from .exceptions import (
     MalformedInput,
     TooFewObservations,
 )
+
+
+def as_complex(value) -> complex:
+    """value as a Python complex; a ``DomainError`` unless ``complex``
+    accepts it."""
+    try:
+        return complex(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(str(exc)) from None
 
 
 def check_seed(seed) -> int:
@@ -46,8 +56,9 @@ class ComplexObservation:
     im: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("observation components must be finite")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                   for v in (self.re, self.im)):
+            raise MalformedInput("observation components must be finite real numbers")
 
     @property
     def amplitude(self) -> float:
@@ -65,26 +76,31 @@ def _coerce_observations(observations) -> np.ndarray:
     """Coerce observations to a 1-d complex128 array.
 
     Accepts a complex array, an (N, 2) real array of (re, im) columns, a
-    sequence of ComplexObservation, or a sequence of complex numbers.
+    sequence of ComplexObservation, or a sequence of complex numbers;
+    MalformedInput for anything else, or for a non-finite value.
     """
     if isinstance(observations, (list, tuple)) and observations and isinstance(
         observations[0], ComplexObservation
     ):
         observations = [o.as_complex() for o in observations]
     arr = np.asarray(observations)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        if np.iscomplexobj(arr):
-            if np.any(arr.imag != 0.0):
-                raise ValueError(
-                    "(N, 2) observation arrays must hold real (re, im) columns"
-                )
-            arr = arr.real
-        arr = arr[:, 0] + 1j * arr[:, 1]
-    arr = np.asarray(arr, dtype=np.complex128)
+    pairs = arr.ndim == 2 and arr.shape[1] == 2
+    if pairs and np.iscomplexobj(arr):
+        if np.any(arr.imag != 0.0):
+            raise MalformedInput(
+                "(N, 2) observation arrays must hold real (re, im) columns"
+            )
+        arr = arr.real
+    try:
+        arr = np.asarray(arr, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(str(exc)) from None
+    if pairs:
+        arr = arr[:, 0].real + 1j * arr[:, 1].real
     if arr.ndim != 1:
-        raise ValueError("observations must be one-dimensional")
+        raise MalformedInput("observations must be one-dimensional")
     if arr.size and not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
-        raise ValueError("observations must be finite")
+        raise MalformedInput("observations must be finite")
     return arr
 
 
@@ -113,7 +129,7 @@ class ComplexSample:
         if self.unit_labels is not None:
             labels = tuple(str(u) for u in self.unit_labels)
             if len(labels) != arr.size:
-                raise ValueError(
+                raise LabelMismatch(
                     f"{len(labels)} unit labels for {arr.size} observations"
                 )
             object.__setattr__(self, "unit_labels", labels)
@@ -178,7 +194,8 @@ def _check_alignable(samples: Sequence[ComplexSample]) -> None:
 class GroupedDataset:
     """Samples for one analysis, with the design and comparison point.
 
-    MalformedInput when the number of samples does not fit the design.
+    MalformedInput for an unknown design or a number of samples that does
+    not fit it; DomainError for a mu that is not a complex number.
     """
 
     samples: tuple[ComplexSample, ...]
@@ -187,8 +204,11 @@ class GroupedDataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", tuple(self.samples))
-        object.__setattr__(self, "design", Design(self.design))
-        object.__setattr__(self, "mu", complex(self.mu))
+        try:
+            object.__setattr__(self, "design", Design(self.design))
+        except ValueError as exc:
+            raise MalformedInput(str(exc)) from None
+        object.__setattr__(self, "mu", as_complex(self.mu))
         k = len(self.samples)
         design = self.design
         if design is Design.ONE_SAMPLE and k != 1:

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .data import ComplexSample, align_units
+from .data import ComplexSample, align_units, as_complex
 from .distributions import ConditionIndexDistribution, f_sf
 from .exceptions import (
     DegenerateCovariance,
@@ -153,7 +153,7 @@ def t2_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     T^2 = N (xbar - mu)' C^{-1} (xbar - mu); F = T^2 (N-2) / (2(N-1)) with
     (2, N-2) degrees of freedom.
     """
-    return _f_result(T2, (sample.n,), sample.observations, complex(mu))
+    return _f_result(T2, (sample.n,), sample.observations, as_complex(mu))
 
 
 def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
@@ -163,7 +163,7 @@ def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     F = N * T^2_circ follows F(2, 2N-2). No covariance term: the real and
     imaginary parts are assumed uncorrelated with equal variance.
     """
-    return _f_result(T2CIRC, (sample.n,), sample.observations, complex(mu))
+    return _f_result(T2CIRC, (sample.n,), sample.observations, as_complex(mu))
 
 
 def ci_test(sample: ComplexSample) -> TestResult:

@@ -3,9 +3,10 @@
 This module is the only home of the bivariate moment sums, the 2x2
 eigenvalues, the degeneracy rule and the inverse quadratic form. The scalar
 tests in ``inference``, ``covariance_summary`` and the Mahalanobis distances
-in ``outliers`` run these functions on a batch of one, so a scalar T2, CI
-test or covariance summary is bit for bit the matching row of a row-major
-batched call (a column-major batch is summed in another order).
+in ``outliers`` run these functions on a batch of one. Every sum over the
+sample axis is a mean or a ``scatter`` sum of a C-contiguous copy, so a
+scalar test or covariance summary is bit for bit the matching row of a
+batched call in any memory layout (C or Fortran order, strided or selected).
 
 Each kernel takes complex observations with the sample along the last axis,
 (..., n), and returns arrays over the leading axes; the k-group kernels take
@@ -35,20 +36,24 @@ DEGENERACY_RTOL = 1e-12
 BLOCK_VALUES = 8192
 
 
-def _mean(X: np.ndarray):
-    # the same bits as X.mean(axis=-1), without its Python-level overhead
-    return X.sum(axis=-1) / X.shape[-1]
-
-
 def _dot(x: np.ndarray, y: np.ndarray):
     # row-wise dot products with the bits of the 1-d BLAS dot ``x @ y``
     # (np.vecdot does the same but needs numpy >= 2)
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
+def _rows(X: np.ndarray):
+    """X as C-contiguous rows, and their means over the last axis. Every sum
+    over the sample axis starts here, so each row sums in the order of the
+    1-d call whatever the memory layout of X."""
+    X = np.ascontiguousarray(X)
+    return X, X.sum(axis=-1) / X.shape[-1]  # the bits of X.mean(axis=-1)
+
+
 def scatter(X: np.ndarray):
-    """Mean and the scatter sums (sxx, sxy, syy) about it, over the last axis."""
-    m = _mean(X)
+    """Mean and the scatter sums (sxx, sxy, syy) about it, over the last
+    axis: the one reduction over the sample axis besides the mean."""
+    X, m = _rows(X)
     dre = X.real - m.real[..., None]
     dim = X.imag - m.imag[..., None]
     return m, _dot(dre, dre), _dot(dre, dim), _dot(dim, dim)
@@ -69,12 +74,6 @@ def pooled(A: np.ndarray, B: np.ndarray):
     mb, ba, bb, bc = scatter(B)
     denom = A.shape[-1] + B.shape[-1] - 2
     return ma - mb, (aa + ba) / denom, (ab + bb) / denom, (ac + bc) / denom
-
-
-def residual_power(X: np.ndarray):
-    """Mean and the summed squared distance |x - mean|^2, over the last axis."""
-    m = _mean(X)
-    return m, (np.abs(X - m[..., None]) ** 2).sum(axis=-1)
 
 
 def eig2(a, b, c):
@@ -234,9 +233,7 @@ def hotelling(h, a, b, c, diff, df2: int):
 
 def circular(h, dfr: int, diff, resid):
     """T^2_circ = dfr |d|^2 / resid; F = h T^2_circ with df (2, 2 dfr)."""
-    # builtin abs: on scalars it is the libm modulus the scalar tests have
-    # always used, which can differ from np.abs in the last bit
-    num = abs(diff) ** 2
+    num = diff.real * diff.real + diff.imag * diff.imag
     t2c, bad = _ratio(dfr * num, resid, resid <= 0.0, num)
     return t2c, h * t2c, (2, 2 * dfr), bad
 
@@ -249,10 +246,10 @@ def t2_one_sample(X: np.ndarray, mu: complex = 0j):
 
 
 def t2circ_one_sample(X: np.ndarray, mu: complex = 0j):
-    """T^2_circ against mu; df (2, 2n-2)."""
+    """T^2_circ against mu, the residual power sxx + syy; df (2, 2n-2)."""
     n = X.shape[-1]
-    m, resid = residual_power(X)
-    return circular(n, n - 1, m - mu, resid)
+    m, sxx, _, syy = scatter(X)
+    return circular(n, n - 1, m - mu, sxx + syy)
 
 
 def t2_two_sample(A: np.ndarray, B: np.ndarray):
@@ -265,51 +262,16 @@ def t2_two_sample(A: np.ndarray, B: np.ndarray):
 def t2circ_two_sample(A: np.ndarray, B: np.ndarray):
     """Two-sample T^2_circ with pooled residual power; df (2, 2(na + nb - 2))."""
     na, nb = A.shape[-1], B.shape[-1]
-    ma, ra = residual_power(A)
-    mb, rb = residual_power(B)
-    return circular(na * nb / (na + nb), na + nb - 2, ma - mb, ra + rb)
+    ma, axx, _, ayy = scatter(A)
+    mb, bxx, _, byy = scatter(B)
+    return circular(na * nb / (na + nb), na + nb - 2, ma - mb,
+                    (axx + bxx) + (ayy + byy))
 
 
-def anova2circ_independent(groups):
-    """One-way independent ANOVA^2_circ over k groups, each (..., n_g); the
-    statistic is F, df (2(k-1), 2(N-k)), zero and ``bad`` as in f_ratio."""
-    values = np.concatenate(groups, axis=-1)
-    grand = _mean(values)
-    ss_total = (np.abs(values - grand[..., None]) ** 2).sum(axis=-1)
-    ss_model = ss_resid = 0.0
-    for g in groups:
-        m, resid = residual_power(g)
-        ss_model = ss_model + g.shape[-1] * abs(m - grand) ** 2  # see circular
-        ss_resid = ss_resid + resid
-    df_m, df_r = 2 * (len(groups) - 1), 2 * (values.shape[-1] - len(groups))
-    f, bad = f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)
-    return f, f, (df_m, df_r), bad
-
-
-def anova2circ_repeated(X: np.ndarray):
-    """Repeated-measures ANOVA^2_circ over the (..., k, n) matrix of k
-    conditions by n units: the residual is the condition-by-unit
-    interaction. The statistic is F, df (2(k-1), 2(n-1)(k-1)), zero and
-    ``bad`` as in f_ratio."""
-    k, n = X.shape[-2:]
-    cond = _mean(X)
-    unit = X.sum(axis=-2) / k
-    flat = X.reshape(X.shape[:-2] + (k * n,))
-    grand = _mean(flat)
-    resid = X - cond[..., None] - unit[..., None, :] + grand[..., None, None]
-    ss_model = n * (np.abs(cond - grand[..., None]) ** 2).sum(axis=-1)
-    ss_resid = (np.abs(resid.reshape(flat.shape)) ** 2).sum(axis=-1)
-    ss_total = (np.abs(flat - grand[..., None]) ** 2).sum(axis=-1)
-    df_m, df_r = 2 * (k - 1), 2 * (n - 1) * (k - 1)
-    f, bad = f_ratio(ss_model, df_m, ss_resid, df_r, ss_total)
-    return f, f, (df_m, df_r), bad
-
-
-def manova_oneway(groups):
-    """One-way MANOVA over k groups, each (..., n_g): ``pillai`` of the
-    between- and within-group scatter matrices of the (re, im) responses."""
-    values = np.concatenate(groups, axis=-1)
-    grand = _mean(values)
+def _between_within(groups):
+    """Between-group (b00, b01, b11) and within-group (wa, wb, wc) scatter
+    entries of the (re, im) responses of k groups, each (..., n_g)."""
+    grand = _rows(np.concatenate(groups, axis=-1))[1]
     b00 = b01 = b11 = wa = wb = wc = 0.0
     for g in groups:
         n = g.shape[-1]
@@ -318,7 +280,44 @@ def manova_oneway(groups):
         b00, b01, b11 = (b00 + n * (d0 * d0), b01 + n * (d0 * d1),
                          b11 + n * (d1 * d1))
         wa, wb, wc = wa + sxx, wb + sxy, wc + syy
-    return pillai(b00, b01, b11, wa, wb, wc, len(groups), values.shape[-1])
+    return b00, b01, b11, wa, wb, wc
+
+
+def anova2circ_independent(groups):
+    """One-way independent ANOVA^2_circ over k groups, each (..., n_g): the
+    traces of MANOVA's between- and within-group scatter. The statistic is
+    F, df (2(k-1), 2(N-k)), zero and ``bad`` as in f_ratio."""
+    b00, _, b11, wa, _, wc = _between_within(groups)
+    ss_model, ss_resid = b00 + b11, wa + wc
+    k = len(groups)
+    df_m, df_r = 2 * (k - 1), 2 * (sum(g.shape[-1] for g in groups) - k)
+    f, bad = f_ratio(ss_model, df_m, ss_resid, df_r, ss_model + ss_resid)
+    return f, f, (df_m, df_r), bad
+
+
+def anova2circ_repeated(X: np.ndarray):
+    """Repeated-measures ANOVA^2_circ over the (..., k, n) matrix of k
+    conditions by n units: the residual is the condition-by-unit
+    interaction, the scatter of each condition once the unit means are
+    removed. The statistic is F, df (2(k-1), 2(n-1)(k-1)), zero and ``bad``
+    as in f_ratio."""
+    k, n = X.shape[-2:]
+    _, txx, _, tyy = scatter(X.reshape(X.shape[:-2] + (k * n,)))
+    unit = _rows(X.swapaxes(-1, -2))[1]
+    # unit offsets out first: condition means about the grand mean, residual
+    cond, rxx, _, ryy = scatter(X - unit[..., None, :])
+    _, mxx, _, myy = scatter(cond)
+    df_m, df_r = 2 * (k - 1), 2 * (n - 1) * (k - 1)
+    f, bad = f_ratio(n * (mxx + myy), df_m, (rxx + ryy).sum(axis=-1), df_r,
+                     txx + tyy)
+    return f, f, (df_m, df_r), bad
+
+
+def manova_oneway(groups):
+    """One-way MANOVA over k groups, each (..., n_g): ``pillai`` of the
+    between- and within-group scatter matrices of the (re, im) responses."""
+    return pillai(*_between_within(groups), len(groups),
+                  sum(g.shape[-1] for g in groups))
 
 
 def spectrum(X: np.ndarray):

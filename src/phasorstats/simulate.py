@@ -284,9 +284,10 @@ def simulate_amplitude_skew(
     """Amplitudes of unit-variance isotropic draws centered at (d, 0).
 
     Returns the amplitude sample and its skewness (m3 / m2^1.5); InvalidSpec
-    unless d is a finite real >= 0 and n_reps an integer >= 2. At d = 0
-    the amplitudes are Rayleigh with skewness 2 sqrt(pi) (pi - 3) /
-    (4 - pi)^1.5; skew decays toward 0 as d grows.
+    unless d is a finite real >= 0 and n_reps an integer >= 2, and where d
+    is so large that the amplitudes have no spread or their moments are not
+    finite. At d = 0 the amplitudes are Rayleigh with skewness 2 sqrt(pi)
+    (pi - 3) / (4 - pi)^1.5; skew decays toward 0 as d grows.
     """
     _finite("d", d)
     n_reps = _integer("n_reps", n_reps)
@@ -297,10 +298,14 @@ def simulate_amplitude_skew(
     rng = np.random.default_rng([_check_seed(seed), 0])
     z = rng.standard_normal((n_reps, 2))
     amps = np.abs((z[:, 0] + d) + 1j * z[:, 1])
-    centered = amps - amps.mean()
-    m2 = float((centered**2).mean())
-    m3 = float((centered**3).mean())
-    return amps, m3 / m2**1.5
+    with np.errstate(over="ignore"):
+        centered = amps - amps.mean()
+        spread = (centered**2).mean() ** 1.5
+        m3 = (centered**3).mean()
+    if not (0.0 < spread < math.inf and math.isfinite(m3)):
+        raise InvalidSpec(f"d = {d!r} leaves the amplitudes without a finite "
+                          "spread, so their skewness is undefined")
+    return amps, float(m3) / float(spread)
 
 
 def simulate_outlier_effect(

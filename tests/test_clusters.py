@@ -161,6 +161,7 @@ class TestAdjacencyGraph:
 
 
 class TestKernelsMatchPublicTests:
+    # bit for bit, also on a boolean column selection
     def test_one_sample_kernels(self):
         rng = np.random.default_rng(0)
         V = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
@@ -168,12 +169,8 @@ class TestKernelsMatchPublicTests:
         f_t2 = kernels.t2_one_sample(V)[1]
         for i, row in enumerate(V):
             s = ComplexSample(row)
-            assert f_circ[i] == pytest.approx(
-                t2circ_one_sample(s, 0j).f_value, rel=1e-10
-            )
-            assert f_t2[i] == pytest.approx(
-                t2_one_sample(s, 0j).f_value, rel=1e-10
-            )
+            assert f_circ[i] == t2circ_one_sample(s, 0j).f_value
+            assert f_t2[i] == t2_one_sample(s, 0j).f_value
 
     def test_two_sample_kernels(self):
         rng = np.random.default_rng(1)
@@ -186,12 +183,8 @@ class TestKernelsMatchPublicTests:
         for i, row in enumerate(V):
             a = ComplexSample(row[:na])
             b = ComplexSample(row[na:])
-            assert f_circ[i] == pytest.approx(
-                t2circ_two_sample(a, b).f_value, rel=1e-10
-            )
-            assert f_t2[i] == pytest.approx(
-                t2_two_sample(a, b).f_value, rel=1e-10
-            )
+            assert f_circ[i] == t2circ_two_sample(a, b).f_value
+            assert f_t2[i] == t2_two_sample(a, b).f_value
 
 
 class TestClusterCorrect:
@@ -305,10 +298,10 @@ class TestClusterCorrect:
         if design == "two-sample":
             kernel = (kernels.t2_two_sample if test == "T2"
                       else kernels.t2circ_two_sample)
-            statistic, f, df, _ = kernel(*groups)  # row-major, as the node test
-            if test == "T2":  # the scalar test's bits, node by node
-                assert f.tolist() == [t2_two_sample(*d.samples).f_value
-                                      for d in nodes]
+            statistic, f, df, _ = kernel(*groups)
+            scalar = t2_two_sample if test == "T2" else t2circ_two_sample
+            # the scalar test's bits, node by node
+            assert f.tolist() == [scalar(*d.samples).f_value for d in nodes]
         else:
             D = groups[0] - groups[1] if design == "paired" else groups[0]
             kernel = (kernels.t2_one_sample if test == "T2"
@@ -402,6 +395,7 @@ class TestClusterCorrect:
         dict(n_perm=10.0),
         dict(seed=-1),
         dict(seed=1.5),
+        dict(alpha_forming="0.05"),  # used to raise a raw TypeError
     ])
     def test_bad_arguments_raise_domain_error(self, kwargs):
         args = dict(test="T2circ", n_perm=10, seed=0) | kwargs

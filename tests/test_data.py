@@ -20,6 +20,7 @@ from phasorstats.exceptions import (
     DomainError,
     EmptyUnit,
     LabelMismatch,
+    MalformedInput,
     TooFewObservations,
 )
 
@@ -43,8 +44,9 @@ class TestComplexObservation:
         assert obs.phase == pytest.approx(math.atan2(4, 3))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ComplexObservation(math.nan, 0.0)
+        for re in (math.nan, math.inf, "x"):  # "x" used to raise a raw TypeError
+            with pytest.raises(MalformedInput, match="must be finite"):
+                ComplexObservation(re, 0.0)
 
 
 class TestComplexSample:
@@ -54,11 +56,22 @@ class TestComplexSample:
         assert np.allclose(a.observations, b.observations)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInput, match="must be finite"):
             ComplexSample([1 + 1j, complex(math.inf, 0)])
 
+    # each of these used to raise a raw ValueError (the last a TypeError)
+    @pytest.mark.parametrize("observations,match", [
+        (np.ones((2, 2, 2)), "one-dimensional"),
+        (np.ones((3, 2)) * 1j, "real \\(re, im\\) columns"),
+        (["a", "b"], "malformed string"),
+        ([["1", "2"], ["3", "x"]], "malformed string"),
+    ])
+    def test_rejects_malformed_observations(self, observations, match):
+        with pytest.raises(MalformedInput, match=match):
+            ComplexSample(observations, "x")
+
     def test_unit_label_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LabelMismatch, match="1 unit labels for 2"):
             ComplexSample([1 + 1j, 2.0], unit_labels=("a",))
 
     def test_observations_read_only(self):
@@ -168,10 +181,18 @@ class TestCoherentMean:
 class TestGroupedDataset:
     def test_design_counts(self):
         s = make_sample(CROSS)
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInput):
             GroupedDataset((s, s), Design.ONE_SAMPLE)
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInput):
             GroupedDataset((s,), Design.TWO_SAMPLE_INDEPENDENT)
+
+    def test_unknown_design_and_bad_mu(self):
+        # both used to raise a raw ValueError
+        s = make_sample(CROSS)
+        with pytest.raises(MalformedInput, match="'nope' is not a valid Design"):
+            GroupedDataset((s,), "nope")
+        with pytest.raises(DomainError, match="malformed string"):
+            GroupedDataset((s,), Design.ONE_SAMPLE, mu="x")
 
     def test_paired_requires_labels(self):
         a = make_sample(CROSS)

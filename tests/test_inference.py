@@ -23,6 +23,7 @@ from phasorstats import (
 )
 from phasorstats.exceptions import (
     DegenerateCovariance,
+    DomainError,
     LabelMismatch,
     SingularWithinScatter,
     TooFewGroups,
@@ -132,6 +133,12 @@ class TestT2circOneSample:
     def test_zero_residual(self):
         with pytest.raises(ZeroResidualVariance):
             t2circ_one_sample(ComplexSample([(1, 1)] * 4), 0j)
+
+    @pytest.mark.parametrize("test", [t2_one_sample, t2circ_one_sample])
+    def test_mu_not_a_number(self, test):
+        # complex("x") used to escape as a raw ValueError
+        with pytest.raises(DomainError, match="malformed string"):
+            test(gaussian_sample(1), mu="x")
 
     def test_matches_oracle(self):
         for seed in range(25):

@@ -16,6 +16,8 @@ from phasorstats import (
     t2_paired,
     t2_two_sample,
     t2circ_one_sample,
+    t2circ_paired,
+    t2circ_two_sample,
 )
 from phasorstats import kernels
 from phasorstats.exceptions import (
@@ -31,68 +33,85 @@ def groups_block(seed, reps, k, n):
     return z[..., 0] + 1j * z[..., 1] + 0.3 * np.arange(k)[:, None]
 
 
+#: Memory layouts of a batch (reps, ..., n) holding the same values: C order,
+#: Fortran order, the sample axis outermost, a strided view of the sample
+#: axis and a boolean selection along it.
+LAYOUTS = (
+    np.ascontiguousarray,
+    np.asfortranarray,
+    lambda X: np.moveaxis(np.ascontiguousarray(np.moveaxis(X, -1, 0)), 0, -1),
+    lambda X: np.repeat(X, 2, axis=-1)[..., ::2],
+    lambda X: np.repeat(X, 2, axis=-1)[..., np.arange(2 * X.shape[-1]) % 2 == 1],
+)
+
+
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 6), (5, 4)])
 def test_k_group_kernels_match_scalar_tests(k, n):
     # the scalar tests run the kernels on 1-d groups; batching over a
-    # leading axis must give the same numbers
+    # leading axis, in any memory layout, must give the same bits
     X = groups_block(k * n, 20, k, n)
-    groups = list(X.swapaxes(0, 1))
-    _, f_anova, df_anova, bad_anova = kernels.anova2circ_independent(groups)
-    pillai, f_manova, df_manova, bad_manova = kernels.manova_oneway(groups)
-    assert not bad_anova.any() and not bad_manova.any()
-    for i, block in enumerate(X):
+    results = []
+    for block in X:
         samples = [ComplexSample(g, str(j)) for j, g in enumerate(block)]
-        anova = anova2circ_independent(samples)
-        manova = manova_oneway(samples)
-        assert f_anova[i] == pytest.approx(anova.f_value, rel=1e-10)
-        assert df_anova == anova.df
-        assert pillai[i] == pytest.approx(manova.statistic, rel=1e-10)
-        assert f_manova[i] == pytest.approx(manova.f_value, rel=1e-10)
-        assert df_manova == manova.df
+        results.append((anova2circ_independent(samples), manova_oneway(samples)))
+    for layout in LAYOUTS:
+        groups = list(layout(X).swapaxes(0, 1))
+        _, f_anova, df_anova, bad_anova = kernels.anova2circ_independent(groups)
+        pillai, f_manova, df_manova, bad_manova = kernels.manova_oneway(groups)
+        assert not bad_anova.any() and not bad_manova.any()
+        for i, (anova, manova) in enumerate(results):
+            assert (f_anova[i], df_anova) == (anova.f_value, anova.df)
+            assert (pillai[i], f_manova[i], df_manova) == (
+                manova.statistic, manova.f_value, manova.df)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_scalar_tests_are_rows_of_one_batched_call(scale):
     # the scalar tests run the kernels on a batch of one: each result must be
-    # the matching row of one batched call, bit for bit
+    # the matching row of one batched call, bit for bit, in any memory layout
     reps, n = 40, 7
     X = scale * (groups_block(7, reps, 2, n)
                  + np.array([[3 - 2j], [-1 + 4j]]))
-    A, B = X[:, 0], X[:, 1]
     mu = scale * (1.5 - 0.5j)
-    _, (ca, cb, cc), (lmax, lmin), ci, ci_bad = kernels.spectrum(A)
-    t2 = kernels.t2_one_sample(A, mu)
-    paired = kernels.t2_one_sample(A - B)
-    two = kernels.t2_two_sample(A, B)
-    assert not (ci_bad.any() or t2[3].any() or paired[3].any() or two[3].any())
-    ci_p = ConditionIndexDistribution(n, "modified").sf(ci)
     labels = tuple(f"u{j}" for j in range(n))
-    for i in range(reps):
-        a = ComplexSample(A[i], "a", labels)
-        b = ComplexSample(B[i], "b", labels)
-        summary = covariance_summary(a)
-        assert summary.cov.tolist() == [[ca[i], cb[i]], [cb[i], cc[i]]]
-        assert summary.eigenvalues == (lmax[i], lmin[i])
-        assert summary.condition_index == ci[i]
-        res = ci_test(a)
-        assert (res.statistic, res.p_value) == (ci[i], ci_p[i])
-        for res, (stat, f, df, _) in ((t2_one_sample(a, mu), t2),
-                                      (t2_paired(a, b), paired),
-                                      (t2_two_sample(a, b), two)):
-            assert (res.statistic, res.f_value, res.df) == (stat[i], f[i], df)
-            assert res.p_value == f_sf(f[i], *df)
+    rows = []
+    for x, y in X:
+        a, b = ComplexSample(x, "a", labels), ComplexSample(y, "b", labels)
+        rows.append((covariance_summary(a), ci_test(a), (
+            t2_one_sample(a, mu), t2_paired(a, b), t2_two_sample(a, b),
+            t2circ_one_sample(a, mu), t2circ_paired(a, b),
+            t2circ_two_sample(a, b))))
+    for layout in LAYOUTS:
+        A, B = layout(X[:, 0]), layout(X[:, 1])
+        _, (ca, cb, cc), (lmax, lmin), ci, ci_bad = kernels.spectrum(A)
+        batched = (kernels.t2_one_sample(A, mu), kernels.t2_one_sample(A - B),
+                   kernels.t2_two_sample(A, B), kernels.t2circ_one_sample(A, mu),
+                   kernels.t2circ_one_sample(A - B),
+                   kernels.t2circ_two_sample(A, B))
+        assert not (ci_bad.any() or any(r[3].any() for r in batched))
+        ci_p = ConditionIndexDistribution(n, "modified").sf(ci)
+        for i, (summary, ci_res, results) in enumerate(rows):
+            assert summary.cov.tolist() == [[ca[i], cb[i]], [cb[i], cc[i]]]
+            assert summary.eigenvalues == (lmax[i], lmin[i])
+            assert summary.condition_index == ci[i]
+            assert (ci_res.statistic, ci_res.p_value) == (ci[i], ci_p[i])
+            for res, (stat, f, df, _) in zip(results, batched):
+                assert (res.statistic, res.f_value, res.df) == (stat[i], f[i], df)
+                assert res.p_value == f_sf(f[i], *df)
     # repeated-measures ANOVA2circ over random (k, n) condition-by-unit blocks
     rng = np.random.default_rng(int(scale * 1e3))
     for k, m in rng.integers(2, 9, size=(6, 2)):
         Y = scale * groups_block(int(k * m), 10, k, m)
-        stat, f, df, bad = kernels.anova2circ_repeated(Y)
-        assert not bad.any()
         units = tuple(f"u{j}" for j in range(m))
-        for i in range(len(Y)):
-            res = anova2circ_repeated([ComplexSample(g, str(j), units)
-                                       for j, g in enumerate(Y[i])])
-            assert (res.statistic, res.f_value, res.df) == (stat[i], f[i], df)
-            assert res.p_value == f_sf(f[i], *df)
+        results = [anova2circ_repeated([ComplexSample(g, str(j), units)
+                                        for j, g in enumerate(block)])
+                   for block in Y]
+        for layout in LAYOUTS:
+            stat, f, df, bad = kernels.anova2circ_repeated(layout(Y))
+            assert not bad.any()
+            for i, res in enumerate(results):
+                assert (res.statistic, res.f_value, res.df) == (stat[i], f[i], df)
+                assert res.p_value == f_sf(f[i], *df)
 
 
 def test_degeneracy_rule_is_shared():

@@ -328,6 +328,14 @@ class TestAmplitudeSkew:
         with pytest.raises(InvalidSpec, match=match):
             simulate_amplitude_skew(d, n_reps, seed=0)
 
+    # 1e20 used to raise ZeroDivisionError (every amplitude rounds to d) and
+    # 1e300 to return a NaN skew with overflow warnings
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [1e20, 1e150, 1e300, 1.7e308])
+    def test_amplitudes_without_spread_raise_invalid_spec(self, d):
+        with pytest.raises(InvalidSpec, match="leaves the amplitudes without"):
+            simulate_amplitude_skew(d, 10, seed=0)
+
     def test_skew_decreases_with_d(self):
         skews = [simulate_amplitude_skew(d, 50000, seed=18)[1]
                  for d in (0.0, 1.0, 2.0, 4.0)]
