@@ -131,6 +131,23 @@ def amp_errors_ellipse(sample: ComplexSample, level: float = 0.68) -> AmplitudeS
     )
 
 
+def _quantiles(values: np.ndarray, qs) -> list[float]:
+    """np.quantile(values, qs) of finite values, by numpy's default linear
+    rule and bit for bit, from one partition on the neighbouring order
+    statistics; np.quantile itself imports numpy.ma on its first call."""
+    top = values.size - 1
+    places = [top * q for q in qs]
+    below = [min(math.floor(v), top) for v in places]
+    above = [min(i + 1, top) for i in below]
+    order = np.partition(values, sorted(set(below + above)))
+    out = []
+    for v, i, j in zip(places, below, above):
+        low, high = float(order[i]), float(order[j])
+        t, d = v - i, high - low
+        out.append(low + d * t if t < 0.5 else high - d * (1.0 - t))
+    return out
+
+
 def amp_ci_bootstrap(
     sample: ComplexSample,
     level: float = 0.68,
@@ -165,7 +182,7 @@ def amp_ci_bootstrap(
                           f"them, got {seed!r}") from None
     idx = rng.integers(0, sample.n, size=(n_boot, sample.n))
     amps = np.abs(sample.observations[idx].mean(axis=1))
-    lo, hi = np.quantile(amps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+    lo, hi = _quantiles(amps, ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
     mean = sample.observations.mean()
     return AmplitudeSummary(
         mean_amplitude=abs(mean),

@@ -23,13 +23,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .exceptions import DomainError
 
 _VARIANTS = ("edelman", "modified")
 
 _MAX = float(np.finfo(float).max)
+
+# even df1 above this go to fdtrc: the finite sum takes df1 / 2 numpy steps
+_SUM_MAX_DF1 = 1000
 
 
 def _f_args(x, df1: int, df2: int) -> tuple[np.ndarray, int, int]:
@@ -49,32 +51,85 @@ def _f_args(x, df1: int, df2: int) -> tuple[np.ndarray, int, int]:
 def f_sf(x, df1: int, df2: int):
     """P(F > x) for an F distribution with (df1, df2) degrees of freedom.
 
-    Computed directly (``special.fdtrc``), not as 1 - cdf, so the far tail
-    keeps its digits instead of rounding to 0. ``x`` is a scalar (float
-    result) or an array of statistics (array result), each >= 0
+    Computed directly, not as 1 - cdf, so the far tail keeps its digits
+    instead of rounding to 0. For even df1, which every test in the library
+    has, the tail is the finite sum (Abramowitz & Stegun 26.6.4)
+
+        sf(x) = y^a sum_{j < df1/2} ((a)_j / j!) (1 - y)^j,
+        y = df2 / (df2 + df1 x),  a = df2 / 2,
+
+    combined in log space, with log(1 / y) = log1p(df1 x / df2) formed
+    without overflow; no scipy is imported. Odd df1, even df1 above 1000
+    (the sum takes df1 / 2 steps) and an even df1 whose sum coefficients
+    overflow (df1 and df2 both large, e.g. F(500, 3000)) go to
+    ``scipy.special.fdtrc``, imported on that call. ``x`` is a scalar
+    (float result) or an array of statistics (array result), each >= 0
     (``DomainError`` otherwise, as for degrees of freedom that are not
-    integers >= 1); inf maps to 0.
+    integers >= 1); inf maps to 0. A scalar gets the bits of an array entry.
     """
     arr, df1, df2 = _f_args(x, df1, df2)
-    sf = special.fdtrc(df1, df2, arr)
-    huge = np.isfinite(arr) & (arr > _MAX / df1)
+    row = np.ascontiguousarray(arr)  # 1-d: a scalar gets an array's bits
+    if df1 % 2 == 0 and df1 <= _SUM_MAX_DF1:
+        sf = _even_sf(row, df1, df2)
+    else:
+        sf = _scipy_sf(row, df1, df2)
+    return float(sf[0]) if arr.ndim == 0 else sf.reshape(arr.shape)
+
+
+def _even_sf(x: np.ndarray, df1: int, df2: int) -> np.ndarray:
+    """A & S 26.6.4 for even df1: y^a times the partial sum, joined in log
+    space, where y^a alone may underflow before the sum lifts it."""
+    a, u = 0.5 * df2, df1 / df2
+    coefs = [1.0]  # (a)_j / j!; their sum bounds the partial sum, 1 - y <= 1
+    for j in range(1, df1 // 2):
+        coefs.append(coefs[-1] * (a + j - 1) / j)
+    if not math.isfinite(math.fsum(coefs)):  # df1 and df2 both large
+        return _scipy_sf(x, df1, df2)
+    if u * float(np.maximum.reduce(x, initial=0.0)) <= _MAX:
+        log_inv_y = np.log1p(u * x)
+    else:  # df1 x / df2 overflows, or x is inf: log x + log(df1 / df2 + 1 / x)
+        with np.errstate(over="ignore"):
+            log_inv_y = np.log1p(u * x)
+        far = np.isinf(log_inv_y)
+        log_inv_y[far] = np.log(x[far]) + np.log(u + 1.0 / x[far])
+    if df1 == 2:
+        return np.exp(-a * log_inv_y)
+    one_minus_y = -np.expm1(-log_inv_y)
+    total = coefs[-1] * one_minus_y  # Horner, from the highest term
+    for c in reversed(coefs[1:-1]):
+        total += c
+        total *= one_minus_y
+    total += 1.0
+    return np.exp(np.log(total) - a * log_inv_y)
+
+
+def _scipy_sf(x: np.ndarray, df1: int, df2: int) -> np.ndarray:
+    """scipy's F tail, for the df1 the finite sum does not cover."""
+    from scipy import special
+
+    sf = special.fdtrc(df1, df2, x)
+    huge = np.isfinite(x) & (x > _MAX / df1)
     if huge.any():  # fdtrc gives 0 once df1 x overflows; y = df2 / df1 / x there
-        y = df2 / df1 / np.maximum(arr, 1.0)
+        y = df2 / df1 / np.maximum(x, 1.0)
         sf = np.where(huge, special.betainc(0.5 * df2, 0.5 * df1, y), sf)
-    return float(sf) if sf.ndim == 0 else sf
+    return sf
 
 
 def f_critical(alpha: float, df1: int, df2: int) -> float:
     """Upper-tail critical value: x such that f_sf(x, df1, df2) = alpha.
 
-    Inverted on the survival side, so it keeps its digits for tiny alpha:
-    f_sf(x) = I_y(df2/2, df1/2) with y = df2 / (df2 + df1 x). Where
-    ``betaincinv``'s y underflows (or is nan), x starts from the tail
-    I_y(a, b) ~ y^a / (a B(a, b)) in log space instead. Where that start
-    leaves f_sf(x) more than 1e-14 relative off alpha, Newton steps on
-    log f_sf against log x polish x and the point nearest alpha is
-    returned; an answer already within 1e-14 keeps its bits. DomainError
-    where x is beyond the float range, f_sf(float max) > alpha.
+    Inverted on the survival side, so it keeps its digits for tiny alpha.
+    For df1 = 2, the only df1 ``cluster_correct`` uses, the tail is
+    y^(df2/2) with y = df2 / (df2 + 2x), so x starts at the closed form
+    (df2 / 2) expm1(-(2 / df2) log alpha), with no scipy. Other df1 start
+    from ``scipy.special.betaincinv`` (imported on that call), since
+    f_sf(x) = I_y(df2/2, df1/2); where its y underflows, is nan, or gives
+    f_sf(x) = 0, x starts from the tail I_y(a, b) ~ y^a / (a B(a, b)) in log
+    space instead. Where the start leaves f_sf(x) more than 1e-14 relative
+    off alpha, Newton steps on log f_sf against log x polish x and the point
+    nearest alpha is returned; an answer already within 1e-14 keeps its
+    bits. DomainError where x is beyond the float range,
+    f_sf(float max) > alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
@@ -82,11 +137,19 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
         raise DomainError(f"F({df1}, {df2}) critical value at alpha = {alpha} "
                           "exceeds the float range")
     a, b = 0.5 * df2, 0.5 * df1
-    y = float(special.betaincinv(a, b, alpha))
-    x = df2 / df1 * ((1.0 - y) / y) if np.finfo(float).tiny < y < 1.0 else math.inf
-    if not x <= _MAX:  # y underflowed, or is nan
-        log_y = (math.log(alpha) + math.log(a) + float(special.betaln(a, b))) / a
-        x = math.exp(min(math.log(df2 / df1) - log_y, math.log(_MAX)))
+    if df1 == 2:
+        t = -math.log(alpha) / a  # log(1 / y); expm1(t) = exp(t) past 40
+        x = (a * math.expm1(t) if t < 700.0
+             else math.exp(min(t + math.log(a), math.log(_MAX))))
+    else:
+        from scipy import special
+
+        y = float(special.betaincinv(a, b, alpha))
+        x = df2 / df1 * ((1.0 - y) / y) if np.finfo(float).tiny < y < 1.0 else math.inf
+        if not (x <= _MAX and f_sf(x, df1, df2) > 0.0):
+            # betaincinv's y underflowed, is nan, or is past the tail
+            log_y = (math.log(alpha) + math.log(a) + _betaln(a, b)) / a
+            x = math.exp(min(math.log(df2 / df1) - log_y, math.log(_MAX)))
     best, best_excess = x, math.inf
     for _ in range(8):
         sf = f_sf(x, df1, df2)
@@ -109,13 +172,18 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
     return best
 
 
+def _betaln(a: float, b: float) -> float:
+    """log B(a, b)."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def _f_logpdf(x: float, df1: int, df2: int) -> float:
     """Log density of the F distribution at x > 0."""
     h1, h2 = 0.5 * df1, 0.5 * df2
     # log(1 + df1 x / df2), without overflow where df1 x is past the float range
     log_1p = math.log(x) + math.log(df1 / df2 + 1.0 / x)
     return (h1 * math.log(df1 / df2) + (h1 - 1.0) * math.log(x)
-            - (h1 + h2) * log_1p - float(special.betaln(h1, h2)))
+            - (h1 + h2) * log_1p - _betaln(h1, h2))
 
 
 @dataclass(frozen=True)

@@ -284,17 +284,33 @@ class TestBootstrap:
                 hits += 1
         assert hits >= 38
 
+    def test_bounds_are_numpy_quantiles(self):
+        # the bounds come from one partition instead of np.quantile, which
+        # imports numpy.ma; they keep np.quantile's bits
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 7, 40):
+            sample = ComplexSample(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for level, n_boot in ((0.68, 1), (0.68, 2), (0.95, 999), (0.5, 1000),
+                                  (0.999, 10000)):
+                res = amp_ci_bootstrap(sample, level=level, n_boot=n_boot, seed=n)
+                boot = np.random.default_rng(n).integers(0, n, size=(n_boot, n))
+                amps = np.abs(sample.observations[boot].mean(axis=1))
+                lo, hi = np.quantile(amps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+                assert (res.error_low, res.error_high) == (lo, hi), (n, level, n_boot)
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse"])
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse", "scipy"])
 def test_import_leaves_scipy_stats_unloaded(module):
-    # the ellipse scale is the closed-form chi-square(2) quantile, and the
-    # cluster labelling imports scipy.sparse when it runs, so a fresh
-    # interpreter pays for neither when importing the package
+    # the ellipse scale is the closed-form chi-square(2) quantile, the F
+    # tail of every test is a finite sum, and the cluster labelling imports
+    # scipy.sparse when it runs, so a fresh interpreter pays for no scipy
+    # module when importing the package
     src = str(Path(phasorstats.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, phasorstats; print({module!r} in sys.modules)"],
+         "import sys, phasorstats; print(sorted(m for m in sys.modules "
+         f"if m == {module!r} or m.startswith({module + '.'!r})))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 

@@ -1,12 +1,17 @@
 """F distribution and the condition-index null distribution."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import fdtr
+from scipy.special import fdtr, fdtrc
 
+import phasorstats
 from phasorstats import ConditionIndexDistribution, f_critical, f_sf
 from phasorstats.exceptions import DomainError
 
@@ -73,6 +78,11 @@ class TestFCdf:
         (200.0, (4, 30), 3.6290754641548225e-21),
         (25.0, (2, 176), 2.7769759763102213e-10),
         (60.0, (2, 10), 2.693290743429044e-06),
+        # mpmath at 60 digits, float x; scipy's fdtrc was off by 1.3e-11,
+        # 2.1e-7 and 6.1e-4 relative at these three
+        (1.126e7, (12, 100), 1.0125701446982413e-300),
+        (6.85e16, (4, 38), 9.9921199253375465e-301),
+        (3.4e16, (12, 38), 1.1009688712319803e-300),
     ])
     def test_sf_keeps_the_far_tail(self, x, df, expected):
         # 1 - cdf underflows to 0 or loses digits here
@@ -111,12 +121,50 @@ class TestFCdf:
                 continue
             crit = f_critical(alpha, df1, df2)
             assert 0.0 < crit <= top, df2
-            if alpha > 1e-300 or df1 <= 2:
-                # for df1 >= 3 near 1e-300 fdtrc itself is off by up to 1e-3
-                # relative (and 0 at some df2): no x meets 1e-13 there
+            if alpha > 1e-300 or df1 % 2 == 0 or df1 == 1:
+                # for odd df1 >= 3 near 1e-300 fdtrc itself is off by up to
+                # 1e-3 relative (and 0 at some df2): no x need meet 1e-13
                 assert f_sf(crit, df1, df2) == pytest.approx(alpha, rel=1e-13,
                                                              abs=0), df2
         assert beyond == ([1] if alpha == 1e-300 else [])
+
+    def test_even_df1_sum_agrees_with_fdtrc(self):
+        # the finite sum against scipy on a random normal-range grid; fdtrc
+        # is itself up to ~2e-13 off there, the sum ~7e-14 (mpmath)
+        rng = np.random.default_rng(17)
+        df1 = 2 * rng.integers(1, 8, 2000)
+        df2 = rng.integers(1, 300, 2000)
+        x = 10.0 ** rng.uniform(-3, 3, 2000)
+        got = [f_sf(*args) for args in zip(x, df1, df2)]
+        np.testing.assert_allclose(got, fdtrc(df1, df2, x), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("df", [(2_000_000, 10), (1002, 40), (500, 3000)])
+    def test_large_even_df1_is_fdtrc(self, df):
+        # past df1 = 1000 the sum would take df1 / 2 steps, and at F(500,
+        # 3000) its coefficients overflow: these tails are fdtrc's
+        x = np.array([0.0, 0.5, 1.0, 2.0, 1e3])
+        np.testing.assert_array_equal(f_sf(x, *df), fdtrc(*df, x))
+        assert f_sf(1.0, *df) == fdtrc(*df, 1.0)
+
+    def test_even_df1_calls_no_scipy(self):
+        # f_sf at even df1 and f_critical at df1 = 2 (all the cluster test
+        # uses) run in a fresh interpreter without importing scipy
+        code = """
+import sys
+import numpy as np
+from phasorstats import f_critical, f_sf
+for df in ((2, 10), (12, 1056), (4, 38)):
+    f_sf(np.array([0.0, 3.0, 1e300, np.inf]), *df)
+    f_sf(6.85e16, *df)
+for alpha, df2 in ((0.05, 10), (1e-300, 43), (1e-100, 1)):
+    f_critical(alpha, 2, df2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        src = str(Path(phasorstats.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_sf_past_the_overflow_of_df1_x(self):
         # fdtrc gives 0 once df1 x overflows; f_sf(x, 2, 1) = (1 + 2x)^-1/2

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasorstats
 from phasorstats import (
     AnalysisReport,
     ComplexSample,
@@ -600,3 +604,28 @@ class TestGoldenReports:
                        "--format", "json", "--seed", "0", "--out", str(out)])
         assert rc == 0
         assert out.read_bytes() == (FIXTURES / f"{name}_report.json").read_bytes()
+
+
+def test_analyze_loads_no_scipy_or_numpy_ma(tmp_path):
+    # cold start: a whole analyze of either fixture, in a fresh interpreter,
+    # imports no scipy module (the F tails are finite sums) and no numpy.ma
+    # (the bootstrap bounds are not read through np.quantile) beyond what
+    # `import numpy` loads itself (numpy 1.x imports numpy.ma eagerly)
+    code = """
+import sys
+import numpy
+loaded = set(sys.modules)
+from phasorstats.cli import main
+fixtures, out = sys.argv[1:]
+for name, args in (("mouse", ["--design", "paired"]),
+                   ("human", ["--design", "oneway-rm", "--baseline", "0"])):
+    assert main(["analyze", f"{fixtures}/{name}_ssvep.csv", *args, "--format",
+                 "json", "--seed", "0", "--out", f"{out}/{name}.json"]) == 0
+print(sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "scipy"
+             or m.split(".")[:2] == ["numpy", "ma"]))
+"""
+    src = str(Path(phasorstats.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, str(FIXTURES), str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
