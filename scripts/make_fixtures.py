@@ -38,6 +38,7 @@ FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "src"))
 
 from phasorstats import (  # noqa: E402
+    ComponentRow,
     Design,
     build_dataset,
     ci_test,
@@ -48,6 +49,7 @@ from phasorstats import (  # noqa: E402
 )
 from phasorstats.cli import main as cli_main  # noqa: E402
 from phasorstats.inference import anova2circ_repeated  # noqa: E402
+from phasorstats.ingest import write_components_csv  # noqa: E402
 
 MOUSE_TARGETS = {"ci_sound": 1.59, "ci_light": 1.69, "f": 8.32, "d": 2.14}
 HUMAN_T2CIRC = {"2": 0.004, "4": 0.03, "8": 0.32, "16": 0.28, "32": 0.10,
@@ -68,18 +70,11 @@ def whiten(points: np.ndarray) -> np.ndarray:
     return x @ np.linalg.inv(L).T
 
 
-def write_csv(path: Path, rows: list[tuple[str, str, float, float]]) -> None:
-    lines = ["unit,condition,re,im"]
-    for unit, condition, re, im in rows:
-        lines.append(f"{unit},{condition},{re!r},{im!r}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Mouse fixture
 # ---------------------------------------------------------------------------
 
-def build_mouse(seed: int) -> list[tuple[str, str, float, float]]:
+def build_mouse(seed: int) -> list[ComponentRow]:
     rng = np.random.default_rng(seed)
     n = 6
     z = whiten(rng.standard_normal((n, 2)))
@@ -129,8 +124,8 @@ def build_mouse(seed: int) -> list[tuple[str, str, float, float]]:
     rows = []
     for i in range(n):
         unit = f"m{i + 1}"
-        rows.append((unit, "sound", float(sound[i, 0]), float(sound[i, 1])))
-        rows.append((unit, "light", float(light[i, 0]), float(light[i, 1])))
+        rows.append(ComponentRow(unit, "sound", *sound[i].tolist()))
+        rows.append(ComponentRow(unit, "light", *light[i].tolist()))
     return rows
 
 
@@ -190,7 +185,7 @@ def _orthonormal_noise(rng: np.random.Generator, count: int, n: int,
     return out
 
 
-def build_human(seed: int) -> list[tuple[str, str, float, float]]:
+def build_human(seed: int) -> list[ComponentRow]:
     rng = np.random.default_rng(seed)
     n_kept, n_out = 89, 11
     conditions = HUMAN_CONDITIONS
@@ -265,7 +260,7 @@ def build_human(seed: int) -> list[tuple[str, str, float, float]]:
                 value = out_values[c][out_cursor[c]]
             else:
                 value = kept[c][kept_cursor[c]]
-            rows.append((unit, c, float(np.real(value)), float(np.imag(value))))
+            rows.append(ComponentRow(unit, c, float(value.real), float(value.imag)))
         if is_outlier:
             for c in conditions:
                 out_cursor[c] += 1
@@ -316,7 +311,7 @@ def find_seed(builder, verifier, start: int, tries: int = 200):
         built = builder(seed)
         rows, extra = (built, None) if not isinstance(built, tuple) else built
         tmp = FIXTURES / "_candidate.csv"
-        write_csv(tmp, rows)
+        tmp.write_text(write_components_csv(rows))
         try:
             info = verifier(tmp) if extra is None else verifier(tmp, extra)
         except AssertionError as exc:
@@ -333,7 +328,7 @@ def main() -> None:
 
     seed, rows, info = find_seed(build_mouse, verify_mouse, start=100)
     mouse_path = FIXTURES / "mouse_ssvep.csv"
-    write_csv(mouse_path, rows)
+    mouse_path.write_text(write_components_csv(rows))
     print(f"mouse fixture: seed {seed}")
     print(f"  CI = {info['ci'][0]:.4f} / {info['ci'][1]:.4f} "
           f"(p = {info['ci_p'][0]:.3f} / {info['ci_p'][1]:.3f})")
@@ -342,7 +337,7 @@ def main() -> None:
 
     seed, rows, info = find_seed(build_human, verify_human, start=500)
     human_path = FIXTURES / "human_ssvep.csv"
-    write_csv(human_path, rows)
+    human_path.write_text(write_components_csv(rows))
     print(f"human fixture: seed {seed}")
     print(f"  excluded units: {', '.join(info['excluded'])}")
     print(f"  min CI p = {min(info['ci_p'].values()):.3f}")

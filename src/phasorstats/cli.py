@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +26,17 @@ from . import __version__
 from .clusters import AdjacencyGraph, cluster_correct
 from .data import Design
 from .distributions import ConditionIndexDistribution
-from .exceptions import InvalidSpec, MalformedInput
+from .exceptions import MalformedInput
 from .ingest import (
     build_dataset,
     read_components_csv,
     read_timeseries_csv,
     write_components_csv,
+    write_csv,
 )
 from .report import format_text, run_flowchart
 from .simulate import (
+    RateTable,
     SimulationSpec,
     simulate_amplitude_skew,
     simulate_ci_distribution,
@@ -56,8 +59,6 @@ _DEFAULT_REPS = SimulationSpec.n_reps
 
 _D_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 _N_GRID = (4, 8, 16, 32, 64)
-
-PRESETS = ("fig2", "fig3", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "outliers")
 
 
 # argparse type callables: a bad value exits 2 before any file is read
@@ -108,13 +109,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_analyze(args) -> int:
     rows = read_components_csv(args.input)
     dataset = build_dataset(rows, _DESIGNS[args.design], args.mu)
@@ -139,100 +133,95 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _preset_table(name: str, reps: int, seed: int):
-    base = SimulationSpec(test="T2", n_reps=reps, seed=seed)
-    if name == "fig3":
-        return simulate_grid(base, tests=["T2", "T2circ"], d_values=_D_GRID,
-                             n_values=_N_GRID)
-    if name == "fig4a":
-        return simulate_grid(
-            base,
-            tests=["T2", "T2circ"],
-            correlation_values=[-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9],
-        )
-    if name == "fig4b":
-        return simulate_grid(
-            base,
-            tests=["T2", "T2circ"],
-            variance_ratio_values=[0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
-        )
-    if name == "fig6":
-        k3 = SimulationSpec(test="ANOVA2circ", k=3, n_reps=reps, seed=seed)
-        return simulate_grid(k3, tests=["ANOVA2circ", "MANOVA"],
-                             d_values=_D_GRID, n_values=_N_GRID)
-    if name == "outliers":
-        ci = SimulationSpec(test="CI_test", n=16, n_reps=reps, seed=seed)
-        return simulate_grid(
-            ci,
-            n_values=[8, 16, 32],
-            outlier_values=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-        )
-    raise InvalidSpec(f"preset {name!r} does not produce a rate table")
+def _rate_grid(spec: dict, reps: int, seed: int, **grid) -> RateTable:
+    return simulate_grid(SimulationSpec(**spec, n_reps=reps, seed=seed), **grid)
+
+
+def _fig2(reps: int, seed: int):
+    rows = [(d, simulate_amplitude_skew(d, reps, seed)[1], reps, seed)
+            for d in _D_GRID]
+    return ["d", "skewness", "n_reps", "seed"], rows
+
+
+def _fig5a(reps: int, seed: int):
+    n = 4
+    cis = np.sort(simulate_ci_distribution(n, reps, seed))
+    xs = np.linspace(1.0, 20.0, 96)
+    columns = (
+        xs,
+        ConditionIndexDistribution(n, "edelman").pdf(xs),
+        ConditionIndexDistribution(n, "modified").pdf(xs),
+        np.searchsorted(cis, xs, side="right") / cis.size,  # empirical cdf
+    )
+    rows = zip(*(c.tolist() for c in columns))
+    return ["x", "pdf_edelman", "pdf_modified", "empirical_cdf"], rows
+
+
+def _fig5b(reps: int, seed: int):
+    rows = [
+        (n,
+         ConditionIndexDistribution(n, "edelman").quantile(0.95),
+         ConditionIndexDistribution(n, "modified").quantile(0.95),
+         float(np.quantile(simulate_ci_distribution(n, reps, seed), 0.95)))
+        for n in _N_GRID
+    ]
+    return ["n", "threshold_edelman", "threshold_modified", "empirical_p95"], rows
+
+
+_T2_PAIR = ["T2", "T2circ"]
+
+#: Each preset: a function of (reps, seed) that returns a RateTable (the
+#: partials of `_rate_grid`, which also take --json) or a (header, rows)
+#: table for `write_csv`.
+_PRESETS = {
+    "fig2": _fig2,
+    "fig3": partial(_rate_grid, {"test": "T2"}, tests=_T2_PAIR,
+                    d_values=_D_GRID, n_values=_N_GRID),
+    "fig4a": partial(_rate_grid, {"test": "T2"}, tests=_T2_PAIR,
+                     correlation_values=[-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]),
+    "fig4b": partial(_rate_grid, {"test": "T2"}, tests=_T2_PAIR,
+                     variance_ratio_values=[0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]),
+    "fig5a": _fig5a,
+    "fig5b": _fig5b,
+    "fig6": partial(_rate_grid, {"test": "ANOVA2circ", "k": 3},
+                    tests=["ANOVA2circ", "MANOVA"], d_values=_D_GRID,
+                    n_values=_N_GRID),
+    "outliers": partial(_rate_grid, {"test": "CI_test", "n": 16},
+                        n_values=[8, 16, 32],
+                        outlier_values=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+}
+PRESETS = tuple(_PRESETS)
+_JSON_PRESETS = tuple(name for name, run in _PRESETS.items()
+                      if isinstance(run, partial))
 
 
 def _cmd_simulate(args) -> int:
     name = args.preset
-    reps = _DEFAULT_REPS if args.reps is None else args.reps
-    seed = 0 if args.seed is None else args.seed
-    if name in ("fig3", "fig4a", "fig4b", "fig6", "outliers"):
-        table = _preset_table(name, reps, seed)
-        _emit(table.to_json() if args.json else table.to_csv(), args.out)
-        return EXIT_OK
-    if name == "fig2":
-        rows = []
-        for d in _D_GRID:
-            _, skew = simulate_amplitude_skew(d, reps, seed)
-            rows.append([d, repr(skew), reps, seed])
-        _emit(_csv_lines(["d", "skewness", "n_reps", "seed"], rows), args.out)
-        return EXIT_OK
-    if name == "fig5a":
-        n = 4
-        cis = np.sort(simulate_ci_distribution(n, reps, seed))
-        xs = np.linspace(1.0, 20.0, 96)
-        columns = (
-            xs,
-            ConditionIndexDistribution(n, "edelman").pdf(xs),
-            ConditionIndexDistribution(n, "modified").pdf(xs),
-            np.searchsorted(cis, xs, side="right") / cis.size,  # empirical cdf
-        )
-        rows = [[repr(float(v)) for v in row] for row in zip(*columns)]
-        _emit(_csv_lines(["x", "pdf_edelman", "pdf_modified", "empirical_cdf"],
-                         rows), args.out)
-        return EXIT_OK
-    if name == "fig5b":
-        rows = []
-        for n in _N_GRID:
-            cis = simulate_ci_distribution(n, reps, seed)
-            rows.append(
-                [
-                    n,
-                    repr(ConditionIndexDistribution(n, "edelman").quantile(0.95)),
-                    repr(ConditionIndexDistribution(n, "modified").quantile(0.95)),
-                    repr(float(np.quantile(cis, 0.95))),
-                ]
-            )
-        _emit(
-            _csv_lines(
-                ["n", "threshold_edelman", "threshold_modified", "empirical_p95"],
-                rows,
-            ),
-            args.out,
-        )
-        return EXIT_OK
-    # otherwise: a JSON spec file
-    try:
-        payload = json.loads(Path(name).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{name}: not valid JSON ({exc})") from None
-    # --reps and --seed override the file; absent from both, the
-    # SimulationSpec defaults apply, which are the flags' defaults
-    given = {k: v for k, v in (("n_reps", args.reps), ("seed", args.seed))
-             if v is not None}
-    try:
-        spec = SimulationSpec(**{**payload, **given})
-    except TypeError as exc:
-        raise MalformedInput(f"{name}: bad spec field ({exc})") from None
-    table = simulate_rates(spec)
+    if name in _PRESETS:
+        if args.json and name not in _JSON_PRESETS:
+            raise MalformedInput(
+                f"preset {name!r} writes CSV only; --json is for the "
+                f"rate-table presets ({', '.join(_JSON_PRESETS)})")
+        reps = _DEFAULT_REPS if args.reps is None else args.reps
+        seed = 0 if args.seed is None else args.seed
+        table = _PRESETS[name](reps, seed)
+        if not isinstance(table, RateTable):
+            _emit(write_csv(*table), args.out)
+            return EXIT_OK
+    else:  # a JSON spec file
+        try:
+            payload = json.loads(Path(name).read_text())
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"{name}: not valid JSON ({exc})") from None
+        # --reps and --seed override the file; absent from both, the
+        # SimulationSpec defaults apply, which are the flags' defaults
+        given = {k: v for k, v in (("n_reps", args.reps), ("seed", args.seed))
+                 if v is not None}
+        try:
+            spec = SimulationSpec(**{**payload, **given})
+        except TypeError as exc:
+            raise MalformedInput(f"{name}: bad spec field ({exc})") from None
+        table = simulate_rates(spec)
     _emit(table.to_json() if args.json else table.to_csv(), args.out)
     return EXIT_OK
 

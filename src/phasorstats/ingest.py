@@ -1,6 +1,11 @@
 """Input tables: component CSV files and raw time series with DFT extraction.
 
-Two CSV schemas are accepted (header row required):
+This module is the one home of the CSV format: every table phasorstats
+reads goes through ``_open_rows``, and every table it writes through
+``write_csv`` (the ``csv`` module's minimal quoting), so its output reads
+back, labels with commas or quotes included.
+
+Two CSV schemas are read (header row required):
 
 - components: ``unit,condition,re,im``
 - time series: ``unit,condition,t_index,value`` preceded by metadata lines
@@ -13,10 +18,11 @@ averaged when a dataset is built.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,11 +45,16 @@ class ComponentRow:
     im: float
 
 
-def _open_rows(path) -> tuple[list[str], list[list[str]], list[int], dict]:
-    """Split a CSV file into metadata, header and rows with line numbers."""
-    text = Path(path).read_text()
+def _open_rows(path, columns: Sequence[str]) -> tuple[dict, Iterator]:
+    """The metadata and the data rows of a CSV file.
+
+    Rows come lazily as (line number, cells of ``columns``), checked as they
+    come: the columns exist, each row is as long as the header, and there
+    is at least one row.
+    """
     metadata: dict[str, float] = {}
-    lines = text.splitlines()
+    # split at "\n" only, keeping it, so a quoted field may hold a line break
+    lines = io.StringIO(Path(path).read_text()).readlines()
     body_start = 0
     for i, line in enumerate(lines):
         stripped = line.strip()
@@ -68,26 +79,31 @@ def _open_rows(path) -> tuple[list[str], list[list[str]], list[int], dict]:
         raise MalformedInput(f"{path}: no header row")
     reader = csv.reader(body)
     header = [h.strip() for h in next(reader)]
-    rows = []
-    numbers = []
-    for offset, row in enumerate(reader, start=body_start + 2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        rows.append([c.strip() for c in row])
-        numbers.append(offset)
-    return header, rows, numbers, metadata
 
+    def cells() -> Iterator[tuple[int, list[str]]]:
+        for name in columns:
+            if name not in header:
+                raise MalformedInput(
+                    f"{path}: line 1: missing column {name!r} "
+                    f"(have {', '.join(header)})"
+                )
+        indices = [header.index(name) for name in columns]
+        empty = True
+        for row in reader:
+            if not any(c.strip() for c in row):
+                continue
+            lineno = body_start + reader.line_num  # the row's last line
+            if len(row) < len(header):
+                raise MalformedInput(
+                    f"{path}: line {lineno}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            empty = False
+            yield lineno, [row[i].strip() for i in indices]
+        if empty:
+            raise MalformedInput(f"{path}: no data rows")
 
-def _column_indices(path, header: Sequence[str], wanted: Sequence[str]) -> list[int]:
-    indices = []
-    for name in wanted:
-        if name not in header:
-            raise MalformedInput(
-                f"{path}: line 1: missing column {name!r} "
-                f"(have {', '.join(header)})"
-            )
-        indices.append(header.index(name))
-    return indices
+    return metadata, cells()
 
 
 def _parse_float(path, lineno: int, name: str, raw: str) -> float:
@@ -107,26 +123,12 @@ def _parse_float(path, lineno: int, name: str, raw: str) -> float:
 
 def read_components_csv(path) -> list[ComponentRow]:
     """Parse a components CSV into rows, preserving file order."""
-    header, rows, numbers, _ = _open_rows(path)
-    iu, ic, ire, iim = _column_indices(path, header, COMPONENT_COLUMNS)
-    out = []
-    for row, lineno in zip(rows, numbers):
-        if len(row) < len(header):
-            raise MalformedInput(
-                f"{path}: line {lineno}: expected {len(header)} fields, "
-                f"got {len(row)}"
-            )
-        out.append(
-            ComponentRow(
-                unit=row[iu],
-                condition=row[ic],
-                re=_parse_float(path, lineno, "re", row[ire]),
-                im=_parse_float(path, lineno, "im", row[iim]),
-            )
-        )
-    if not out:
-        raise MalformedInput(f"{path}: no data rows")
-    return out
+    _, rows = _open_rows(path, COMPONENT_COLUMNS)
+    return [
+        ComponentRow(unit, condition, _parse_float(path, lineno, "re", re),
+                     _parse_float(path, lineno, "im", im))
+        for lineno, (unit, condition, re, im) in rows
+    ]
 
 
 def build_dataset(
@@ -204,30 +206,22 @@ def read_timeseries_csv(path) -> list[ComponentRow]:
     Rows are grouped by (unit, condition) in order of first appearance;
     each group must contain t_index values 0 .. M-1 exactly once.
     """
-    header, rows, numbers, metadata = _open_rows(path)
+    metadata, rows = _open_rows(path, TIMESERIES_COLUMNS)
     for key in ("sample_rate", "target_frequency"):
         if key not in metadata:
             raise MalformedInput(
                 f"{path}: missing '# {key}=<Hz>' metadata line"
             )
-    iu, ic, it, iv = _column_indices(path, header, TIMESERIES_COLUMNS)
     groups: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for row, lineno in zip(rows, numbers):
-        if len(row) < len(header):
-            raise MalformedInput(
-                f"{path}: line {lineno}: expected {len(header)} fields, "
-                f"got {len(row)}"
-            )
+    for lineno, (unit, condition, t_index, value) in rows:
         try:
-            t_index = int(row[it])
+            t = int(t_index)
         except ValueError:
             raise MalformedInput(
-                f"{path}: line {lineno}: t_index {row[it]!r} is not an integer"
+                f"{path}: line {lineno}: t_index {t_index!r} is not an integer"
             ) from None
-        value = _parse_float(path, lineno, "value", row[iv])
-        groups.setdefault((row[iu], row[ic]), []).append((t_index, value))
-    if not groups:
-        raise MalformedInput(f"{path}: no data rows")
+        groups.setdefault((unit, condition), []).append(
+            (t, _parse_float(path, lineno, "value", value)))
     out = []
     for (unit, condition), points in groups.items():
         points.sort(key=lambda p: p[0])
@@ -246,9 +240,19 @@ def read_timeseries_csv(path) -> list[ComponentRow]:
     return out
 
 
+def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """A table as CSV text: minimal quoting, "\\n" line ends, floats by repr.
+
+    A field is quoted only when it holds a comma, a quote or a line break.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def write_components_csv(rows: Sequence[ComponentRow]) -> str:
     """Serialize component rows back to the components schema."""
-    lines = [",".join(COMPONENT_COLUMNS)]
-    for r in rows:
-        lines.append(f"{r.unit},{r.condition},{r.re!r},{r.im!r}")
-    return "\n".join(lines) + "\n"
+    return write_csv(COMPONENT_COLUMNS,
+                     ((r.unit, r.condition, r.re, r.im) for r in rows))

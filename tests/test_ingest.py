@@ -91,6 +91,24 @@ class TestComponentsCsv:
         text = write_components_csv(rows)
         assert "m1,sound,1.5,-0.25" in text
 
+    # labels that need quoting used to be written bare, so the file read
+    # back with shifted columns, and a quoted line break was dropped
+    LABELS = ["m,1", 'q"1', '"quoted"', 'a,"b",c', "two\nlines", "plain"]
+
+    def test_quoted_labels_survive_two_round_trips(self, tmp_path):
+        values = [(1.5, 0.0), (-0.1, 2.0), (1e-300, -7.25), (3.0, 1e300),
+                  (-2.5, 0.1), (0.0, -0.0)]
+        rows = [ComponentRow(unit, condition, re, im)
+                for unit, (re, im) in zip(self.LABELS, values)
+                for condition in ("c,1", "c")]
+        path = tmp_path / "data.csv"
+        path.write_text(write_components_csv(rows))
+        assert read_components_csv(path) == rows
+        again = tmp_path / "again.csv"
+        again.write_text(write_components_csv(read_components_csv(path)))
+        assert again.read_bytes() == path.read_bytes()
+        assert read_components_csv(again) == rows
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("unit,cond,re,im\nm1,a,1,2\n")
@@ -101,6 +119,12 @@ class TestComponentsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("unit,condition,re,im\nm1,a,1.0,2.0\nm2,a,oops,0\n")
         with pytest.raises(MalformedInput, match="line 3"):
+            read_components_csv(path)
+
+    def test_line_numbers_count_line_breaks_in_quoted_fields(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('unit,condition,re,im\n"m\n1",a,1.0,2.0\nm2,a,oops,0\n')
+        with pytest.raises(MalformedInput, match="line 4"):
             read_components_csv(path)
 
     def test_empty_file(self, tmp_path):
@@ -227,6 +251,27 @@ class TestTimeseriesCsv:
         path.write_text("\n".join(header + body) + "\n")
         rows = read_timeseries_csv(path)
         assert rows[0].re == pytest.approx(2.0, abs=1e-9)
+
+    def test_quoted_labels_survive_extract_and_read_back(self, tmp_path):
+        # the extract path: time series -> components CSV -> components
+        lines = ["# sample_rate=100", "# target_frequency=10",
+                 "unit,condition,t_index,value"]
+        quoted = {'"m,1"': "m,1", '"q""1"': 'q"1', "u3": "u3"}
+        for k, unit in enumerate(quoted):
+            for t in range(20):
+                v = (k + 1) * math.cos(2 * math.pi * 10 * t / 100)
+                lines.append(f'{unit},"on,off",{t},{v!r}')
+        path = tmp_path / "ts.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rows = read_timeseries_csv(path)
+        assert [(r.unit, r.condition) for r in rows] == [
+            (unit, "on,off") for unit in quoted.values()]
+        components = tmp_path / "components.csv"
+        components.write_text(write_components_csv(rows))
+        assert read_components_csv(components) == rows
+        again = tmp_path / "again.csv"
+        again.write_text(write_components_csv(read_components_csv(components)))
+        assert read_components_csv(again) == rows
 
     def test_missing_metadata(self, tmp_path):
         path = tmp_path / "ts.csv"

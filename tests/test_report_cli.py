@@ -418,6 +418,28 @@ class TestCliSimulate:
                          "--out", str(out5)]) == 0
         assert out5.read_text().startswith("n,threshold_edelman")
 
+    # goldens from the hand-joined writers that ingest.write_csv replaced:
+    # labels with no comma or quote keep their bytes (fig4a is
+    # RateTable.to_csv)
+    @pytest.mark.parametrize("preset", ["fig2", "fig4a", "fig5a", "fig5b"])
+    def test_preset_bytes_match_golden(self, tmp_path, preset):
+        out = tmp_path / f"{preset}.csv"
+        assert cli_main(["simulate", preset, "--reps", "300", "--seed", "1",
+                         "--out", str(out)]) == 0
+        golden = FIXTURES / "presets" / f"{preset}.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
+    # these used to exit 0 and write CSV
+    @pytest.mark.parametrize("preset", ["fig2", "fig5a", "fig5b"])
+    def test_json_on_a_csv_only_preset_exit_2(self, tmp_path, capsys, preset):
+        out = tmp_path / "out.json"
+        assert cli_main(["simulate", preset, "--reps", "50", "--json",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "rate-table presets (fig3, fig4a, fig4b, fig6, outliers)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"test": "T2circ", "n": 8, "d": 1.0,
@@ -590,6 +612,12 @@ def test_each_error_declares_its_exit_code(error):
     # 2: an input the program cannot read; 3: a statistical precondition
     assert INPUT_ERRORS <= {c.__name__ for c in ERRORS}
     assert error.exit_code == (2 if error.__name__ in INPUT_ERRORS else 3)
+
+
+def test_package_exports_every_error():
+    for error in (PhasorStatsError, *ERRORS):
+        assert getattr(phasorstats, error.__name__) is error
+        assert error.__name__ in phasorstats.__all__
 
 
 class TestGoldenReports:

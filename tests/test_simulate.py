@@ -323,10 +323,24 @@ class TestAmplitudeSkew:
         (math.inf, 10, "d must be a finite real"),
         (1.0, 1, "n_reps must be >= 2"),
         (1.0, 2.5, "n_reps must be an integer"),
+        # d + noise rounds to a few floats: 1e18 gave skew 1.0
+        (1e13, 10, r"must be below 2\^43"),
+        (1e18, 10, r"must be below 2\^43"),
+        (1e300, 10, r"must be below 2\^43"),
     ])
     def test_bad_arguments_raise_invalid_spec(self, d, n_reps, match):
         with pytest.raises(InvalidSpec, match=match):
             simulate_amplitude_skew(d, n_reps, seed=0)
+
+    @pytest.mark.parametrize("d", [1e12, math.nextafter(2.0**43, 0.0)])
+    def test_largest_resolved_d_returns(self, d):
+        _, skew = simulate_amplitude_skew(d, 20000, seed=0)
+        assert abs(skew) < 0.1
+
+    def test_draws_rounding_to_one_amplitude_raise_invalid_spec(self):
+        # below the bound, two draws can still round to one float
+        with pytest.raises(InvalidSpec, match="without spread"):
+            simulate_amplitude_skew(2.0**42, 2, seed=11962)
 
     # 1e20 used to raise ZeroDivisionError (every amplitude rounds to d) and
     # 1e300 to return a NaN skew with overflow warnings
