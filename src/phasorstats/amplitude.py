@@ -148,6 +148,12 @@ def _quantiles(values: np.ndarray, qs) -> list[float]:
     return out
 
 
+#: Resample indices drawn per bootstrap block. Shorter blocks leave so much
+#: Python between the GIL-free numpy calls that concurrent bootstraps
+#: serialise (``report.run_flowchart`` runs one per thread).
+_BOOT_VALUES = 1 << 16
+
+
 def amp_ci_bootstrap(
     sample: ComplexSample,
     level: float = 0.68,
@@ -160,6 +166,12 @@ def amp_ci_bootstrap(
     amplitude of each resampled coherent mean, and reads the bounds at the
     (1 -/+ level)/2 quantiles. Deterministic for a given seed: a
     non-negative integer or a sequence of them (``DomainError`` otherwise).
+
+    The resamples are drawn and summed in blocks of about ``_BOOT_VALUES``
+    indices, so memory is O(n_boot + block), not O(n_boot * N). The bounds
+    are bit for bit those of the one-shot ``np.abs(obs[rng.integers(0, N,
+    (n_boot, N))].mean(axis=1))``: consecutive ``integers`` calls continue
+    one PCG64 stream, and each row is reduced on its own.
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
@@ -180,8 +192,14 @@ def amp_ci_bootstrap(
     except (TypeError, ValueError):
         raise DomainError(f"seed must be a non-negative integer or a sequence of "
                           f"them, got {seed!r}") from None
-    idx = rng.integers(0, sample.n, size=(n_boot, sample.n))
-    amps = np.abs(sample.observations[idx].mean(axis=1))
+    n = sample.n
+    rows = max(1, _BOOT_VALUES // n)
+    sums = np.empty(n_boot, dtype=complex)
+    for start in range(0, n_boot, rows):
+        stop = min(start + rows, n_boot)
+        idx = rng.integers(0, n, size=(stop - start, n))
+        np.add.reduce(sample.observations[idx], axis=1, out=sums[start:stop])
+    amps = np.abs(sums / n)  # the bits of .mean(axis=1)
     lo, hi = _quantiles(amps, ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
     mean = sample.observations.mean()
     return AmplitudeSummary(

@@ -21,7 +21,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,8 +52,10 @@ def _open_rows(path, columns: Sequence[str]) -> tuple[dict, Iterator]:
     is at least one row.
     """
     metadata: dict[str, float] = {}
-    # split at "\n" only, keeping it, so a quoted field may hold a line break
-    lines = io.StringIO(Path(path).read_text()).readlines()
+    # lines end at "\n", "\r\n" or "\r" and keep their ends untranslated,
+    # as the csv module asks, so a quoted field may hold any of them
+    with open(path, newline="") as f:
+        lines = f.readlines()
     body_start = 0
     for i, line in enumerate(lines):
         stripped = line.strip()
@@ -243,12 +244,29 @@ def read_timeseries_csv(path) -> list[ComponentRow]:
 def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
     """A table as CSV text: minimal quoting, "\\n" line ends, floats by repr.
 
-    A field is quoted only when it holds a comma, a quote or a line break.
+    A field is quoted only when it holds a comma, a quote or a "\n"; minimal
+    quoting would leave a "\r" bare, so a row with one in a text cell has
+    all its text cells quoted. A text cell that begins or ends with
+    whitespace raises ``MalformedInput``: the reader strips every cell, so
+    it would read back as another label.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    quote_text = csv.writer(buf, lineterminator="\n",
+                            quoting=csv.QUOTE_NONNUMERIC)
     writer.writerow(header)
-    writer.writerows(rows)
+    for i, row in enumerate(rows, start=1):
+        row = tuple(row)
+        text = [(name, cell) for name, cell in zip(header, row)
+                if isinstance(cell, str)]
+        for name, cell in text:
+            if cell != cell.strip():
+                raise MalformedInput(
+                    f"row {i}: column {name!r} value {cell!r} has leading or "
+                    "trailing whitespace and would not read back"
+                )
+        cr = any("\r" in cell for _, cell in text)
+        (quote_text if cr else writer).writerow(row)
     return buf.getvalue()
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -231,6 +232,13 @@ def _posthoc_tests(
     return tuple(results), m
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_flowchart(
     dataset: GroupedDataset,
     alpha: float = 0.05,
@@ -269,16 +277,28 @@ def run_flowchart(
     # ci_test and amp_errors_ellipse both need N >= 3 and a non-degenerate
     # covariance, so the conditions with a CI p-value are exactly those with
     # an ellipse; the others get no entry and draw no bootstrap. Each
-    # condition has its own [seed, i] stream.
+    # condition has its own [seed, i] stream, so the bootstraps run in
+    # threads (numpy releases the GIL) with the bits of a serial run; the
+    # ellipses are pure-Python floats and run serially.
+    tested = [(i, s) for i, (s, c) in enumerate(zip(dataset.samples, conditions))
+              if c.ci_p_value is not None]
+
+    def bootstrap(item):
+        i, s = item
+        return amp_ci_bootstrap(s, level=0.68, n_boot=bootstrap_reps,
+                                seed=[seed, i])
+
+    workers = min(len(tested), _available_cpus())
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # off the import path
+
+        with ThreadPoolExecutor(workers) as pool:
+            bootstraps = list(pool.map(bootstrap, tested))
+    else:
+        bootstraps = [bootstrap(item) for item in tested]
     amplitudes = tuple(
-        AmplitudeEntry(
-            s.condition_label,
-            amp_errors_ellipse(s, level=0.68),
-            amp_ci_bootstrap(s, level=0.68, n_boot=bootstrap_reps,
-                             seed=[seed, i]),
-        )
-        for i, (s, c) in enumerate(zip(dataset.samples, conditions))
-        if c.ci_p_value is not None
+        AmplitudeEntry(s.condition_label, amp_errors_ellipse(s, level=0.68), b)
+        for (_, s), b in zip(tested, bootstraps)
     )
     return AnalysisReport(
         design=dataset.design.value,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from phasorstats import (
     amp_errors_ellipse,
     covariance_summary,
 )
+from phasorstats import amplitude as amplitude_module
 from phasorstats.amplitude import AmplitudeSummary, _golden_min
 from phasorstats.exceptions import (
     DegenerateCovariance,
@@ -293,10 +295,43 @@ class TestBootstrap:
             for level, n_boot in ((0.68, 1), (0.68, 2), (0.95, 999), (0.5, 1000),
                                   (0.999, 10000)):
                 res = amp_ci_bootstrap(sample, level=level, n_boot=n_boot, seed=n)
-                boot = np.random.default_rng(n).integers(0, n, size=(n_boot, n))
-                amps = np.abs(sample.observations[boot].mean(axis=1))
-                lo, hi = np.quantile(amps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+                lo, hi = self._one_shot(sample, level, n_boot, seed=n)
                 assert (res.error_low, res.error_high) == (lo, hi), (n, level, n_boot)
+
+    @staticmethod
+    def _one_shot(sample, level, n_boot, seed):
+        """The bounds from every resample index drawn at once, by np.quantile."""
+        idx = np.random.default_rng(seed).integers(0, sample.n, (n_boot, sample.n))
+        amps = np.abs(sample.observations[idx].mean(axis=1))
+        return tuple(np.quantile(amps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]))
+
+    @pytest.mark.parametrize("n", [2, 3, 89, 2**16 + 1])
+    def test_blocks_keep_the_bits_of_one_shot_resampling(self, n):
+        # the resamples are drawn and summed in blocks of `rows`; the bounds
+        # are those of all n_boot x n indices drawn at once and averaged,
+        # on either side of every block edge
+        rows = max(1, amplitude_module._BOOT_VALUES // n)
+        rng = np.random.default_rng(n)
+        sample = ComplexSample(rng.standard_normal(n) + 1j * rng.standard_normal(n) + 0.5)
+        # at n = 2**16 + 1 a block is one row, and 10 000 one-shot rows
+        # would need 5 GiB of indices: 1-3 rows cover the block edges there
+        counts = {1, rows - 1, rows, rows + 1, rows + 2, 10_000}
+        for n_boot in sorted(c for c in counts if 1 <= c and c * n <= 2**24):
+            res = amp_ci_bootstrap(sample, 0.68, n_boot=n_boot, seed=[5, n_boot])
+            lo, hi = self._one_shot(sample, 0.68, n_boot, [5, n_boot])
+            assert res.error_low == lo and res.error_high == hi, (n, n_boot)
+
+    def test_memory_does_not_grow_with_resamples_times_n(self):
+        # the one-shot (10 000, 400) indices and their complex gather alone
+        # take 92 MiB; in blocks a call peaks at ~1.7 MiB
+        sample = whitened_sample(3, n=400, mean=1.0)
+        tracemalloc.start()
+        try:
+            amp_ci_bootstrap(sample, 0.68, n_boot=10_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse", "scipy"])

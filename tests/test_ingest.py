@@ -109,6 +109,31 @@ class TestComponentsCsv:
         assert again.read_bytes() == path.read_bytes()
         assert read_components_csv(again) == rows
 
+    @pytest.mark.parametrize("label", ["a\r\nb", "a\rb"])
+    def test_carriage_returns_in_labels_survive_a_round_trip(self, tmp_path, label):
+        # the file used to be read with universal newlines, which turned a
+        # quoted "\r\n" into "\n"; a bare "\r" was written unquoted
+        rows = [ComponentRow(label, "c", 1.0, 2.0), ComponentRow("u2", label, 3.0, 4.0)]
+        path = tmp_path / "data.csv"
+        path.write_bytes(write_components_csv(rows).encode())
+        assert read_components_csv(path) == rows
+
+    def test_carriage_return_line_ends_are_read(self, tmp_path):
+        path = tmp_path / "data.csv"
+        for end in ("\r\n", "\r"):
+            path.write_bytes(end.join(["unit,condition,re,im", "m1,a,1,2",
+                                       "m2,a,oops,0", ""]).encode())
+            with pytest.raises(MalformedInput, match="line 3"):
+                read_components_csv(path)
+
+    @pytest.mark.parametrize("label", [" m1 ", "m1 ", "\tm1", "m1\n"])
+    def test_blank_padded_labels_are_refused_on_write(self, label):
+        # the reader strips every cell, so " m1 " would read back as m1 and
+        # merge with a real unit m1
+        with pytest.raises(MalformedInput, match="row 2: column 'condition'"):
+            write_components_csv([ComponentRow("m1", "a", 1.0, 2.0),
+                                  ComponentRow("m2", label, 3.0, 4.0)])
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("unit,cond,re,im\nm1,a,1,2\n")

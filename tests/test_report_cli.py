@@ -201,7 +201,8 @@ class TestFlowchart:
         monkeypatch.setattr(report_module, "amp_ci_bootstrap", counting)
         report = run_flowchart(ds, seed=4, screen_outliers=False,
                                bootstrap_reps=500)
-        assert calls == ["a", "c"]
+        # the bootstraps run in threads, so the calls may come in any order
+        assert sorted(calls) == ["a", "c"]
         # the others keep their own [seed, i] streams, so the report is
         # what it was when every condition drew
         assert report.amplitudes == tuple(
@@ -210,6 +211,23 @@ class TestFlowchart:
             for i, s in enumerate(ds.samples) if i != 1
         )
         assert [c.condition for c in report.conditions] == ["a", "line", "c"]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_threaded_bootstraps_equal_serial_calls(self, monkeypatch, cpus):
+        # one worker runs inline, more run in a thread pool; each condition
+        # keeps its own [seed, i] stream, so scheduling moves no bit
+        monkeypatch.setattr(report_module, "_available_cpus", lambda: cpus)
+        ds = build_dataset(read_components_csv(FIXTURES / "human_ssvep.csv"),
+                           Design.ONEWAY_REPEATED)
+        assert len(ds.samples) == 7
+        reports = [run_flowchart(ds, seed=9, screen_outliers=False,
+                                 bootstrap_reps=2000) for _ in range(3)]
+        assert reports[0].amplitudes == tuple(
+            AmplitudeEntry(s.condition_label, amp_errors_ellipse(s, 0.68),
+                           amp_ci_bootstrap(s, 0.68, 2000, seed=[9, i]))
+            for i, s in enumerate(ds.samples)
+        )
+        assert len({r.to_json() for r in reports}) == 1
 
     def test_screening_disabled(self):
         values = list(spherical_sample(40, units=False).observations)
@@ -656,4 +674,16 @@ print(sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "scipy"
     out = subprocess.run([sys.executable, "-c", code, str(FIXTURES), str(tmp_path)],
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures adds ~8 ms to a cold start; run_flowchart imports
+    # it only when it runs bootstraps in threads
+    src = str(Path(phasorstats.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, phasorstats; print(sorted(m for m in "
+         "sys.modules if m.split('.')[0] == 'concurrent'))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True)
     assert out.stdout.strip() == "[]"
