@@ -104,7 +104,7 @@ def _parse_ints(text: str, option: str) -> list[int]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

@@ -21,13 +21,13 @@ import numpy as np
 from . import inference, kernels
 from .data import ComplexSample, Design, GroupedDataset, align_units, check_seed
 from .distributions import f_critical, f_sf
-from .exceptions import DesignMismatch, DomainError, InvalidGraph
+from .exceptions import DesignMismatch, DomainError, InvalidGraph, MalformedInput
 from .inference import TestResult
 from .kernels import BLOCK_VALUES
 from .records import Record
 
-#: F values labelled per connected-components call, in permutations x
-#: nodes: many F blocks per call, at a bounded cost in memory.
+#: F values labelled per ``_cluster_labels`` call, in permutations x nodes:
+#: many F blocks per call, at a bounded cost in memory.
 SPAN_VALUES = 2**16
 
 _SUPPORTED_DESIGNS = (Design.ONE_SAMPLE, Design.PAIRED, Design.TWO_SAMPLE_INDEPENDENT)
@@ -82,7 +82,10 @@ class AdjacencyGraph:
     def from_edge_list(cls, path, node_count: int) -> "AdjacencyGraph":
         """Read one 'i j' pair per line; '#' lines and blanks are skipped."""
         edges = []
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise InvalidGraph(f"{path}: not UTF-8 text") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -205,15 +208,15 @@ def _cluster_labels(f: np.ndarray, f_crit: float, forward):
     row-major f. The edges between them are gathered from each one's
     forward neighbours (``_forward_neighbours``) and kept where the far end
     is above f_crit too. The rows are disjoint copies of the graph, so one
-    connected-components call labels them all. Returns (flat, labels,
-    masses): labels (one per flat node) index masses, the summed F of each
-    component, added in flat order.
+    union-find over the kept edges labels them all: each node's root is
+    hooked onto the smaller root across an edge, and the roots shortcut to
+    their own roots, until every edge joins one root (Shiloach & Vishkin,
+    J. Algorithms 3, 1982). A root only ever moves to a smaller position,
+    so each component ends at its smallest, and labels count components in
+    order of their smallest node. Returns (flat, labels, masses): labels
+    (one per flat node) index masses, the summed F of each component, added
+    in flat order.
     """
-    # imported here: scipy.sparse with csgraph takes ~0.36 s to import on
-    # its own, and only the cluster test needs it
-    from scipy import sparse
-    from scipy.sparse import csgraph
-
     first, far = forward
     k = f.shape[1]
     values = f.ravel()
@@ -227,11 +230,20 @@ def _cluster_labels(f: np.ndarray, f_crit: float, forward):
                                            count)
     dst = np.repeat(flat - node, count) + far[edge]
     keep = supra[dst]
-    graph = sparse.csr_array(
-        (np.ones(keep.sum()), (src[keep], np.searchsorted(flat, dst[keep]))),
-        shape=(flat.size, flat.size),
-    )
-    _, labels = csgraph.connected_components(graph, directed=False)
+    src, dst = src[keep], np.searchsorted(flat, dst[keep])  # positions in flat
+    root = np.arange(flat.size)
+    while src.size:
+        a, b = root[src], root[dst]
+        split = a != b
+        src, dst, a, b = src[split], dst[split], a[split], b[split]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    # number the roots (the nodes that are their own root) in order
+    labels = (np.cumsum(root == np.arange(flat.size)) - 1)[root]
     return flat, labels, np.bincount(labels, weights=values[flat])
 
 
@@ -246,6 +258,12 @@ def _max_masses(f: np.ndarray, f_crit: float, forward) -> np.ndarray:
 def _validate_nodes(
     node_datasets: Sequence[GroupedDataset], graph: AdjacencyGraph
 ) -> Design:
+    if not (isinstance(node_datasets, Sequence)
+            and all(isinstance(d, GroupedDataset) for d in node_datasets)):
+        raise MalformedInput("node_datasets must be a sequence of GroupedDataset, "
+                             f"got {node_datasets!r:.80}")
+    if not isinstance(graph, AdjacencyGraph):
+        raise InvalidGraph(f"graph must be an AdjacencyGraph, got {graph!r:.80}")
     if len(node_datasets) != graph.node_count:
         raise InvalidGraph(f"graph has {graph.node_count} nodes but "
                            f"{len(node_datasets)} datasets were supplied")
@@ -311,13 +329,15 @@ def cluster_correct(
     span sizes. Its signs are ``u < 0.5`` and its label mask (True for
     group A) is ``argsort(u) < na``, a uniform shuffle of the observed
     labels. seed must be a non-negative integer and n_perm in [1, 2^32)
-    (``DomainError`` otherwise).
+    (``DomainError`` otherwise); node_datasets must be a sequence of
+    ``GroupedDataset`` (``MalformedInput``) and graph an ``AdjacencyGraph``
+    (``InvalidGraph``).
 
     Permutations are drawn and evaluated in blocks of at most
     ``BLOCK_VALUES // nodes``: the block's draws form a sign or label-mask
     matrix, and one matmul gives every permuted mean (the sums of squares
     do not move). The F of a span of blocks, up to ``SPAN_VALUES`` values,
-    is then labelled by one connected-components call over its
+    is then labelled by one union-find (``_cluster_labels``) over its
     supra-threshold nodes alone; the observed clusters come from the same
     labelling on a span of one permutation. The block size moves the null
     only in the last bits; the span size does not move it at all.

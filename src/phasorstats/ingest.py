@@ -54,8 +54,11 @@ def _open_rows(path, columns: Sequence[str]) -> tuple[dict, Iterator]:
     metadata: dict[str, float] = {}
     # lines end at "\n", "\r\n" or "\r" and keep their ends untranslated,
     # as the csv module asks, so a quoted field may hold any of them
-    with open(path, newline="") as f:
-        lines = f.readlines()
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError:
+        raise MalformedInput(f"{path}: not UTF-8 text") from None
     body_start = 0
     for i, line in enumerate(lines):
         stripped = line.strip()

@@ -336,10 +336,9 @@ class TestBootstrap:
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse", "scipy"])
 def test_import_leaves_scipy_stats_unloaded(module):
-    # the ellipse scale is the closed-form chi-square(2) quantile, the F
-    # tail of every test is a finite sum, and the cluster labelling imports
-    # scipy.sparse when it runs, so a fresh interpreter pays for no scipy
-    # module when importing the package
+    # the ellipse scale is the closed-form chi-square(2) quantile and the F
+    # tail of every test is a finite sum, so a fresh interpreter pays for no
+    # scipy module when importing the package
     src = str(Path(phasorstats.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(

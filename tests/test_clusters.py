@@ -34,6 +34,7 @@ from phasorstats.exceptions import (
     DomainError,
     InvalidGraph,
     LabelMismatch,
+    MalformedInput,
     TooFewObservations,
     ZeroResidualVariance,
 )
@@ -157,6 +158,13 @@ class TestAdjacencyGraph:
         path = tmp_path / "edges.txt"
         path.write_text("0 1\nnot an edge\n")
         with pytest.raises(InvalidGraph, match="line 2"):
+            AdjacencyGraph.from_edge_list(path, 3)
+
+    def test_edge_list_must_be_utf8(self, tmp_path):
+        # used to raise a raw UnicodeDecodeError
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"0 1\n1 2 \xff\n")
+        with pytest.raises(InvalidGraph, match="edges.txt: not UTF-8"):
             AdjacencyGraph.from_edge_list(path, 3)
 
 
@@ -406,6 +414,18 @@ class TestClusterCorrect:
         with pytest.raises(InvalidGraph):
             cluster_correct(one_sample_nodes(22, k=3), line_graph(4),
                             "T2circ", n_perm=10, seed=0)
+
+    def test_graph_must_be_an_adjacency_graph(self):
+        # used to raise a raw AttributeError
+        with pytest.raises(InvalidGraph, match="AdjacencyGraph"):
+            cluster_correct(one_sample_nodes(22, k=3), None, "T2circ", n_perm=10,
+                            seed=0)
+
+    @pytest.mark.parametrize("nodes", ["abc", None, [None, None, None]])
+    def test_nodes_must_be_grouped_datasets(self, nodes):
+        # "abc" used to raise a raw AttributeError, None a TypeError
+        with pytest.raises(MalformedInput, match="GroupedDataset"):
+            cluster_correct(nodes, line_graph(3), "T2circ", n_perm=10, seed=0)
 
     def test_two_sample_design(self):
         rng = np.random.default_rng(23)
@@ -758,8 +778,8 @@ def _bfs_components(f, f_crit, graph):
                 continue
             component, frontier = {start}, [start]
             while frontier:
-                frontier = [j for i in frontier for j in neighbours[i]
-                            if f[r, j] > f_crit and j not in component]
+                frontier = {j for i in frontier for j in neighbours[i]
+                            if f[r, j] > f_crit and j not in component}
                 component.update(frontier)
             seen |= component
             components.add(frozenset(r * k + i for i in component))
@@ -787,6 +807,62 @@ def _graphs(draw):
         for i, j in edges))
 
 
+def _supra_values(rng, shape, supra_fraction, f_crit):
+    """F values, a supra_fraction of them above f_crit, supra ones over six
+    decades, so that the order of summation shows in the last bits of a
+    mass; some exactly at f_crit."""
+    spread = 10.0 ** rng.uniform(-3, 3, shape)
+    f = np.where(rng.uniform(size=shape) < supra_fraction,
+                 f_crit + rng.exponential(size=shape) * spread,
+                 f_crit * rng.uniform(size=shape))
+    f[rng.uniform(size=shape) < 0.05] = f_crit
+    return f
+
+
+def _check_labelling(f, f_crit, graph):
+    """``_cluster_labels`` and ``_max_masses`` on f against the breadth-first
+    search and the labelling of every node."""
+    forward = clusters._forward_neighbours(graph)
+    flat, labels, masses = clusters._cluster_labels(f, f_crit, forward)
+
+    assert np.array_equal(flat, np.flatnonzero(f > f_crit))
+    assert {frozenset(flat[labels == c]) for c in np.unique(labels)} == \
+        _bfs_components(f, f_crit, graph)
+    # labels count components in order of their smallest flat index
+    present, first = np.unique(labels, return_index=True)
+    assert np.array_equal(present, np.arange(len(masses)))
+    assert np.all(np.diff(first) > 0)
+    full_labels, full_masses = _full_graph_labels(f, f_crit, graph)
+    assert masses[labels].tobytes() == full_masses[full_labels.ravel()[flat]].tobytes()
+    assert clusters._max_masses(f, f_crit, forward).tobytes() == \
+        full_masses[full_labels].max(axis=1).tobytes()
+
+
+def _fixed_graph(name):
+    """Chains numbered in order, reversed, zig-zag and at random, which take
+    the union-find from one to many hooking rounds; a grid, a complete
+    graph and a single node."""
+    rng = np.random.default_rng(5)
+    chains = {
+        "chain-in-order": np.arange(5000),
+        "chain-reversed": np.arange(4000)[::-1],
+        "chain-zigzag": np.stack([np.arange(1500), np.arange(3000)[:1499:-1]],
+                                 axis=1).ravel(),
+        "chain-random": rng.permutation(2000),
+    }
+    if name in chains:
+        order = chains[name].tolist()
+        return AdjacencyGraph(len(order), tuple(zip(order[:-1], order[1:])))
+    if name == "grid-64x64":
+        node = np.arange(64 * 64).reshape(64, 64)
+        return AdjacencyGraph(node.size, tuple(
+            (i, j) for a, b in ((node[:, :-1], node[:, 1:]), (node[:-1], node[1:]))
+            for i, j in zip(a.ravel().tolist(), b.ravel().tolist())))
+    if name == "complete-50":
+        return AdjacencyGraph(50, tuple(combinations(range(50), 2)))
+    return AdjacencyGraph(1, ())
+
+
 class TestSupraLabelling:
     """``_cluster_labels`` over the supra-threshold nodes alone against a
     breadth-first search and against the labelling of every node."""
@@ -796,22 +872,18 @@ class TestSupraLabelling:
            supra_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_matches_full_graph_labelling(self, graph, rows, supra_fraction, seed):
         rng = np.random.default_rng(seed)
-        f_crit = 3.0
-        shape = (rows, graph.node_count)
-        # supra values over six decades, so that the order of summation
-        # shows in the last bits of a mass; some exactly at f_crit
-        spread = 10.0 ** rng.uniform(-3, 3, shape)
-        f = np.where(rng.uniform(size=shape) < supra_fraction,
-                     f_crit + rng.exponential(size=shape) * spread,
-                     f_crit * rng.uniform(size=shape))
-        f[rng.uniform(size=shape) < 0.05] = f_crit
-        forward = clusters._forward_neighbours(graph)
-        flat, labels, masses = clusters._cluster_labels(f, f_crit, forward)
+        f = _supra_values(rng, (rows, graph.node_count), supra_fraction, 3.0)
+        _check_labelling(f, 3.0, graph)
 
-        assert np.array_equal(flat, np.flatnonzero(f > f_crit))
-        assert {frozenset(flat[labels == c]) for c in np.unique(labels)} == \
-            _bfs_components(f, f_crit, graph)
-        full_labels, full_masses = _full_graph_labels(f, f_crit, graph)
-        assert np.array_equal(masses[labels], full_masses[full_labels.ravel()[flat]])
-        assert np.array_equal(clusters._max_masses(f, f_crit, forward),
-                              full_masses[full_labels].max(axis=1))
+    @pytest.mark.parametrize("name", [
+        "chain-in-order", "chain-reversed", "chain-zigzag", "chain-random",
+        "grid-64x64", "complete-50", "one-node",
+    ])
+    def test_large_graphs_match_full_graph_labelling(self, name):
+        # the hypothesis graphs have at most 13 nodes, one or two hooking
+        # rounds; rows here: every node supra, 90 % and 50 % of them, none
+        graph = _fixed_graph(name)
+        rng = np.random.default_rng(17)
+        f = np.vstack([_supra_values(rng, (1, graph.node_count), fraction, 3.0)
+                       for fraction in (1.0, 0.9, 0.5, 0.0)])
+        _check_labelling(f, 3.0, graph)

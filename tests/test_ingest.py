@@ -164,6 +164,13 @@ class TestComponentsCsv:
         with pytest.raises(MalformedInput, match="no data rows"):
             read_components_csv(path)
 
+    def test_non_utf8_bytes(self, tmp_path):
+        # used to raise a raw UnicodeDecodeError
+        path = tmp_path / "latin.csv"
+        path.write_bytes("unit,condition,re,im\nm\xe9,a,1,2\n".encode("latin-1"))
+        with pytest.raises(MalformedInput, match="latin.csv: not UTF-8"):
+            read_components_csv(path)
+
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "extra.csv"
         path.write_text("run,unit,condition,re,im\n7,m1,a,1,2\n7,m2,a,3,4\n")

@@ -596,6 +596,16 @@ class TestCliOther:
         assert rc == 3
         assert word in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["edges", "node"])
+    def test_cluster_non_utf8_input_exit_2(self, tmp_path, which, capsys):
+        paths, edges = self._cluster_files(tmp_path)
+        bad = edges if which == "edges" else Path(paths[1])
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        rc = cli_main(["cluster", *paths, "--edges", str(edges),
+                       "--design", "one-sample", "--perms", "10"])
+        assert rc == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [
         ["--alpha-forming", "0"],
         ["--alpha-forming", "nan"],
@@ -669,6 +679,45 @@ for name, args in (("mouse", ["--design", "paired"]),
                  "json", "--seed", "0", "--out", f"{out}/{name}.json"]) == 0
 print(sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "scipy"
              or m.split(".")[:2] == ["numpy", "ma"]))
+"""
+    src = str(Path(phasorstats.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, str(FIXTURES), str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cluster_loads_no_scipy(tmp_path):
+    # cold start: cluster_correct (one- and two-sample, both tests) and a
+    # whole `phasorstats cluster`, in a fresh interpreter, import no scipy
+    # module (the labelling is a numpy union-find, the F tail a finite sum)
+    code = """
+import sys
+import numpy as np
+from phasorstats import (AdjacencyGraph, ComplexSample, Design, GroupedDataset,
+                         cluster_correct)
+from phasorstats.cli import main
+fixtures, out = sys.argv[1:]
+rng = np.random.default_rng(0)
+graph = AdjacencyGraph(3, ((0, 1), (1, 2)))
+
+def sample(condition, shift):
+    return ComplexSample(rng.standard_normal(8) + 1j * rng.standard_normal(8)
+                         + shift, condition)
+
+one = [GroupedDataset((sample("a", 2),), Design.ONE_SAMPLE) for _ in range(3)]
+two = [GroupedDataset((sample("a", 2), sample("b", 0)),
+                      Design.TWO_SAMPLE_INDEPENDENT) for _ in range(3)]
+for nodes in (one, two):
+    for test in ("T2", "T2circ"):
+        assert cluster_correct(nodes, graph, test, n_perm=200, seed=1).clusters
+with open(f"{out}/edges.txt", "w") as f:
+    f.write("0 1\\n1 2\\n")
+mouse = f"{fixtures}/mouse_ssvep.csv"
+assert main(["cluster", mouse, mouse, mouse, "--edges", f"{out}/edges.txt",
+             "--design", "paired", "--perms", "200", "--seed", "3",
+             "--out", f"{out}/clusters.json"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(phasorstats.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code, str(FIXTURES), str(tmp_path)],
