@@ -14,12 +14,12 @@ with a second checkout (for instance the parent commit) as the base:
 
     python scripts/bench_cli.py --base ../parent --pairs 10
 
-Prints one JSON object: the base (its short commit where it is a git
-checkout, else its path), the machine, the library versions, and per command
-the wall seconds of every run of each tree, their medians and quartiles,
-the change/base ratio of the medians and the pairs the change won. Every
-command must exit 0. BLAS runs on one thread, as in perfbench. Timings are
-not part of the test suite.
+Prints one JSON object: the base (its short commit where it is the root of
+a git checkout, else its directory name), the machine, the library versions,
+and per command the wall seconds of every run of each tree, their medians
+and quartiles, the change/base ratio of the medians and the pairs the change
+won. Every command must exit 0. BLAS runs on one thread, as in perfbench.
+Timings are not part of the test suite.
 """
 
 from __future__ import annotations
@@ -88,10 +88,17 @@ def summary(base: list[float], change: list[float]) -> dict:
 
 
 def label(tree: Path) -> str:
-    """The short commit of a git checkout, else its path."""
-    proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else str(tree)
+    """The short commit of a tree that is the root of a git checkout, else
+    its directory name: a tree inside another checkout is not that commit."""
+    def git(*args: str) -> str:
+        proc = subprocess.run(["git", "-C", str(tree), *args],
+                              capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else ""
+
+    top = git("rev-parse", "--show-toplevel")
+    if top and Path(top).resolve() == tree.resolve():
+        return git("rev-parse", "--short", "HEAD")
+    return tree.name
 
 
 def main() -> None:

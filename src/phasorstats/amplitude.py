@@ -12,11 +12,11 @@ Two methods for putting bounds on the amplitude of a coherent mean:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .data import ComplexSample, covariance_summary
 from .exceptions import DegenerateCovariance, DomainError, TooFewObservations
 from .records import Record
@@ -88,8 +88,7 @@ def amp_errors_ellipse(sample: ComplexSample, level: float = 0.68) -> AmplitudeS
     form at a fraction of its cost; the grid is evaluated once for both
     searches.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
+    checks.probability("level", level)
     if sample.n < 3:
         raise TooFewObservations(
             f"ellipse error bars need >= 3 observations, got {sample.n}"
@@ -173,14 +172,8 @@ def amp_ci_bootstrap(
     (n_boot, N))].mean(axis=1))``: consecutive ``integers`` calls continue
     one PCG64 stream, and each row is reduced on its own.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
-    try:
-        n_boot = operator.index(n_boot)
-    except TypeError:
-        raise DomainError(f"n_boot must be an integer, got {n_boot!r}") from None
-    if n_boot < 1:
-        raise DomainError(f"n_boot must be >= 1, got {n_boot}")
+    checks.probability("level", level)
+    n_boot = checks.integer("n_boot", n_boot, 1)
     if sample.n < 2:
         raise TooFewObservations(
             f"bootstrap needs >= 2 observations, got {sample.n}"

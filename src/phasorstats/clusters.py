@@ -10,16 +10,14 @@ independent groups), following the logic of Maris & Oostenveld (2007).
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import inference, kernels
-from .data import ComplexSample, Design, GroupedDataset, align_units, check_seed
+from . import checks, inference, kernels
+from .data import ComplexSample, Design, GroupedDataset, align_units
 from .distributions import f_critical, f_sf
 from .exceptions import DesignMismatch, DomainError, InvalidGraph, MalformedInput
 from .inference import TestResult
@@ -39,14 +37,6 @@ _CONTRACTS = {
 }
 
 
-def _index(value, what: str) -> int:
-    """value as a plain int; InvalidGraph unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidGraph(f"{what} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class AdjacencyGraph:
     """Undirected graph over node indices 0 .. node_count - 1."""
@@ -55,9 +45,7 @@ class AdjacencyGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        node_count = _index(self.node_count, "node_count")
-        if node_count < 1:
-            raise InvalidGraph("graph needs at least one node")
+        node_count = checks.integer("node_count", self.node_count, 1, InvalidGraph)
         try:
             edges = iter(self.edges)
         except TypeError:
@@ -69,7 +57,7 @@ class AdjacencyGraph:
                 i, j = edge
             except (TypeError, ValueError):
                 raise InvalidGraph(f"edge {edge!r} is not a pair of nodes") from None
-            i, j = _index(i, "node index"), _index(j, "node index")
+            i, j = (checks.integer("node index", v, error=InvalidGraph) for v in (i, j))
             if i == j:
                 raise InvalidGraph(f"self-loop at node {i}")
             if not (0 <= i < node_count and 0 <= j < node_count):
@@ -80,10 +68,11 @@ class AdjacencyGraph:
 
     @classmethod
     def from_edge_list(cls, path, node_count: int) -> "AdjacencyGraph":
-        """Read one 'i j' pair per line; '#' lines and blanks are skipped."""
+        """Read one 'i j' pair per line; '#' lines and blanks are skipped, and
+        so is a leading UTF-8 byte-order mark."""
         edges = []
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
             raise InvalidGraph(f"{path}: not UTF-8 text") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -352,13 +341,9 @@ def cluster_correct(
     """
     if test not in _CONTRACTS:
         raise DomainError(f"test must be 'T2' or 'T2circ', got {test!r}")
-    if not (isinstance(alpha_forming, numbers.Real) and 0.0 < alpha_forming < 1.0):
-        raise DomainError(f"alpha_forming must be in (0, 1), got {alpha_forming!r}")
-    seed = check_seed(seed)
-    try:
-        n_perm = operator.index(n_perm)
-    except TypeError:
-        raise DomainError(f"n_perm must be an integer, got {n_perm!r}") from None
+    checks.probability("alpha_forming", alpha_forming)
+    seed = checks.seed(seed)
+    n_perm = checks.integer("n_perm", n_perm)
     if not 1 <= n_perm < 2**32:
         raise DomainError(f"n_perm must be in [1, 2^32), got {n_perm}")
     design = _validate_nodes(node_datasets, graph)

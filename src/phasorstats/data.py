@@ -9,43 +9,19 @@ concurrently running simulation workers.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import checks, kernels
 from .exceptions import (
-    DomainError,
     EmptyUnit,
     LabelMismatch,
     MalformedInput,
     TooFewObservations,
 )
-
-
-def as_complex(value) -> complex:
-    """value as a Python complex; a ``DomainError`` unless ``complex``
-    accepts it."""
-    try:
-        return complex(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(str(exc)) from None
-
-
-def check_seed(seed) -> int:
-    """The seed as a Python int; a ``DomainError`` unless it is a
-    non-negative integer, which is what ``SeedSequence`` accepts."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}") from None
-    if value < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -56,9 +32,9 @@ class ComplexObservation:
     im: float
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
-                   for v in (self.re, self.im)):
-            raise MalformedInput("observation components must be finite real numbers")
+        for v in (self.re, self.im):
+            checks.real("observation components", v, math.isfinite,
+                        "finite real numbers", MalformedInput)
 
     @property
     def amplitude(self) -> float:
@@ -208,7 +184,7 @@ class GroupedDataset:
             object.__setattr__(self, "design", Design(self.design))
         except ValueError as exc:
             raise MalformedInput(str(exc)) from None
-        object.__setattr__(self, "mu", as_complex(self.mu))
+        object.__setattr__(self, "mu", checks.as_complex(self.mu))
         k = len(self.samples)
         design = self.design
         if design is Design.ONE_SAMPLE and k != 1:

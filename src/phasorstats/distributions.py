@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .exceptions import DomainError
 
 _VARIANTS = ("edelman", "modified")
@@ -36,12 +37,12 @@ _SUM_MAX_DF1 = 1000
 
 def _f_args(x, df1: int, df2: int) -> tuple[np.ndarray, int, int]:
     """Checked F statistic array and integer degrees of freedom."""
-    if not all(float(df).is_integer() and df >= 1 for df in (df1, df2)):
-        raise DomainError(
-            f"degrees of freedom must be integers >= 1, got ({df1}, {df2})")
+    for df in (df1, df2):
+        checks.real("degrees of freedom", df, lambda v: v >= 1 and checks.whole(v),
+                    "integers >= 1")
     df1 = int(df1)
     df2 = int(df2)
-    arr = np.asarray(x, dtype=float)
+    arr = checks.floats("F statistic", x)
     invalid = ~(arr >= 0.0)  # negative or NaN
     if invalid.any():
         raise DomainError(f"F statistic must be >= 0, got {arr[invalid][0]}")
@@ -131,8 +132,7 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
     bits. DomainError where x is beyond the float range,
     f_sf(float max) > alpha.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    checks.probability("alpha", alpha)
     if f_sf(_MAX, df1, df2) > alpha:
         raise DomainError(f"F({df1}, {df2}) critical value at alpha = {alpha} "
                           "exceeds the float range")
@@ -207,12 +207,8 @@ class ConditionIndexDistribution:
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}")
-        try:
-            whole = int(self.n) == self.n
-        except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
-            whole = False
-        if not whole or self.n < 3:
-            raise DomainError(f"sample size must be an integer >= 3, got {self.n}")
+        checks.real("sample size", self.n, lambda v: v >= 3 and checks.whole(v),
+                    "an integer >= 3")
         object.__setattr__(self, "n", int(self.n))
 
     @property
@@ -251,15 +247,14 @@ class ConditionIndexDistribution:
         """Inverse of cdf: (1 + sqrt(1 - q^2)) / q with q = (1 - p)^(1/(m-1));
         1 - q^2 is formed as (1 - q)(1 + q) with 1 - q from expm1, which
         keeps the accuracy as p -> 0. quantile(0) = 1."""
-        if not 0.0 <= p < 1.0:
-            raise DomainError(f"p must be in [0, 1), got {p}")
+        checks.real("p", p, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
         log_q = math.log1p(-p) / (self._m - 1)
         q = math.exp(log_q)
         return (1.0 + math.sqrt(-math.expm1(log_q) * (1.0 + q))) / q
 
 
 def _support(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = checks.floats("condition index", x)
     if not np.all(arr >= 1.0):  # below 1 or NaN
         raise DomainError("condition index is >= 1 by definition")
     return arr

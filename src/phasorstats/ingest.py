@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import checks
 from .data import ComplexObservation, ComplexSample, Design, GroupedDataset
 from .exceptions import (
     FrequencyNotResolvable,
@@ -53,9 +54,10 @@ def _open_rows(path, columns: Sequence[str]) -> tuple[dict, Iterator]:
     """
     metadata: dict[str, float] = {}
     # lines end at "\n", "\r\n" or "\r" and keep their ends untranslated,
-    # as the csv module asks, so a quoted field may hold any of them
+    # as the csv module asks, so a quoted field may hold any of them;
+    # "utf-8-sig" drops the byte-order mark of spreadsheet "CSV UTF-8" exports
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             lines = f.readlines()
     except UnicodeDecodeError:
         raise MalformedInput(f"{path}: not UTF-8 text") from None
@@ -175,17 +177,16 @@ def extract_component(
     span a whole number (>= 1) of cycles, with the target strictly between
     DC and the Nyquist frequency; no windowing is applied.
     """
-    x = np.asarray(series, dtype=float)
+    x = checks.floats("series", series, MalformedInput)
     if x.ndim != 1 or x.size < 2:
         raise MalformedInput("series must be one-dimensional with >= 2 samples")
-    if not sample_rate > 0.0:
-        raise FrequencyNotResolvable(f"sample rate must be > 0, got {sample_rate}")
+    checks.real("sample rate", sample_rate, lambda v: v > 0.0, "> 0",
+                FrequencyNotResolvable)
     m = x.size
-    if not 0.0 < target_frequency < sample_rate / 2.0:
-        raise FrequencyNotResolvable(
-            f"target {target_frequency} Hz not strictly between 0 and the "
-            f"Nyquist frequency {sample_rate / 2.0} Hz"
-        )
+    nyquist = sample_rate / 2.0
+    checks.real("target frequency", target_frequency, lambda v: 0.0 < v < nyquist,
+                f"strictly between 0 and the Nyquist frequency {nyquist} Hz",
+                FrequencyNotResolvable)
     cycles = target_frequency * m / sample_rate
     k = round(cycles)
     if abs(cycles - k) > 1e-9 * max(1.0, cycles):

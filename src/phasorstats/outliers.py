@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import checks, kernels
 from .data import ComplexSample, Design, GroupedDataset, UNIT_ALIGNED_DESIGNS
-from .exceptions import DegenerateCovariance, DomainError, TooFewObservations
+from .exceptions import DegenerateCovariance, TooFewObservations
 from .records import Record
 
 DEFAULT_THRESHOLD = 3.0
@@ -69,8 +69,7 @@ def mahalanobis_distances(
     Raises DegenerateCovariance when the covariance cannot be inverted and
     TooFewObservations below N = 3.
     """
-    if not threshold > 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
+    checks.real("threshold", threshold, lambda v: v > 0, "positive")
     if sample.n < 3:
         raise TooFewObservations(
             f"Mahalanobis distances need >= 3 observations, got {sample.n}"

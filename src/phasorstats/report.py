@@ -12,26 +12,19 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, checks
 from .amplitude import AmplitudeSummary, amp_ci_bootstrap, amp_errors_ellipse
 from .data import (
     ComplexSample,
     Design,
     GroupedDataset,
-    check_seed,
     covariance_summary,
 )
-from .exceptions import (
-    DegenerateCovariance,
-    DomainError,
-    MalformedInput,
-    TooFewObservations,
-)
+from .exceptions import DegenerateCovariance, MalformedInput, TooFewObservations
 from .inference import (
     TestResult,
     anova2circ_independent,
@@ -258,9 +251,8 @@ def run_flowchart(
     baseline condition is given). alpha must be a real number in (0, 1)
     and seed a non-negative integer.
     """
-    seed = check_seed(seed)
-    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
+    seed = checks.seed(seed)
+    checks.probability("alpha", alpha)
     if baseline is not None and baseline not in dataset.condition_labels:
         raise MalformedInput(f"baseline {baseline!r} is not a condition")
     screening = None

@@ -25,17 +25,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
-import operator
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import inference, kernels
-from .data import check_seed
+from . import checks, inference, kernels
 from .distributions import ConditionIndexDistribution, f_sf
-from .exceptions import DomainError, InvalidSpec, TooFewGroups, TooFewObservations
+from .exceptions import InvalidSpec, TooFewGroups, TooFewObservations
 from .ingest import write_csv
 from .records import Record
 
@@ -49,6 +46,15 @@ _CONTRACTS = {
     "CI_test": inference.CI_TEST,
 }
 TESTS = tuple(_CONTRACTS)
+
+#: The range of each real SimulationSpec field, as a predicate and in words.
+_RANGES = {
+    "d": (lambda v: math.isfinite(v) and v >= 0.0, ">= 0"),
+    "correlation": (lambda v: math.isfinite(v) and abs(v) < 1.0, "in (-1, 1)"),
+    "variance_ratio": (lambda v: math.isfinite(v) and v > 0.0, "> 0"),
+    "alpha": (lambda v: math.isfinite(v) and 0.0 < v < 1.0, "in (0, 1)"),
+    "planted_outlier_distance": (lambda v: math.isfinite(v) and v >= 0.0, ">= 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -73,60 +79,22 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.test not in TESTS:
             raise InvalidSpec(f"unknown test {self.test!r}; choose from {TESTS}")
-        for name in ("n", "k", "n_reps"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("d", "correlation", "variance_ratio", "alpha"):
-            _finite(name, getattr(self, name))
+        for name, minimum in (("n", None), ("k", 1), ("n_reps", 1)):
+            value = checks.integer(name, getattr(self, name), minimum, InvalidSpec)
+            object.__setattr__(self, name, value)
+        reals = ["d", "correlation", "variance_ratio", "alpha"]
         if self.planted_outlier_distance is not None:
-            _finite("planted_outlier_distance", self.planted_outlier_distance)
+            reals.append("planted_outlier_distance")
+        for name in reals:
+            valid, what = _RANGES[name]
+            checks.real(name, getattr(self, name), valid,
+                        f"a finite real number {what}", InvalidSpec)
         contract = _CONTRACTS[self.test]
         try:
             contract.check((self.n,) * (self.k if contract.k_group else 1))
         except (TooFewGroups, TooFewObservations) as exc:
             raise InvalidSpec(str(exc)) from None
-        if self.n_reps < 1:
-            raise InvalidSpec(f"n_reps must be >= 1, got {self.n_reps}")
-        if not abs(self.correlation) < 1.0:
-            raise InvalidSpec(f"|correlation| must be < 1, got {self.correlation}")
-        if self.variance_ratio <= 0.0:
-            raise InvalidSpec(
-                f"variance_ratio must be > 0, got {self.variance_ratio}"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidSpec(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.k < 1:
-            raise InvalidSpec(f"k must be >= 1, got {self.k}")
-        if self.d < 0.0:
-            raise InvalidSpec(f"d must be >= 0, got {self.d}")
-        if (
-            self.planted_outlier_distance is not None
-            and self.planted_outlier_distance < 0.0
-        ):
-            raise InvalidSpec("planted outlier distance must be >= 0")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-
-
-def _integer(name: str, value) -> int:
-    """value as a Python int; InvalidSpec unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
-
-
-def _finite(name: str, value) -> None:
-    """InvalidSpec unless value is a finite real number."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise InvalidSpec(f"{name} must be a finite real number, got {value!r}")
-
-
-def _check_seed(seed) -> int:
-    """The seed as a Python int; InvalidSpec unless it is a non-negative
-    integer."""
-    try:
-        return check_seed(seed)
-    except DomainError as exc:
-        raise InvalidSpec(str(exc)) from None
+        object.__setattr__(self, "seed", checks.seed(self.seed, InvalidSpec))
 
 
 @dataclass(frozen=True)
@@ -287,13 +255,11 @@ def simulate_amplitude_skew(
     amplitudes: at seed 0 and 10^5 reps the skew is 0.0084 at d = 1e12 but
     0.0135 at 1e14 and 1.0 at 1e18.
     """
-    _finite("d", d)
-    n_reps = _integer("n_reps", n_reps)
+    checks.real("d", d, math.isfinite, "a finite real number", InvalidSpec)
+    n_reps = checks.integer("n_reps", n_reps, 2, InvalidSpec)
     if d < 0.0:
         raise InvalidSpec(f"d must be >= 0, got {d}")
-    if n_reps < 2:
-        raise InvalidSpec(f"n_reps must be >= 2, got {n_reps}")
-    rng = np.random.default_rng([_check_seed(seed), 0])
+    rng = np.random.default_rng([checks.seed(seed, InvalidSpec), 0])
     if math.ulp(d) > 2.0**-10:
         raise InvalidSpec(
             f"d = {d!r} leaves the amplitudes without resolution: "
@@ -318,7 +284,7 @@ def simulate_outlier_effect(
     requested distance (in population SD units) from the mean of the
     remaining points; at distance 0 the sample is left untouched.
     """
-    if n < 4:
+    if checks.integer("n", n, error=InvalidSpec) < 4:
         raise InvalidSpec(f"outlier simulation needs n >= 4, got {n}")
     spec = SimulationSpec(
         test="CI_test",

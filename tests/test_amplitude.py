@@ -112,7 +112,8 @@ class TestEllipse:
             assert res.error_low == pytest.approx(base.error_low, abs=1e-9)
             assert res.error_high == pytest.approx(base.error_high, abs=1e-9)
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    # a non-number level used to escape as a raw TypeError
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan"), "x", None])
     def test_bad_level_raises_domain_error(self, level):
         with pytest.raises(DomainError):
             amp_errors_ellipse(whitened_sample(5), level)
@@ -234,6 +235,7 @@ class TestBootstrap:
         dict(seed=[3, -2]),
         dict(seed="7"),
         dict(seed=None),  # used to draw fresh OS entropy on every call
+        dict(level="x"),  # used to raise a raw TypeError
     ])
     def test_bad_arguments_raise_domain_error(self, kwargs):
         with pytest.raises(DomainError):

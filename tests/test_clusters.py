@@ -160,6 +160,14 @@ class TestAdjacencyGraph:
         with pytest.raises(InvalidGraph, match="line 2"):
             AdjacencyGraph.from_edge_list(path, 3)
 
+    def test_edge_list_byte_order_mark_is_skipped(self, tmp_path):
+        # the first node index used to read as "\ufeff0", not an integer
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text("0 1\n1 2\n", encoding="utf-8")
+        marked.write_text("0 1\n1 2\n", encoding="utf-8-sig")
+        assert (AdjacencyGraph.from_edge_list(marked, 3)
+                == AdjacencyGraph.from_edge_list(plain, 3))
+
     def test_edge_list_must_be_utf8(self, tmp_path):
         # used to raise a raw UnicodeDecodeError
         path = tmp_path / "edges.txt"

@@ -15,7 +15,8 @@ from phasorstats import (
     coherent_mean,
     covariance_summary,
 )
-from phasorstats.data import align_units, check_seed
+from phasorstats.checks import seed as check_seed
+from phasorstats.data import align_units
 from phasorstats.exceptions import (
     DomainError,
     EmptyUnit,

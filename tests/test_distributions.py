@@ -35,6 +35,12 @@ class TestFCdf:
             with pytest.raises(DomainError, match="integers >= 1"):
                 f_critical(0.05, *df)
         assert f_sf(1.0, 2.0, np.int64(10)) == f_sf(1.0, 2, 10)
+        # strings used to escape as a raw TypeError or ValueError, an int
+        # past the float range as a raw OverflowError
+        for call in (lambda: f_sf(1.0, "2", 5), lambda: f_sf("a", 2, 5),
+                     lambda: f_critical("x", 2, 5), lambda: f_sf(1.0, 2, 10**400)):
+            with pytest.raises(DomainError):
+                call()
 
     def test_reported_mouse_p(self):
         # F(2, 10) = 8.32 corresponds to p about 0.007
@@ -212,6 +218,15 @@ class TestConditionIndexDistribution:
             for x in (np.nan, np.array([2.0, np.nan])):
                 with pytest.raises(DomainError):
                     method(x)
+        # a string used to escape as a raw TypeError or ValueError
+        for method in (ConditionIndexDistribution(5).quantile,
+                       ConditionIndexDistribution(5).sf):
+            with pytest.raises(DomainError):
+                method("x")
+        # an int past the float range was taken, and every method then
+        # raised a raw OverflowError
+        with pytest.raises(DomainError, match="sample size"):
+            ConditionIndexDistribution(10**400)
 
     @pytest.mark.parametrize("variant", ["edelman", "modified"])
     def test_normalization_all_n(self, variant):

@@ -74,6 +74,17 @@ class TestExtractComponent:
             with pytest.raises(FrequencyNotResolvable):
                 extract_component(np.ones(100), fs, f)
 
+    # each used to escape as a raw TypeError or ValueError
+    @pytest.mark.parametrize("series,fs,f,error", [
+        ([1, 0, -1, 0], "x", 1, FrequencyNotResolvable),
+        ([1, 0, -1, 0], 4, "x", FrequencyNotResolvable),
+        ([1, 0, -1, 0], None, 1, FrequencyNotResolvable),
+        (["a", "b", "c", "d"], 4, 1, MalformedInput),
+    ])
+    def test_non_number_arguments_raise_typed_errors(self, series, fs, f, error):
+        with pytest.raises(error):
+            extract_component(series, fs, f)
+
 
 class TestComponentsCsv:
     def test_round_trip(self, tmp_path):
@@ -170,6 +181,16 @@ class TestComponentsCsv:
         path.write_bytes("unit,condition,re,im\nm\xe9,a,1,2\n".encode("latin-1"))
         with pytest.raises(MalformedInput, match="latin.csv: not UTF-8"):
             read_components_csv(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports begin with one; the first column
+        # used to read as "\ufeffunit" and be reported missing
+        text = "unit,condition,re,im\nm1,a,1,2\nm2,a,3,4\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_components_csv(marked) == read_components_csv(plain)
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "extra.csv"
@@ -272,6 +293,13 @@ class TestTimeseriesCsv:
         assert len(rows) == 1
         assert rows[0].re == pytest.approx(2.0, abs=1e-9)
         assert rows[0].im == pytest.approx(0.0, abs=1e-9)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # the metadata line after a byte-order mark used to read as the header
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        self._write(plain)
+        marked.write_text(plain.read_text(), encoding="utf-8-sig")
+        assert read_timeseries_csv(marked) == read_timeseries_csv(plain)
 
     def test_rows_may_arrive_shuffled(self, tmp_path):
         path = tmp_path / "ts.csv"

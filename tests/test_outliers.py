@@ -124,11 +124,21 @@ class TestExcludeOutliers:
         _, strict = exclude_outliers(ds, threshold=0.5)
         assert strict.n_flagged > 0
 
-    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), "x"])
     def test_threshold_must_be_positive(self, threshold):
         # nan used to flag nothing without a word
         with pytest.raises(DomainError):
             mahalanobis_distances(gaussian_sample(5), threshold)
+
+    @pytest.mark.parametrize("threshold", ["x", None])
+    def test_non_number_threshold_raises_domain_error(self, threshold):
+        # used to escape as a raw TypeError from the comparison with 0
+        ds = GroupedDataset((gaussian_sample(5),), Design.ONE_SAMPLE)
+        with pytest.raises(DomainError, match="threshold must be positive"):
+            exclude_outliers(ds, threshold)
+
+    def test_infinite_threshold_flags_nothing(self):
+        assert mahalanobis_distances(gaussian_sample(5), math.inf).flagged == ()
 
     def test_single_pass_not_iterative(self):
         # distances are computed once with every point included: removing

@@ -63,6 +63,13 @@ class TestSpecValidation:
                 with pytest.raises(InvalidSpec, match="must be a finite real"):
                     SimulationSpec(test="CI_test", **{name: value})
 
+    # math.isfinite of an int past the float range used to raise a raw
+    # OverflowError
+    @pytest.mark.parametrize("name", ["d", "alpha", "planted_outlier_distance"])
+    def test_int_past_the_float_range_raises_invalid_spec(self, name):
+        with pytest.raises(InvalidSpec, match="must be a finite real"):
+            SimulationSpec(test="CI_test", **{name: 10**400})
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", [1, 2], None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(InvalidSpec, match="seed must be a non-negative integer"):
@@ -383,6 +390,12 @@ class TestOutlierEffect:
     def test_needs_four(self):
         with pytest.raises(InvalidSpec):
             simulate_outlier_effect(3, 1.0, 100, 0)
+
+    # each used to escape as a raw TypeError from the n >= 4 comparison
+    @pytest.mark.parametrize("n", ["x", None])
+    def test_bad_arguments_raise_invalid_spec(self, n):
+        with pytest.raises(InvalidSpec, match="n must be an integer"):
+            simulate_outlier_effect(n, 1.0, 10, 0)
 
 
 class TestRateTable:
