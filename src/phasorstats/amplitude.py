@@ -165,6 +165,7 @@ def amp_ci_bootstrap(
     amplitude of each resampled coherent mean, and reads the bounds at the
     (1 -/+ level)/2 quantiles. Deterministic for a given seed: a
     non-negative integer or a sequence of them (``DomainError`` otherwise).
+    n_boot must be an integer in [1, 2^32).
 
     The resamples are drawn and summed in blocks of about ``_BOOT_VALUES``
     indices, so memory is O(n_boot + block), not O(n_boot * N). The bounds
@@ -173,7 +174,7 @@ def amp_ci_bootstrap(
     one PCG64 stream, and each row is reduced on its own.
     """
     checks.probability("level", level)
-    n_boot = checks.integer("n_boot", n_boot, 1)
+    n_boot = checks.integer("n_boot", n_boot, 1, maximum=checks.MAX_DRAWS)
     if sample.n < 2:
         raise TooFewObservations(
             f"bootstrap needs >= 2 observations, got {sample.n}"

@@ -2,6 +2,7 @@
 
 - A *count* (a size, a node index, a number of draws) is whatever
   ``operator.index`` takes: ints, bools and numpy integers, not 2.0 or "2".
+  A number of draws is at most ``MAX_DRAWS``, 2^32 - 1.
 - A *seed* is a count >= 0, which is what ``SeedSequence`` accepts.
 - A *real parameter* is a ``numbers.Real`` that the caller's range accepts,
   e.g. a probability in (0, 1); nan fails every range, inf only those that
@@ -25,14 +26,24 @@ import numpy as np
 from .exceptions import DomainError
 
 
-def integer(name: str, value, minimum=None, error=DomainError) -> int:
-    """value as a Python int, where it is a count of at least minimum."""
+#: The largest number of permutations, bootstrap resamples or Monte Carlo
+#: replicates one call may ask for. Each keeps at least one float, so a
+#: count far past this cannot be allocated, and a loop over it would not
+#: end in any useful time.
+MAX_DRAWS = 2**32 - 1
+
+
+def integer(name: str, value, minimum=None, error=DomainError,
+            maximum=None) -> int:
+    """value as a Python int, where it is a count in [minimum, maximum]."""
     try:
         number = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
         raise error(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and number > maximum:
+        raise error(f"{name} must be <= {maximum}, got {value!r}")
     return number
 
 

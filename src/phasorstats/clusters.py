@@ -343,9 +343,7 @@ def cluster_correct(
         raise DomainError(f"test must be 'T2' or 'T2circ', got {test!r}")
     checks.probability("alpha_forming", alpha_forming)
     seed = checks.seed(seed)
-    n_perm = checks.integer("n_perm", n_perm)
-    if not 1 <= n_perm < 2**32:
-        raise DomainError(f"n_perm must be in [1, 2^32), got {n_perm}")
+    n_perm = checks.integer("n_perm", n_perm, 1, maximum=checks.MAX_DRAWS)
     design = _validate_nodes(node_datasets, graph)
     two_sample = design is Design.TWO_SAMPLE_INDEPENDENT
     sizes = tuple(s.n for s in node_datasets[0].samples)

@@ -8,10 +8,13 @@ invariance of every statistic makes the direction irrelevant. With k > 1
 groups the signal is added to the first group only.
 
 Replicates are drawn and tested in blocks of at most kernels.BLOCK_VALUES
-complex values, which keeps temporaries small: one
-``standard_normal((B, k*n, 2))`` call, which consumes the generator exactly
-as B sequential (k*n, 2) draws do, then one batched kernel call
-(kernels.py) and vectorised p-values.
+complex values, which keeps temporaries small. Each block is one
+``standard_normal`` call that writes its (re, im) pairs straight into the
+(B, k, n) complex array, whose memory has that layout; the Cholesky step
+then rewrites the imaginary parts in place. The call consumes the generator
+exactly as B sequential (k*n, 2) draws do, so the stream, and with it every
+rate, does not depend on the block size. One batched kernel call
+(kernels.py) and vectorised p-values follow.
 Cells with a planted outlier first draw all n_reps outlier angles with one
 ``uniform`` call, then the normals block by block as the other cells do.
 
@@ -60,10 +63,10 @@ _RANGES = {
 @dataclass(frozen=True)
 class SimulationSpec:
     """One simulation cell: generator parameters, test, alpha, size and
-    seed, a non-negative integer; InvalidSpec for a field out of range, for
-    n, k or n_reps that is not an integer, or for d, correlation,
-    variance_ratio, alpha or a planted outlier distance that is not a
-    finite real number."""
+    seed, a non-negative integer; InvalidSpec for a field out of range
+    (n_reps in [1, 2^32)), for n, k or n_reps that is not an integer, or
+    for d, correlation, variance_ratio, alpha or a planted outlier distance
+    that is not a finite real number."""
 
     test: str
     d: float = 0.0
@@ -79,8 +82,10 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.test not in TESTS:
             raise InvalidSpec(f"unknown test {self.test!r}; choose from {TESTS}")
-        for name, minimum in (("n", None), ("k", 1), ("n_reps", 1)):
-            value = checks.integer(name, getattr(self, name), minimum, InvalidSpec)
+        for name, minimum, maximum in (("n", None, None), ("k", 1, None),
+                                       ("n_reps", 1, checks.MAX_DRAWS)):
+            value = checks.integer(name, getattr(self, name), minimum,
+                                   InvalidSpec, maximum)
             object.__setattr__(self, name, value)
         reals = ["d", "correlation", "variance_ratio", "alpha"]
         if self.planted_outlier_distance is not None:
@@ -135,8 +140,27 @@ class RateTable(Record):
         return hits[0].rate
 
 
+def _fill_normal(rng: np.random.Generator, X: np.ndarray) -> None:
+    """Fill the complex array X with standard normal draws, in place.
+
+    The draws land as (re, im) pairs, the layout of complex128, so X holds
+    what ``z = rng.standard_normal(X.shape + (2,))`` and
+    ``z[..., 0] + 1j * z[..., 1]`` give, and the generator moves on by the
+    same 2 * X.size draws.
+    """
+    rng.standard_normal(out=X.view(np.float64).reshape(X.shape + (2,)))
+
+
 def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarray]:
-    """The replicates of a cell as (B, k, n) complex blocks, in stream order."""
+    """The replicates of a cell as (B, k, n) complex blocks, in stream order.
+
+    Each block is drawn in place: the standard normals fill the complex
+    array as (re, im) pairs, and the Cholesky step rewrites the imaginary
+    parts, so the block holds z0 + 1j * (a*z0 + c*z1) with no other array
+    of its size. A block of B replicates consumes the stream as B
+    sequential (k*n, 2) draws do, so the output does not depend on the
+    block size.
+    """
     kn = spec.k * spec.n
     per_block = max(1, kernels.BLOCK_VALUES // kn)
     dist = spec.planted_outlier_distance
@@ -144,13 +168,17 @@ def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarr
     if planted:
         angles = rng.uniform(0.0, 2.0 * math.pi, spec.n_reps)
         offsets = dist * (np.cos(angles) + 1j * np.sin(angles))
+    # Cholesky transform to covariance [[1, r sqrt(v)], [., v]]
+    r, v = spec.correlation, spec.variance_ratio
+    a, c = r * math.sqrt(v), math.sqrt(v * (1.0 - r * r))
     for start in range(0, spec.n_reps, per_block):
         b = min(per_block, spec.n_reps - start)
-        z = rng.standard_normal((b, kn, 2))
-        # Cholesky transform to covariance [[1, r sqrt(v)], [., v]]
-        r, v = spec.correlation, spec.variance_ratio
-        im = r * math.sqrt(v) * z[..., 0] + math.sqrt(v * (1.0 - r * r)) * z[..., 1]
-        X = (z[..., 0] + 1j * im).reshape(b, spec.k, spec.n)
+        X = np.empty((b, spec.k, spec.n), dtype=complex)
+        _fill_normal(rng, X)
+        if (a, c) != (0.0, 1.0):
+            im = X.imag
+            im *= c
+            im += a * X.real  # c*z1 + a*z0: the bits of a*z0 + c*z1
         X[:, 0] += spec.d
         if planted:
             # displace the first point of group 0 from the mean of the rest
@@ -247,16 +275,16 @@ def simulate_amplitude_skew(
     """Amplitudes of unit-variance isotropic draws centered at (d, 0).
 
     Returns the amplitude sample and its skewness (m3 / m2^1.5); InvalidSpec
-    unless d is a finite real in [0, 2^43) and n_reps an integer >= 2, and
-    where every draw rounds to one amplitude. At d = 0 the amplitudes are
-    Rayleigh with skewness 2 sqrt(pi) (pi - 3) / (4 - pi)^1.5; skew decays
-    toward 0 as d grows. From 2^43 (about 8.8e12) on, math.ulp(d) exceeds
-    2^-10 of the unit noise SD and the rounding of d + noise shapes the
-    amplitudes: at seed 0 and 10^5 reps the skew is 0.0084 at d = 1e12 but
-    0.0135 at 1e14 and 1.0 at 1e18.
+    unless d is a finite real in [0, 2^43) and n_reps an integer in
+    [2, 2^32), and where every draw rounds to one amplitude. At d = 0 the
+    amplitudes are Rayleigh with skewness 2 sqrt(pi) (pi - 3) / (4 - pi)^1.5;
+    skew decays toward 0 as d grows. From 2^43 (about 8.8e12) on,
+    math.ulp(d) exceeds 2^-10 of the unit noise SD and the rounding of
+    d + noise shapes the amplitudes: at seed 0 and 10^5 reps the skew is
+    0.0084 at d = 1e12 but 0.0135 at 1e14 and 1.0 at 1e18.
     """
     checks.real("d", d, math.isfinite, "a finite real number", InvalidSpec)
-    n_reps = checks.integer("n_reps", n_reps, 2, InvalidSpec)
+    n_reps = checks.integer("n_reps", n_reps, 2, InvalidSpec, checks.MAX_DRAWS)
     if d < 0.0:
         raise InvalidSpec(f"d must be >= 0, got {d}")
     rng = np.random.default_rng([checks.seed(seed, InvalidSpec), 0])
@@ -265,8 +293,10 @@ def simulate_amplitude_skew(
             f"d = {d!r} leaves the amplitudes without resolution: "
             f"math.ulp(d) = {math.ulp(d)!r} exceeds 2^-10 of the unit noise "
             "SD, so d must be below 2^43")
-    z = rng.standard_normal((n_reps, 2))
-    amps = np.abs((z[:, 0] + d) + 1j * z[:, 1])
+    draws = np.empty(n_reps, dtype=complex)
+    _fill_normal(rng, draws)
+    draws.real += d
+    amps = np.abs(draws)
     centered = amps - amps.mean()
     spread = (centered**2).mean() ** 1.5
     if spread == 0.0:  # every draw rounded to one amplitude

@@ -236,6 +236,7 @@ class TestBootstrap:
         dict(seed="7"),
         dict(seed=None),  # used to draw fresh OS entropy on every call
         dict(level="x"),  # used to raise a raw TypeError
+        dict(n_boot=2**62),  # numpy's "array is too big" used to escape
     ])
     def test_bad_arguments_raise_domain_error(self, kwargs):
         with pytest.raises(DomainError):

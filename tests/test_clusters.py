@@ -412,6 +412,7 @@ class TestClusterCorrect:
         dict(seed=-1),
         dict(seed=1.5),
         dict(alpha_forming="0.05"),  # used to raise a raw TypeError
+        dict(n_perm=2**62),
     ])
     def test_bad_arguments_raise_domain_error(self, kwargs):
         args = dict(test="T2circ", n_perm=10, seed=0) | kwargs

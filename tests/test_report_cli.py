@@ -30,7 +30,7 @@ from phasorstats import (
     t2circ_two_sample,
 )
 from phasorstats import exceptions, report as report_module
-from phasorstats.cli import main as cli_main
+from phasorstats.cli import PRESETS, main as cli_main
 from phasorstats.exceptions import DomainError, MalformedInput, PhasorStatsError
 from phasorstats.report import AmplitudeEntry, format_text
 
@@ -436,10 +436,10 @@ class TestCliSimulate:
                          "--out", str(out5)]) == 0
         assert out5.read_text().startswith("n,threshold_edelman")
 
-    # goldens from the hand-joined writers that ingest.write_csv replaced:
-    # labels with no comma or quote keep their bytes (fig4a is
-    # RateTable.to_csv)
-    @pytest.mark.parametrize("preset", ["fig2", "fig4a", "fig5a", "fig5b"])
+    # every preset, so every branch of the generator: fig3 (d > 0), fig4a
+    # (correlation), fig4b (variance ratio), fig6 (k = 3, ANOVA2circ and
+    # MANOVA) and outliers (planted), besides fig2 and fig5
+    @pytest.mark.parametrize("preset", PRESETS)
     def test_preset_bytes_match_golden(self, tmp_path, preset):
         out = tmp_path / f"{preset}.csv"
         assert cli_main(["simulate", preset, "--reps", "300", "--seed", "1",

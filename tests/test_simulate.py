@@ -31,7 +31,7 @@ from phasorstats.exceptions import (
 )
 from phasorstats import kernels
 from phasorstats.kernels import condition_index
-from phasorstats.simulate import _CONTRACTS, _p_values
+from phasorstats.simulate import _CONTRACTS, _blocks, _p_values
 
 LINE = np.array([1.0, 2.0, 3.0, 5.0]) * (1 + 1j)  # rank-one covariance
 SAME = np.full(4, 2 + 1j)  # zero residual power
@@ -283,6 +283,74 @@ class TestGenerator:
                 if t2circ_one_sample(ComplexSample(values), 0j).p_value < 0.05:
                     hits += 1
         assert hits / spec.n_reps == pytest.approx(rate_axis, abs=1e-12)
+
+
+def formula_blocks(rng, spec):
+    """The documented generator, one array per step: z0 + 1j*(a*z0 + c*z1)
+    from (B, k*n, 2) draws, then the shift and the planted outlier."""
+    kn = spec.k * spec.n
+    per_block = max(1, kernels.BLOCK_VALUES // kn)
+    dist = spec.planted_outlier_distance
+    if dist:
+        angles = rng.uniform(0.0, 2.0 * math.pi, spec.n_reps)
+        offsets = dist * (np.cos(angles) + 1j * np.sin(angles))
+    r, v = spec.correlation, spec.variance_ratio
+    a, c = r * math.sqrt(v), math.sqrt(v * (1.0 - r * r))
+    for start in range(0, spec.n_reps, per_block):
+        b = min(per_block, spec.n_reps - start)
+        z = rng.standard_normal((b, kn, 2))
+        X = z[..., 0] + 1j * (a * z[..., 0] + c * z[..., 1])
+        X = X.reshape(b, spec.k, spec.n)
+        X[:, 0] += spec.d
+        if dist:
+            X[:, 0, 0] = X[:, 0, 1:].mean(axis=-1) + offsets[start:start + b]
+        yield X
+
+
+class TestBlocksMatchFormula:
+    # the blocks are drawn in place; they must hold the formula's bits,
+    # signs of zero included, block for block
+    @pytest.mark.parametrize("fields", [
+        dict(test="T2", n=8),
+        dict(test="T2", n=8, correlation=0.6),
+        dict(test="T2", n=8, correlation=-0.9, variance_ratio=0.125),
+        dict(test="T2circ", n=8, variance_ratio=4.0),
+        dict(test="T2circ", n=8, d=0.5),
+        dict(test="ANOVA2circ", n=6, k=3, d=0.8),
+        dict(test="MANOVA", n=4, k=3, d=1.0, correlation=0.3),
+        dict(test="CI_test", n=16, planted_outlier_distance=3.0),
+        dict(test="CI_test", n=16, planted_outlier_distance=0.0),
+        dict(test="T2", n=64, d=0.3, correlation=0.3, variance_ratio=2.0),
+    ])
+    def test_bit_for_bit(self, fields, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", 256)  # 4 to 32 per block
+        spec = SimulationSpec(n_reps=700, seed=0, **fields)
+        got = list(_blocks(np.random.default_rng([8, 1]), spec))
+        want = list(formula_blocks(np.random.default_rng([8, 1]), spec))
+        assert len(got) == len(want) >= 5
+        for X, Y in zip(got, want):
+            assert X.dtype == Y.dtype and X.shape == Y.shape
+            assert np.array_equal(X.view(np.uint64), Y.view(np.uint64))
+
+
+class TestHugeCounts:
+    # 2**62 used to reach numpy's allocator ("array is too big") or start a
+    # block loop that would not end; it is refused before any generator
+    # is built
+    @pytest.mark.parametrize("call", [
+        lambda: SimulationSpec(test="T2", n_reps=2**62),
+        lambda: simulate_ci_distribution(4, 2**62, 0),
+        lambda: simulate_amplitude_skew(1.0, 2**62, 0),
+        lambda: simulate_outlier_effect(8, 1.0, 2**62, 0),
+    ], ids=["SimulationSpec", "simulate_ci_distribution",
+            "simulate_amplitude_skew", "simulate_outlier_effect"])
+    def test_refused_before_drawing(self, call, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("drew before refusing the count")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(InvalidSpec, match="n_reps must be <= 4294967295"):
+            call()
 
 
 class TestCiDistribution:
