@@ -15,6 +15,9 @@ reproduce the same summary statistics through the full pipeline:
   baseline contrasts reach T2circ = 0.004 / 0.03 / 0.32 / 0.28 / 0.10 /
   0.40 at conditions 2/4/8/16/32/64, the last four significant under
   Bonferroni alpha/6.
+- timeseries.csv: 3 units (one labelled "m,1", so it is quoted) by two
+  conditions of 16 noisy samples spanning 2 cycles; its ``extract`` output
+  is the golden timeseries_components.csv.
 
 Everything is seeded and exact: group geometry is constructed by whitening
 and Gram-Schmidt so the target statistics hold to float precision, not by
@@ -49,7 +52,11 @@ from phasorstats import (  # noqa: E402
 )
 from phasorstats.cli import main as cli_main  # noqa: E402
 from phasorstats.inference import anova2circ_repeated  # noqa: E402
-from phasorstats.ingest import write_components_csv  # noqa: E402
+from phasorstats.ingest import (  # noqa: E402
+    TIMESERIES_COLUMNS,
+    write_components_csv,
+    write_csv,
+)
 
 MOUSE_TARGETS = {"ci_sound": 1.59, "ci_light": 1.69, "f": 8.32, "d": 2.14}
 HUMAN_T2CIRC = {"2": 0.004, "4": 0.03, "8": 0.32, "16": 0.28, "32": 0.10,
@@ -305,6 +312,28 @@ def verify_human(path: Path, expected_excluded: set[str]) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# Time-series fixture
+# ---------------------------------------------------------------------------
+
+def build_timeseries(seed: int, sample_rate: float = 16.0,
+                     target_frequency: float = 2.0, m: int = 16) -> str:
+    """A time-series CSV: a cosine at the target frequency plus noise."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(m)
+    rows = []
+    for unit in ("m,1", "m2", "m3"):
+        for condition in ("a", "b"):
+            amplitude, phase = rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi)
+            values = (amplitude
+                      * np.cos(2 * math.pi * target_frequency * t / sample_rate
+                               + phase)
+                      + 0.3 * rng.standard_normal(m))
+            rows += [(unit, condition, i, v) for i, v in enumerate(values.tolist())]
+    return (f"# sample_rate={sample_rate}\n# target_frequency={target_frequency}\n"
+            + write_csv(TIMESERIES_COLUMNS, rows))
+
+
 def find_seed(builder, verifier, start: int, tries: int = 200):
     last_error = None
     for seed in range(start, start + tries):
@@ -360,6 +389,13 @@ def main() -> None:
     report = json.loads((FIXTURES / "human_report.json").read_text())
     assert report["flowchart_leaf"] == "anova2circ_repeated"
     print("golden reports written")
+
+    timeseries_path = FIXTURES / "timeseries.csv"
+    timeseries_path.write_text(build_timeseries(seed=7))
+    rc = cli_main(["extract", str(timeseries_path),
+                   "--out", str(FIXTURES / "timeseries_components.csv")])
+    assert rc == 0, rc
+    print("time series and its extract golden written")
 
 
 if __name__ == "__main__":

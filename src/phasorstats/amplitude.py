@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checks
 from .data import ComplexSample, covariance_summary
-from .exceptions import DegenerateCovariance, DomainError, TooFewObservations
+from .exceptions import DegenerateCovariance, TooFewObservations
 from .records import Record
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -164,7 +164,7 @@ def amp_ci_bootstrap(
     Resamples the complex observations with replacement, takes the
     amplitude of each resampled coherent mean, and reads the bounds at the
     (1 -/+ level)/2 quantiles. Deterministic for a given seed: a
-    non-negative integer or a sequence of them (``DomainError`` otherwise).
+    non-negative integer or a list or tuple of them (``DomainError`` otherwise).
     n_boot must be an integer in [1, 2^32).
 
     The resamples are drawn and summed in blocks of about ``_BOOT_VALUES``
@@ -179,13 +179,7 @@ def amp_ci_bootstrap(
         raise TooFewObservations(
             f"bootstrap needs >= 2 observations, got {sample.n}"
         )
-    try:
-        if seed is None:  # default_rng would draw fresh OS entropy
-            raise TypeError
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError):
-        raise DomainError(f"seed must be a non-negative integer or a sequence of "
-                          f"them, got {seed!r}") from None
+    rng = np.random.default_rng(checks.seeds(seed))
     n = sample.n
     rows = max(1, _BOOT_VALUES // n)
     sums = np.empty(n_boot, dtype=complex)

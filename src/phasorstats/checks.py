@@ -58,6 +58,18 @@ def seed(value, error=DomainError) -> int:
     return number
 
 
+def seeds(value):
+    """value as an int or a list of ints, where it is a seed or a list or
+    tuple of seeds; not a Generator or SeedSequence, which ``default_rng``
+    would take and advance."""
+    try:
+        many = isinstance(value, (list, tuple))
+        return [seed(v) for v in value] if many else seed(value)
+    except DomainError:
+        raise DomainError(f"seed must be a non-negative integer or a list or "
+                          f"tuple of them, got {value!r}") from None
+
+
 def real(name: str, value, valid, what: str, error=DomainError):
     """value, unchanged, where it is a real number that valid accepts."""
     try:

@@ -1,6 +1,6 @@
 """Data model for complex Fourier components grouped by experimental condition.
 
-An observation is the (real, imaginary) pair of one Fourier coefficient.
+An observation is one Fourier coefficient, held as a complex number.
 Samples store observations as a read-only complex array; all operations on
 them are pure functions, so everything here is safe to share across
 concurrently running simulation workers.
@@ -8,7 +8,6 @@ concurrently running simulation workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -24,41 +23,13 @@ from .exceptions import (
 )
 
 
-@dataclass(frozen=True)
-class ComplexObservation:
-    """A single bivariate observation: one complex Fourier coefficient."""
-
-    re: float
-    im: float
-
-    def __post_init__(self) -> None:
-        for v in (self.re, self.im):
-            checks.real("observation components", v, math.isfinite,
-                        "finite real numbers", MalformedInput)
-
-    @property
-    def amplitude(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    @property
-    def phase(self) -> float:
-        return math.atan2(self.im, self.re)
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
 def _coerce_observations(observations) -> np.ndarray:
     """Coerce observations to a 1-d complex128 array.
 
-    Accepts a complex array, an (N, 2) real array of (re, im) columns, a
-    sequence of ComplexObservation, or a sequence of complex numbers;
-    MalformedInput for anything else, or for a non-finite value.
+    Accepts a complex array, an (N, 2) real array of (re, im) columns, or
+    a sequence of complex (or real) numbers; MalformedInput for anything
+    else, or for a non-finite value.
     """
-    if isinstance(observations, (list, tuple)) and observations and isinstance(
-        observations[0], ComplexObservation
-    ):
-        observations = [o.as_complex() for o in observations]
     arr = np.asarray(observations)
     pairs = arr.ndim == 2 and arr.shape[1] == 2
     if pairs and np.iscomplexobj(arr):
@@ -203,15 +174,6 @@ class GroupedDataset:
     @property
     def condition_labels(self) -> tuple[str, ...]:
         return tuple(s.condition_label for s in self.samples)
-
-    def aligned_matrix(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Observations as a (k, N) matrix aligned by unit label
-        (``align_units``). Only valid for unit-aligned designs."""
-        if self.design not in UNIT_ALIGNED_DESIGNS:
-            raise LabelMismatch(
-                f"{self.design.value} design has no unit alignment"
-            )
-        return align_units(self.samples)
 
 
 def align_units(

@@ -17,16 +17,16 @@ averaged when a dataset is built.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import checks
-from .data import ComplexObservation, ComplexSample, Design, GroupedDataset
+from .data import ComplexSample, Design, GroupedDataset
 from .exceptions import (
     FrequencyNotResolvable,
     MalformedInput,
@@ -37,8 +37,7 @@ COMPONENT_COLUMNS = ("unit", "condition", "re", "im")
 TIMESERIES_COLUMNS = ("unit", "condition", "t_index", "value")
 
 
-@dataclass(frozen=True)
-class ComponentRow:
+class ComponentRow(NamedTuple):
     unit: str
     condition: str
     re: float
@@ -149,9 +148,9 @@ def build_dataset(
     coherent (complex) mean.
     """
     by_condition: dict[str, dict[str, list[complex]]] = {}
-    for r in rows:
-        units = by_condition.setdefault(r.condition, {})
-        units.setdefault(r.unit, []).append(complex(r.re, r.im))
+    for unit, condition, re, im in rows:
+        units = by_condition.setdefault(condition, {})
+        units.setdefault(unit, []).append(complex(re, im))
     samples = []
     for condition, units in by_condition.items():
         # the reduction coherent_mean runs; numpy's mean of one value is
@@ -168,14 +167,15 @@ def build_dataset(
 
 def extract_component(
     series: Sequence[float], sample_rate: float, target_frequency: float
-) -> ComplexObservation:
-    """Single-bin DFT coefficient at the target frequency.
+) -> complex:
+    """Single-bin DFT coefficient at the target frequency, as a complex.
 
     Normalized by 2/M with a cosine phase convention: a pure
-    A cos(2 pi f t) sampled over whole cycles returns (A, 0), and
+    A cos(2 pi f t) sampled over whole cycles returns A + 0j, and
     A sin(2 pi f t) returns amplitude A at phase -pi/2. The series must
     span a whole number (>= 1) of cycles, with the target strictly between
-    DC and the Nyquist frequency; no windowing is applied.
+    DC and the Nyquist frequency; no windowing is applied. MalformedInput
+    where the coefficient is not finite.
     """
     x = checks.floats("series", series, MalformedInput)
     if x.ndim != 1 or x.size < 2:
@@ -201,8 +201,11 @@ def extract_component(
             "one whole cycle is required"
         )
     t = np.arange(m)
-    coeff = (2.0 / m) * complex((x * np.exp(-2j * math.pi * k * t / m)).sum())
-    return ComplexObservation(coeff.real, coeff.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = (2.0 / m) * complex((x * np.exp(-2j * math.pi * k * t / m)).sum())
+    if not cmath.isfinite(coeff):
+        raise MalformedInput(f"the component must be finite, got {coeff!r}")
+    return coeff
 
 
 def read_timeseries_csv(path) -> list[ComponentRow]:
@@ -236,12 +239,9 @@ def read_timeseries_csv(path) -> list[ComponentRow]:
                 f"{path}: series for unit {unit!r}, condition {condition!r} "
                 f"must cover t_index 0..{len(points) - 1} exactly once"
             )
-        obs = extract_component(
-            [p[1] for p in points],
-            metadata["sample_rate"],
-            metadata["target_frequency"],
-        )
-        out.append(ComponentRow(unit, condition, obs.re, obs.im))
+        coeff = extract_component([p[1] for p in points], metadata["sample_rate"],
+                                  metadata["target_frequency"])
+        out.append(ComponentRow(unit, condition, coeff.real, coeff.imag))
     return out
 
 
@@ -276,5 +276,4 @@ def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
 
 def write_components_csv(rows: Sequence[ComponentRow]) -> str:
     """Serialize component rows back to the components schema."""
-    return write_csv(COMPONENT_COLUMNS,
-                     ((r.unit, r.condition, r.re, r.im) for r in rows))
+    return write_csv(COMPONENT_COLUMNS, rows)

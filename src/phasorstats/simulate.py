@@ -64,9 +64,9 @@ _RANGES = {
 class SimulationSpec:
     """One simulation cell: generator parameters, test, alpha, size and
     seed, a non-negative integer; InvalidSpec for a field out of range
-    (n_reps in [1, 2^32)), for n, k or n_reps that is not an integer, or
-    for d, correlation, variance_ratio, alpha or a planted outlier distance
-    that is not a finite real number."""
+    (n_reps in [1, 2^32), k * n at most 2^32 - 1), for n, k or n_reps that
+    is not an integer, or for d, correlation, variance_ratio, alpha or a
+    planted outlier distance that is not a finite real number."""
 
     test: str
     d: float = 0.0
@@ -87,6 +87,9 @@ class SimulationSpec:
             value = checks.integer(name, getattr(self, name), minimum,
                                    InvalidSpec, maximum)
             object.__setattr__(self, name, value)
+        if self.k * self.n > checks.MAX_DRAWS:
+            raise InvalidSpec(f"k * n must be <= {checks.MAX_DRAWS}, got "
+                              f"{self.k} * {self.n}")
         reals = ["d", "correlation", "variance_ratio", "alpha"]
         if self.planted_outlier_distance is not None:
             reals.append("planted_outlier_distance")

@@ -237,6 +237,10 @@ class TestBootstrap:
         dict(seed=None),  # used to draw fresh OS entropy on every call
         dict(level="x"),  # used to raise a raw TypeError
         dict(n_boot=2**62),  # numpy's "array is too big" used to escape
+        # default_rng took these and advanced them, so a second call with
+        # the same object gave other bounds
+        dict(seed=np.random.default_rng(1)),
+        dict(seed=np.random.SeedSequence(1)),
     ])
     def test_bad_arguments_raise_domain_error(self, kwargs):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """Core data model: covariance summaries, alignment, coherent averaging."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasorstats import (
-    ComplexObservation,
     ComplexSample,
     Design,
     GroupedDataset,
     coherent_mean,
     covariance_summary,
+    extract_component,
 )
 from phasorstats.checks import seed as check_seed
 from phasorstats.data import align_units
@@ -38,16 +39,24 @@ def random_sample(seed, n=12):
     return ComplexSample(z[:, 0] + 1j * z[:, 1])
 
 
+# an observation is a complex number, as extract_component returns it
 class TestComplexObservation:
     def test_amplitude_phase(self):
-        obs = ComplexObservation(3.0, 4.0)
-        assert obs.amplitude == 5.0
-        assert obs.phase == pytest.approx(math.atan2(4, 3))
+        # 3 cos + 4 sin over one cycle of four samples: 3 - 4j
+        obs = extract_component([3.0, 4.0, -3.0, -4.0], 4.0, 1.0)
+        assert type(obs) is complex
+        assert obs == pytest.approx(3 - 4j, abs=1e-12)
+        assert abs(obs) == pytest.approx(5.0)
+        assert cmath.phase(obs) == pytest.approx(math.atan2(-4, 3))
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_nonfinite(self):
-        for re in (math.nan, math.inf, "x"):  # "x" used to raise a raw TypeError
+        # a nan or inf in the series, or a sum past the float range; the
+        # refusal leaks no RuntimeWarning
+        for series in ([math.nan, 0.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0],
+                       [-math.inf, 0.0, 0.0, 0.0], [1e308, 0.0, -1e308, 0.0]):
             with pytest.raises(MalformedInput, match="must be finite"):
-                ComplexObservation(re, 0.0)
+                extract_component(series, 4.0, 1.0)
 
 
 class TestComplexSample:
@@ -218,7 +227,7 @@ class TestGroupedDataset:
         a = make_sample([(1, 0), (2, 0)], "a", units=("u1", "u2"))
         b = make_sample([(5, 0), (4, 0)], "b", units=("u2", "u1"))
         ds = GroupedDataset((a, b), Design.PAIRED)
-        matrix, labels = ds.aligned_matrix()
+        matrix, labels = align_units(ds.samples)
         assert labels == ("u1", "u2")
         assert np.allclose(matrix, [[1, 2], [4, 5]])
 

@@ -1,5 +1,6 @@
 """CSV ingestion and single-bin DFT extraction."""
 
+import cmath
 import math
 
 import numpy as np
@@ -40,16 +41,16 @@ class TestExtractComponent:
         m = int(fs * cycles / f)
         t = np.arange(m) / fs
         obs = extract_component(3.0 * np.cos(2 * np.pi * f * t), fs, f)
-        assert obs.re == pytest.approx(3.0, abs=1e-9)
-        assert obs.im == pytest.approx(0.0, abs=1e-9)
+        assert obs.real == pytest.approx(3.0, abs=1e-9)
+        assert obs.imag == pytest.approx(0.0, abs=1e-9)
 
     def test_sine_is_quadrature(self):
         fs, f = 200.0, 8.0
         m = int(fs / f) * 5
         t = np.arange(m) / fs
         obs = extract_component(2.0 * np.sin(2 * np.pi * f * t), fs, f)
-        assert obs.amplitude == pytest.approx(2.0, abs=1e-9)
-        assert obs.phase == pytest.approx(-math.pi / 2, abs=1e-9)
+        assert abs(obs) == pytest.approx(2.0, abs=1e-9)
+        assert cmath.phase(obs) == pytest.approx(-math.pi / 2, abs=1e-9)
 
     def test_noise_matches_direct_sum_oracle(self):
         rng = np.random.default_rng(0)
@@ -58,8 +59,8 @@ class TestExtractComponent:
         f = 4.0  # bin k = 8
         obs = extract_component(series, fs, f)
         expected = oracle_dft_bin(list(series), 8)
-        assert obs.re == pytest.approx(expected.real, abs=1e-9)
-        assert obs.im == pytest.approx(expected.imag, abs=1e-9)
+        assert obs.real == pytest.approx(expected.real, abs=1e-9)
+        assert obs.imag == pytest.approx(expected.imag, abs=1e-9)
 
     def test_non_integer_cycles(self):
         with pytest.raises(NonIntegerCycles):
@@ -101,6 +102,17 @@ class TestComponentsCsv:
         assert rows[0].unit == "m1" and rows[0].re == 1.5
         text = write_components_csv(rows)
         assert "m1,sound,1.5,-0.25" in text
+
+    def test_component_row_is_a_named_tuple(self):
+        # built, read, printed and compared as the frozen dataclass it was
+        row = ComponentRow("m1", "a", 1.0, -2.0)
+        assert isinstance(row, tuple)
+        assert row == ComponentRow(unit="m1", condition="a", re=1.0, im=-2.0)
+        assert row != ComponentRow("m1", "a", 1.0, 2.0)
+        assert (row.unit, row.condition, row.re, row.im) == ("m1", "a", 1.0, -2.0)
+        assert repr(row) == "ComponentRow(unit='m1', condition='a', re=1.0, im=-2.0)"
+        with pytest.raises(AttributeError):
+            row.re = 0.0
 
     # labels that need quoting used to be written bare, so the file read
     # back with shifted columns, and a quoted line break was dropped

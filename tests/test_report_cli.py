@@ -661,6 +661,15 @@ class TestGoldenReports:
         assert rc == 0
         assert out.read_bytes() == (FIXTURES / f"{name}_report.json").read_bytes()
 
+    def test_extract_golden(self, tmp_path):
+        # a quoted label and two conditions, as scripts/make_fixtures.py
+        # writes the time series and its components
+        out = tmp_path / "components.csv"
+        assert cli_main(["extract", str(FIXTURES / "timeseries.csv"),
+                         "--out", str(out)]) == 0
+        golden = FIXTURES / "timeseries_components.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
 
 def test_analyze_loads_no_scipy_or_numpy_ma(tmp_path):
     # cold start: a whole analyze of either fixture, in a fresh interpreter,

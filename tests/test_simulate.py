@@ -352,6 +352,20 @@ class TestHugeCounts:
         with pytest.raises(InvalidSpec, match="n_reps must be <= 4294967295"):
             call()
 
+    # a cell of 2**62 draws per replicate used to reach numpy's allocator
+    @pytest.mark.parametrize("call", [
+        lambda: SimulationSpec(test="T2", n=2**62, n_reps=1),
+        lambda: SimulationSpec(test="T2", k=2**31, n=2, n_reps=1),
+        lambda: simulate_ci_distribution(2**62, 1, 0),
+    ], ids=["SimulationSpec-n", "SimulationSpec-k", "simulate_ci_distribution"])
+    def test_cell_size_refused_before_drawing(self, call, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("drew before refusing the cell size")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(InvalidSpec, match=r"k \* n must be <= 4294967295"):
+            call()
+
 
 class TestCiDistribution:
     def test_all_at_least_one(self):
