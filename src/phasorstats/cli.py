@@ -329,10 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of `main`, built on its first call; parsing leaves it as it
+#: was. Only a process that calls `main` more than once (the test suite,
+#: the scripts, a loop of in-process analyses) saves its build; the console
+#: script calls `main` once.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:  # argparse set-up costs about a millisecond a build
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -118,6 +118,18 @@ def _two_product(x, y):
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
+#: limit = _DET_RTOL trace^2 at the trace 2^-400: above that, and below a
+#: trace of 2^400, no product of the rule or of its Veltkamp splits
+#: overflows or falls to a subnormal where the decision depends on it
+_LIMIT_FLOOR = _DET_RTOL * 2.0**-800
+
+
+def _exact_rule(a, b, c):
+    """The rule with the exact product errors added to the determinant."""
+    det = (a * c - b * b) + (_two_product(a, c)[1] - _two_product(b, b)[1])
+    return det <= _DET_RTOL * (a + c) * (a + c)
+
+
 def degenerate(a, b, c):
     """The degeneracy rule lambda_min <= DEGENERACY_RTOL * trace for the
     positive semi-definite [[a, b], [b, c]], in its determinant form; a zero
@@ -126,16 +138,28 @@ def degenerate(a, b, c):
     The rounded a c - b b is within 2^-52 (a c + b b) of the exact
     determinant. Where that is not enough to place it on one side of the
     threshold, the exact product errors are added, so a sample at the
-    threshold is decided by the rule and not by rounding. (Such a sample has
-    a finite limit, so its entries are below 1e160 and the split cannot
-    overflow.)
+    threshold is decided by the rule and not by rounding. The rule does not
+    change when a, b and c are scaled by one factor, so where a trace lies
+    outside [2^-400, 2^400] every matrix is first scaled, exactly, by the
+    power of two that brings its trace into [1/2, 1). One reduction tests
+    the upper end before any product is formed. Below the lower end the
+    products lose bits to subnormals only by a few multiples of 2^-1074, so
+    an absolute 2^-1070 in the margin sends every decision they could
+    change, with the near-threshold ones, to the test of the lower end.
     """
-    ac, bb = a * c, b * b
-    det = ac - bb
-    limit = _DET_RTOL * (a + c) * (a + c)
-    if np.any(np.abs(det - limit) <= 2.0**-50 * (ac + bb)):
-        det = det + (_two_product(a, c)[1] - _two_product(b, b)[1])
-    return det <= limit
+    trace = a + c
+    if np.fmax.reduce(trace, axis=None) <= 2.0**400:
+        ac, bb = a * c, b * b
+        det = ac - bb
+        limit = _DET_RTOL * trace * trace
+        del trace  # held on, it gave the cluster loop a third more page faults
+        if np.all(np.abs(det - limit) > 2.0**-50 * (ac + bb) + 2.0**-1070):
+            return det <= limit
+        if np.fmin.reduce(limit, axis=None) >= _LIMIT_FLOOR:
+            return _exact_rule(a, b, c)
+        trace = a + c
+    shift = -np.frexp(trace)[1]
+    return _exact_rule(*(np.ldexp(v, shift) for v in (a, b, c)))
 
 
 def _adjugate_form(a, b, c, x, y):

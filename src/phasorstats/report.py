@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -232,6 +233,35 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+#: The bootstrap thread pool, made on first use, and the lock that makes it.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads, and
+    # the lock in whatever state another thread left it
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _bootstrap_pool():
+    """The process's bootstrap thread pool: made on first use, with one
+    worker per available CPU, and kept between calls; a forked child makes
+    its own."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # off the import path
+
+            _pool = ThreadPoolExecutor(_available_cpus())
+        return _pool
+
+
 def run_flowchart(
     dataset: GroupedDataset,
     alpha: float = 0.05,
@@ -269,9 +299,13 @@ def run_flowchart(
     # ci_test and amp_errors_ellipse both need N >= 3 and a non-degenerate
     # covariance, so the conditions with a CI p-value are exactly those with
     # an ellipse; the others get no entry and draw no bootstrap. Each
-    # condition has its own [seed, i] stream, so the bootstraps run in
-    # threads (numpy releases the GIL) with the bits of a serial run; the
-    # ellipses are pure-Python floats and run serially.
+    # condition has its own [seed, i] stream, so the bootstraps run in the
+    # process's thread pool (numpy releases the GIL) with the bits of a
+    # serial run, and inline on one CPU or for one condition; the pool
+    # outlives the call, so a later call in the same process starts and
+    # joins no thread. A call still returns or raises only once each of its
+    # bootstraps has finished or been cancelled, as when it joined a pool of
+    # its own. The ellipses are pure-Python floats and run serially.
     tested = [(i, s) for i, (s, c) in enumerate(zip(dataset.samples, conditions))
               if c.ci_p_value is not None]
 
@@ -280,12 +314,18 @@ def run_flowchart(
         return amp_ci_bootstrap(s, level=0.68, n_boot=bootstrap_reps,
                                 seed=[seed, i])
 
-    workers = min(len(tested), _available_cpus())
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # off the import path
+    if len(tested) > 1 and _available_cpus() > 1:
+        pool = _bootstrap_pool()
+        futures = [pool.submit(bootstrap, item) for item in tested]
+        try:
+            bootstraps = [f.result() for f in futures]
+        except BaseException:
+            from concurrent.futures import wait
 
-        with ThreadPoolExecutor(workers) as pool:
-            bootstraps = list(pool.map(bootstrap, tested))
+            for f in futures:
+                f.cancel()
+            wait(futures)
+            raise
     else:
         bootstraps = [bootstrap(item) for item in tested]
     amplitudes = tuple(

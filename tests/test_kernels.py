@@ -6,6 +6,7 @@ import pytest
 from phasorstats import (
     ComplexSample,
     ConditionIndexDistribution,
+    amp_errors_ellipse,
     anova2circ_independent,
     anova2circ_repeated,
     ci_test,
@@ -193,3 +194,65 @@ def test_degenerate_samples_are_flagged_like_the_scalar_errors():
     with pytest.raises(ZeroResidualVariance):
         anova2circ_independent(
             [ComplexSample(g[0], str(j)) for j, g in enumerate(constant)])
+
+
+class TestDegeneracyAtAnyScale:
+    # a, b, c are scaled by a power of two before their products wherever the
+    # trace lies outside [2^-400, 2^400]; the products used to overflow above
+    # about 1e154 and fall to subnormals below about 1e-154
+    LINE = np.arange(5) * (1 + 2j) + 0.3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e80, 1e100, 1e140])
+    def test_collinear_sample_is_degenerate(self, scale):
+        sample = ComplexSample(self.LINE * scale)
+        _, a, b, c = kernels.covariance(sample.observations)
+        assert kernels.degenerate(a, b, c)
+        with pytest.raises(DegenerateCovariance):
+            amp_errors_ellipse(sample)
+        with pytest.raises(DegenerateCovariance):
+            ci_test(sample)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e80, 1e100, 1e140])
+    def test_t2_refuses_collinear_sample(self, scale):
+        # its error type only: hotelling's own a c - b b still overflows here
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateCovariance):
+                t2_one_sample(ComplexSample(self.LINE * scale))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rule_is_invariant_under_powers_of_two(self):
+        rng = np.random.default_rng(11)
+        # random covariances of many shapes, and randomly rotated matrices
+        # with lambda_min / trace at 1e-12 up to the rounding of their
+        # entries, which the exact product errors decide
+        X = rng.standard_normal((200, 6)) + 1j * rng.standard_normal((200, 6))
+        X *= 10.0 ** rng.uniform(-8, 0, (200, 1))
+        X.real *= 10.0 ** rng.uniform(-8, 0, (200, 1))
+        _, a, b, c = kernels.covariance(X)
+        lmin = kernels.DEGENERACY_RTOL * (1 + rng.uniform(-1e-9, 1e-9, 200))
+        lmin /= 1 - kernels.DEGENERACY_RTOL  # lambda_min / (1 + lambda_min)
+        t = rng.uniform(0, np.pi, 200)
+        cos, sin = np.cos(t), np.sin(t)
+        a = np.concatenate([a, cos * cos + lmin * sin * sin])
+        b = np.concatenate([b, (1 - lmin) * cos * sin])
+        c = np.concatenate([c, sin * sin + lmin * cos * cos])
+        expected = kernels.degenerate(a, b, c)
+        assert 0 < expected[200:].sum() < 200  # both sides of the threshold
+        for k in range(-490, 491):
+            scaled = kernels.degenerate(np.ldexp(a, k), np.ldexp(b, k),
+                                        np.ldexp(c, k))
+            np.testing.assert_array_equal(scaled, expected, err_msg=f"k = {k}")
+        for i in range(0, 400, 37):  # scalar calls
+            for k in (-490, -400, -130, 0, 170, 400, 490):
+                assert kernels.degenerate(
+                    *(np.ldexp(v[i], k) for v in (a, b, c))) == expected[i]
+        # one matrix a call: its products fall to subnormals with no other
+        # entry of the call to send it to the exact rule
+        for k in range(-540, -495):
+            for i in range(200, 400):
+                assert kernels.degenerate(
+                    *(np.ldexp(v[i], k) for v in (a, b, c))) == expected[i]
+        # a zero matrix is degenerate, also beside one that is scaled
+        big = np.array([0.0, 2.0**450])
+        assert kernels.degenerate(big, np.zeros(2), big).tolist() == [True, False]

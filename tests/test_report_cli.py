@@ -5,6 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ from phasorstats import (
     t2circ_paired,
     t2circ_two_sample,
 )
-from phasorstats import exceptions, report as report_module
+from phasorstats import cli, exceptions, report as report_module
 from phasorstats.cli import PRESETS, main as cli_main
 from phasorstats.exceptions import DomainError, MalformedInput, PhasorStatsError
 from phasorstats.report import AmplitudeEntry, format_text
@@ -298,6 +301,127 @@ class TestFlowchart:
         text = format_text(report)
         assert "selected test" in text
         assert report.flowchart_leaf in text
+
+
+def human_dataset():
+    return build_dataset(read_components_csv(FIXTURES / "human_ssvep.csv"),
+                         Design.ONEWAY_REPEATED)
+
+
+class BootstrapFailed(Exception):
+    pass
+
+
+class TestBootstrapPool:
+    # run_flowchart maps the bootstraps over one thread pool per process,
+    # made on first use; on one CPU they run inline
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_repeated_calls_start_no_threads(self, monkeypatch, cpus):
+        monkeypatch.setattr(report_module, "_available_cpus", lambda: cpus)
+        ds = human_dataset()
+        reports, threads = [], []
+        for _ in range(20):
+            reports.append(run_flowchart(ds, seed=5, bootstrap_reps=500))
+            threads.append(threading.active_count())
+        assert max(threads[1:]) == threads[1]
+        assert all(r == reports[0] for r in reports)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_forked_child_makes_its_own_pool(self, monkeypatch, cpus):
+        import multiprocessing
+
+        monkeypatch.setattr(report_module, "_available_cpus", lambda: cpus)
+        ds = human_dataset()
+        expected = run_flowchart(ds, seed=5, bootstrap_reps=500).to_json()
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(
+            run_flowchart(ds, seed=5, bootstrap_reps=500).to_json()))
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that a process with threads forks: here
+            # the parent's pool workers, which the child does not use
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        try:
+            # a child left with the parent's pool, whose threads it does not
+            # have, would wait for its bootstraps forever
+            assert receive.poll(60), "the forked child returned no report"
+            assert receive.recv() == expected
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_failing_bootstrap_raises_and_the_pool_runs_on(self, monkeypatch,
+                                                            cpus):
+        ds = human_dataset()
+        monkeypatch.setattr(report_module, "_available_cpus", lambda: 1)
+        serial = run_flowchart(ds, seed=5, bootstrap_reps=500)
+        monkeypatch.setattr(report_module, "_available_cpus", lambda: cpus)
+        failing_label = ds.samples[3].condition_label
+        running = []
+
+        def failing(sample, *args, **kwargs):
+            if sample.condition_label == failing_label:
+                raise BootstrapFailed(failing_label)
+            running.append(sample.condition_label)
+            try:
+                time.sleep(0.05)  # still running when the failure comes in
+                return amp_ci_bootstrap(sample, *args, **kwargs)
+            finally:
+                running.remove(sample.condition_label)
+
+        monkeypatch.setattr(report_module, "amp_ci_bootstrap", failing)
+        with pytest.raises(BootstrapFailed):
+            run_flowchart(ds, seed=5, bootstrap_reps=500)
+        # the call raises only once none of its bootstraps runs on
+        assert running == []
+        monkeypatch.setattr(report_module, "amp_ci_bootstrap", amp_ci_bootstrap)
+        assert run_flowchart(ds, seed=5, bootstrap_reps=500) == serial
+
+
+class TestParserCache:
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch, cpus):
+        # main builds its parser on its first call and parses every later
+        # call with it; no call's flags carry over to the next
+        monkeypatch.setattr(report_module, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_parser", None)
+        builds, build_parser = [], cli.build_parser
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        human = [str(FIXTURES / "human_ssvep.csv"), "--design", "oneway-rm"]
+        mouse = [str(FIXTURES / "mouse_ssvep.csv"), "--design", "paired"]
+        text_args = [*human, "--no-outlier-screen", "--format", "text"]
+        src = str(Path(phasorstats.__file__).resolve().parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from phasorstats.cli import "
+             "main; sys.exit(main(sys.argv[1:]))", "analyze", *text_args],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            check=True)
+        runs = [
+            ([*human, "--baseline", "0", "--format", "json"],
+             (FIXTURES / "human_report.json").read_bytes()),
+            ([*mouse, "--format", "json"],
+             (FIXTURES / "mouse_report.json").read_bytes()),
+            (text_args, fresh.stdout),
+            ([*human, "--baseline", "0", "--format", "json", "--seed", "0"],
+             (FIXTURES / "human_report.json").read_bytes()),
+        ]
+        for i, (args, expected) in enumerate(runs):
+            out = tmp_path / f"run{i}"
+            assert cli_main(["analyze", *args, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected, args
+        assert len(builds) <= 1
 
 
 class TestCliAnalyze:
