@@ -101,9 +101,13 @@ def floats(name: str, value, error=DomainError) -> np.ndarray:
         raise error(f"{name} must be real numbers ({exc})") from None
 
 
-def as_complex(value) -> complex:
-    """value as a Python complex, where ``complex`` accepts it."""
+def as_complex(name: str, value) -> complex:
+    """value as a Python complex, where ``complex`` accepts it and both its
+    parts are finite."""
     try:
-        return complex(value)
+        number = complex(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(str(exc)) from None
+    if not np.isfinite(number):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return number

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import checks, inference, kernels
 from .data import ComplexSample, Design, GroupedDataset, align_units
-from .distributions import f_critical, f_sf
+from .distributions import f_critical
 from .exceptions import DesignMismatch, DomainError, InvalidGraph, MalformedInput
-from .inference import TestResult
 from .kernels import BLOCK_VALUES
 from .records import Record
 
@@ -104,7 +103,7 @@ class ClusterResult(Record):
     clusters: tuple[tuple[int, ...], ...]
     cluster_masses: tuple[float, ...]
     corrected_p: tuple[float, ...]
-    node_results: tuple[TestResult, ...]
+    node_results: tuple[inference.TestResult, ...]
     null_distribution: np.ndarray
 
 
@@ -305,12 +304,10 @@ def cluster_correct(
     Units are matched across nodes by label (``align_units``) in sorted
     label order, so the row order of the inputs does not matter; a unit
     label set that differs across nodes raises ``LabelMismatch``, and either
-    every node carries labels or none does. ``node_results`` are the F
-    values that formed the clusters, from one kernel call over all nodes
-    (p = f_sf(F)), with the scalar tests' contracts (``inference``):
-    TooFewObservations below 3 units (T2) or 2 (T2circ) per group, and
-    DegenerateCovariance (T2) or ZeroResidualVariance (T2circ), its message
-    prefixed by the node, at a node that cannot be tested.
+    every node carries labels or none does. ``node_results``, whose F
+    values formed the clusters, are the scalar test's records from one
+    kernel call over all nodes (``inference.Contract.results``); a node it
+    cannot test raises the contract's error, prefixed by the node.
 
     Every call draws its permutations, in order, from one generator
     ``default_rng(seed)``: permutation p is row p of ``u =
@@ -350,7 +347,6 @@ def cluster_correct(
     contract = _CONTRACTS[test][two_sample]
     contract.check(sizes)
     k_nodes = len(node_datasets)
-    effect = [None] * k_nodes  # a pairwise distance only between two samples
 
     if two_sample:
         na = sizes[0]
@@ -359,11 +355,8 @@ def cluster_correct(
         n_draw = V.shape[1]
         base_mask = np.arange(n_draw) < na
         A, B = V[:, :na], V[:, na:]
-        observed = contract.run(A, B, at="node {}: ")
+        node_results = contract.results(A, B, pair=(A, B), at="node {}: ")
         block_f = _label_shuffle_block(V, na, test)
-        if min(sizes) >= 3:  # the pairwise distance's own minimum
-            d, no_d = kernels.pairwise_mahalanobis(A, B)
-            effect = [None if no else float(x) for x, no in zip(d, no_d)]
 
         def is_identity(masks: np.ndarray) -> np.ndarray:
             same = (masks == base_mask).all(axis=1)
@@ -379,7 +372,7 @@ def cluster_correct(
         else:
             M = _unit_matrix([s for d in node_datasets for s in d.samples])
             D = M[0::2] - M[1::2]
-        observed = contract.run(D, at="node {}: ")
+        node_results = contract.results(D, at="node {}: ")
         block_f = _sign_flip_block(D, test)
         n_draw = D.shape[1]
 
@@ -390,21 +383,16 @@ def cluster_correct(
             kept = draws[:, moved]
             return (kept == kept[:, :1]).all(axis=1)
 
-    statistic, obs_f, df, _ = observed
-    n_per_group = sizes if two_sample else sizes[:1]  # paired: the differences
-    node_results = tuple(
-        TestResult(test, float(t), float(f), df, float(p), e, n_per_group)
-        for t, f, p, e in zip(statistic, obs_f, f_sf(obs_f, *df), effect)
-    )
+    obs_f = np.array([r.f_value for r in node_results])
+    df = node_results[0].df
     f_crit = f_critical(alpha_forming, df[0], df[1])
     forward = _forward_neighbours(graph)
 
     nodes, node_labels, component_masses = _cluster_labels(obs_f[None], f_crit,
                                                            forward)
-    _, first = np.unique(node_labels, return_index=True)
-    order = node_labels[np.sort(first)]  # by smallest node
-    clusters = tuple(tuple(int(i) for i in nodes[node_labels == c]) for c in order)
-    masses = tuple(float(component_masses[c]) for c in order)
+    clusters = tuple(tuple(int(i) for i in nodes[node_labels == c])
+                     for c in range(len(component_masses)))  # by smallest node
+    masses = tuple(component_masses.tolist())
     observed_max = max(masses, default=0.0)
 
     null = np.empty(n_perm)

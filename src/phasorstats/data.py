@@ -142,7 +142,7 @@ class GroupedDataset:
     """Samples for one analysis, with the design and comparison point.
 
     MalformedInput for an unknown design or a number of samples that does
-    not fit it; DomainError for a mu that is not a complex number.
+    not fit it; DomainError for a mu that is not a finite complex number.
     """
 
     samples: tuple[ComplexSample, ...]
@@ -155,7 +155,7 @@ class GroupedDataset:
             object.__setattr__(self, "design", Design(self.design))
         except ValueError as exc:
             raise MalformedInput(str(exc)) from None
-        object.__setattr__(self, "mu", checks.as_complex(self.mu))
+        object.__setattr__(self, "mu", checks.as_complex("mu", self.mu))
         k = len(self.samples)
         design = self.design
         if design is Design.ONE_SAMPLE and k != 1:

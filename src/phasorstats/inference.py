@@ -20,15 +20,16 @@ All p-values are upper-tail; the statistics are nonnegative.
 Each test's contract is declared once in this module, as a ``Contract``
 (``T2``, ``T2_TWO_SAMPLE``, ``T2CIRC``, ``T2CIRC_TWO_SAMPLE``, ``CI_TEST``,
 ``ANOVA2CIRC``, ``ANOVA2CIRC_REPEATED``, ``MANOVA``): its batched kernel
-from ``kernels``, its minimum observations per group, and the typed error
-and message raised where the kernel marks a sample ``bad``. The scalar
-tests below run it on a batch of one; ``simulate`` and ``clusters`` read
-the same declarations.
+from ``kernels``, its minimum observations per group, its error where the
+kernel marks a sample ``bad``, its p-value rule and the one builder of
+``TestResult`` records. The scalar tests below build theirs on a batch of
+one, ``clusters`` builds its node records, and ``simulate`` takes p-values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ from .exceptions import (
     TooFewObservations,
     ZeroResidualVariance,
 )
-from .outliers import pairwise_mahalanobis
 from .records import Record
 
 
@@ -73,7 +73,8 @@ class Contract:
     """One test's contract, declared once below for the scalar test, the
     Monte Carlo harness (``simulate``) and the cluster test (``clusters``):
     the batched kernel (``kernels``), the fewest observations per group it
-    can test, and the error raised where the kernel marks a sample ``bad``.
+    can test, the error raised where the kernel marks a sample ``bad``, the
+    p-value rule (``p_values``) and the record builder (``results``).
 
     A ``k_group`` kernel takes its k >= 2 groups as one argument; the
     others take the sample, or the two samples, as arguments of their own.
@@ -113,6 +114,32 @@ class Contract:
             raise self.error(at.format(bad[0]) + self.message)
         return result
 
+    def p_values(self, result, n: int):
+        """The p-value of each sample of a kernel ``result``: the upper F
+        tail f_sf(F, *df), or for ``CI_TEST`` the null tail of the condition
+        index on samples of n observations (``modified`` variant)."""
+        if self is CI_TEST:
+            return ConditionIndexDistribution(n, "modified").sf(result[0])
+        return f_sf(result[1], *result[2])
+
+    def results(self, *args, pair=(), at: str = "") -> tuple[TestResult, ...]:
+        """One TestResult per sample of ``args``, a batch of one or a 1-d
+        batch, from ``check`` of the group sizes (the last axis of each
+        group), ``run`` and ``p_values``. F and df are None for ``CI_TEST``;
+        every effect size is None unless ``pair`` holds two batches to
+        measure (``_effect_sizes``)."""
+        groups = args[0] if self.k_group else args
+        sizes = tuple(g.shape[-1] for g in groups if isinstance(g, np.ndarray))
+        self.check(sizes)
+        result = self.run(*args, at=at)
+        f, df = ((), None) if self is CI_TEST else result[1:3]
+        columns = (result[0], f, self.p_values(result, sizes[0]))
+        effect = _effect_sizes(*pair) if pair else []
+        # one row per sample: an empty column gives None in every row
+        rows = zip_longest(*(np.array(c, ndmin=1).tolist() for c in columns), effect)
+        name = self.statistic_name or self.name
+        return tuple(TestResult(name, t, fv, df, p, e, sizes) for t, fv, p, e in rows)
+
 
 T2 = Contract("T2", kernels.t2_one_sample, 3, DegenerateCovariance,
               "sample covariance is degenerate")
@@ -132,15 +159,15 @@ MANOVA = Contract("MANOVA", kernels.manova_oneway, 2, SingularWithinScatter,
                   spare=2, statistic_name="MANOVA_pillai")
 
 
-def _f_result(contract: Contract, sizes: tuple[int, ...], *args,
-              effect_size: Optional[float] = None) -> TestResult:
-    """The F test ``contract`` on groups of these sizes, its kernel run on
-    ``args``."""
-    contract.check(sizes)
-    statistic, f, df, _ = contract.run(*args)
-    return TestResult(contract.statistic_name or contract.name,
-                      float(statistic), float(f), df,
-                      f_sf(f, df[0], df[1]), effect_size, sizes)
+def _effect_sizes(A: np.ndarray, B: np.ndarray) -> list[Optional[float]]:
+    """The pairwise Mahalanobis distance of each pair of samples of A and B
+    (``kernels.pairwise_mahalanobis``), None where the kernel marks the pair
+    ``bad``; none at all (every effect size None) below 3 observations in a
+    group."""
+    if min(A.shape[-1], B.shape[-1]) < 3:
+        return []
+    d, bad = kernels.pairwise_mahalanobis(A, B)
+    return np.where(bad, None, d).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +180,7 @@ def t2_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     T^2 = N (xbar - mu)' C^{-1} (xbar - mu); F = T^2 (N-2) / (2(N-1)) with
     (2, N-2) degrees of freedom.
     """
-    return _f_result(T2, (sample.n,), sample.observations, checks.as_complex(mu))
+    return T2.results(sample.observations, checks.as_complex("mu", mu))[0]
 
 
 def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
@@ -163,7 +190,7 @@ def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     F = N * T^2_circ follows F(2, 2N-2). No covariance term: the real and
     imaginary parts are assumed uncorrelated with equal variance.
     """
-    return _f_result(T2CIRC, (sample.n,), sample.observations, checks.as_complex(mu))
+    return T2CIRC.results(sample.observations, checks.as_complex("mu", mu))[0]
 
 
 def ci_test(sample: ComplexSample) -> TestResult:
@@ -174,23 +201,12 @@ def ci_test(sample: ComplexSample) -> TestResult:
     result means the assumptions of uncorrelated, equal-variance components
     are violated and the covariance-aware tests should be used instead.
     """
-    n = sample.n
-    CI_TEST.check((n,))
-    ci, _ = CI_TEST.run(sample.observations)
-    p = ConditionIndexDistribution(n=n, variant="modified").sf(ci)
-    return TestResult(CI_TEST.name, float(ci), None, None, p, None, (n,))
+    return CI_TEST.results(sample.observations)[0]
 
 
 # ---------------------------------------------------------------------------
 # Two-sample and paired tests
 # ---------------------------------------------------------------------------
-
-def _safe_pairwise_d(a: ComplexSample, b: ComplexSample) -> Optional[float]:
-    try:
-        return pairwise_mahalanobis(a, b)
-    except (TooFewObservations, DegenerateCovariance):
-        return None
-
 
 def t2_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
     """Two-sample Hotelling's T^2 with pooled covariance.
@@ -198,8 +214,8 @@ def t2_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
     df = (2, Na + Nb - 3); the pairwise Mahalanobis distance of the two
     means is attached as the effect size.
     """
-    return _f_result(T2_TWO_SAMPLE, (a.n, b.n), a.observations, b.observations,
-                     effect_size=_safe_pairwise_d(a, b))
+    pair = (a.observations, b.observations)
+    return T2_TWO_SAMPLE.results(*pair, pair=pair)[0]
 
 
 def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
@@ -211,26 +227,27 @@ def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
     of freedom. For two equal groups it coincides with the k = 2 one-way
     ANOVA^2_circ.
     """
-    return _f_result(T2CIRC_TWO_SAMPLE, (a.n, b.n), a.observations,
-                     b.observations, effect_size=_safe_pairwise_d(a, b))
+    pair = (a.observations, b.observations)
+    return T2CIRC_TWO_SAMPLE.results(*pair, pair=pair)[0]
 
 
-def _paired_differences(a: ComplexSample, b: ComplexSample) -> ComplexSample:
+def _paired(contract: Contract, a: ComplexSample, b: ComplexSample) -> TestResult:
+    """The one-sample ``contract`` on the within-unit differences vs 0, with
+    the pairwise distance of a and b as its effect size."""
     (va, vb), labels = align_units((a, b))
-    return ComplexSample(va - vb, f"{a.condition_label}-{b.condition_label}",
-                         labels)
+    d = ComplexSample(va - vb, f"{a.condition_label}-{b.condition_label}", labels)
+    return contract.results(d.observations, 0j,
+                            pair=(a.observations, b.observations))[0]
 
 
 def t2_paired(a: ComplexSample, b: ComplexSample) -> TestResult:
     """Paired T^2: one-sample T^2 of the within-unit differences vs 0."""
-    res = t2_one_sample(_paired_differences(a, b), 0j)
-    return replace(res, effect_size=_safe_pairwise_d(a, b))
+    return _paired(T2, a, b)
 
 
 def t2circ_paired(a: ComplexSample, b: ComplexSample) -> TestResult:
     """Paired T^2_circ: one-sample T^2_circ of the differences vs 0."""
-    res = t2circ_one_sample(_paired_differences(a, b), 0j)
-    return replace(res, effect_size=_safe_pairwise_d(a, b))
+    return _paired(T2CIRC, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +261,7 @@ def anova2circ_independent(groups: Sequence[ComplexSample]) -> TestResult:
     Residual mean square: sum of squared vector distances of each point from
     its group mean over df_R = 2(sum N_k - k). F = MS_M / MS_R.
     """
-    groups = list(groups)
-    return _f_result(ANOVA2CIRC, tuple(g.n for g in groups),
-                     [g.observations for g in groups])
+    return ANOVA2CIRC.results([g.observations for g in groups])[0]
 
 
 def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
@@ -258,9 +273,8 @@ def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
     paired T^2_circ test.
     """
     groups = list(groups)
-    sizes = tuple(g.n for g in groups)
-    ANOVA2CIRC_REPEATED.check(sizes)  # before align_units, which needs a group
-    return _f_result(ANOVA2CIRC_REPEATED, sizes, align_units(groups)[0])
+    ANOVA2CIRC_REPEATED.check([g.n for g in groups])  # align_units needs a group
+    return ANOVA2CIRC_REPEATED.results(align_units(groups)[0])[0]
 
 
 def manova_oneway(groups: Sequence[ComplexSample]) -> TestResult:
@@ -271,6 +285,4 @@ def manova_oneway(groups: Sequence[ComplexSample]) -> TestResult:
     eigenvalues of W^{-1} B, converted to F with the standard approximation.
     For k = 2 the p-value equals the two-sample T^2 p-value.
     """
-    groups = list(groups)
-    return _f_result(MANOVA, tuple(g.n for g in groups),
-                     [g.observations for g in groups])
+    return MANOVA.results([g.observations for g in groups])[0]

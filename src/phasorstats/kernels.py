@@ -15,10 +15,9 @@ a list of k such arrays. F kernels return ``(statistic, f, (df1, df2), bad)``.
 covariance, zero residual); there F = inf, so cluster permutations count
 the node as supra-threshold. An exactly zero mean difference gives F = 0.
 
-Each test's contract, the kernel with its minimum observations per group
-and the typed error that ``bad`` maps to, is declared once in ``inference``
-(``inference.Contract``); the scalar tests, the simulator and the cluster
-test raise that error through it.
+Each test's contract (``inference.Contract``) turns these results into
+p-values and ``TestResult`` records, and ``bad`` into its typed error; the
+scalar tests, the simulator and the cluster test all go through it.
 """
 
 from __future__ import annotations
@@ -350,7 +349,7 @@ def spectrum(X: np.ndarray):
     sqrt(lambda_max / lambda_min) is inf where lambda_min is zero."""
     m, a, b, c = covariance(X)
     lmax, lmin = eig2(a, b, c)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0: a zero covariance
         ci = np.sqrt(np.where(lmin > 0.0, lmax / lmin, np.inf))
     return m, (a, b, c), (lmax, lmin), ci, degenerate(a, b, c)
 

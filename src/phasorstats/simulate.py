@@ -34,7 +34,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import checks, inference, kernels
-from .distributions import ConditionIndexDistribution, f_sf
 from .exceptions import InvalidSpec, TooFewGroups, TooFewObservations
 from .ingest import write_csv
 from .records import Record
@@ -194,10 +193,7 @@ def _p_values(spec: SimulationSpec, X: np.ndarray) -> np.ndarray:
     the test's contract error if any replicate is degenerate."""
     contract = _CONTRACTS[spec.test]
     result = contract.run(list(X.swapaxes(0, 1)) if contract.k_group else X[:, 0])
-    if spec.test == "CI_test":
-        return ConditionIndexDistribution(spec.n, "modified").sf(result[0])
-    _, f, df, _ = result
-    return f_sf(f, *df)
+    return contract.p_values(result, spec.n)
 
 
 def _rejection_rate(spec: SimulationSpec, cell_index: int, seed: int) -> RateCell:

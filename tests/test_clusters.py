@@ -317,13 +317,18 @@ class TestClusterCorrect:
             statistic, f, df, _ = kernel(*groups)
             scalar = t2_two_sample if test == "T2" else t2circ_two_sample
             # the scalar test's bits, node by node
-            assert f.tolist() == [scalar(*d.samples).f_value for d in nodes]
+            singles = [scalar(*d.samples) for d in nodes]
+            assert f.tolist() == [r.f_value for r in singles]
+            effect = [r.effect_size for r in singles]
+            assert None not in effect
         else:
             D = groups[0] - groups[1] if design == "paired" else groups[0]
             kernel = (kernels.t2_one_sample if test == "T2"
                       else kernels.t2circ_one_sample)
             statistic, f, df, _ = kernel(D)
+            effect = [None] * len(nodes)  # a distance only between two samples
         got = res.node_results
+        assert [r.effect_size for r in got] == effect
         assert [r.statistic for r in got] == statistic.tolist()
         assert [r.f_value for r in got] == f.tolist()
         assert [r.p_value for r in got] == [f_sf(x, *df) for x in f]
@@ -332,6 +337,15 @@ class TestClusterCorrect:
         assert res.clusters
         for cluster, mass in zip(res.clusters, res.cluster_masses):
             assert mass == sum(got[i].f_value for i in cluster)
+
+    def test_two_units_per_group_have_no_effect_size(self):
+        # T2circ tests two units per group; the pairwise distance needs three
+        nodes = two_sample_nodes(81, 4, 2, 2, signal={1: 3.0, 2: 3.0})
+        res = cluster_correct(nodes, line_graph(4), "T2circ", n_perm=20, seed=1)
+        assert [r.effect_size for r in res.node_results] == [None] * 4
+        assert [r.f_value for r in res.node_results] == [
+            t2circ_two_sample(*d.samples).f_value for d in nodes]
+        assert {t2circ_two_sample(*d.samples).effect_size for d in nodes} == {None}
 
     @pytest.mark.parametrize("design", list(DESIGNS))
     @pytest.mark.parametrize("test,n", [("T2", 2), ("T2circ", 1)])

@@ -112,6 +112,14 @@ class TestCovarianceSummary:
         with pytest.raises(TooFewObservations):
             covariance_summary(make_sample([(1, 2)]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_covariance_warns_nothing(self):
+        # lambda_max / lambda_min is 0 / 0 here: it used to leak a RuntimeWarning
+        summary = covariance_summary(ComplexSample(np.full(4, 1 + 1j)))
+        assert summary.degenerate
+        assert summary.eigenvalues == (0.0, 0.0)
+        assert summary.condition_index == math.inf
+
     def test_eigenvectors_orthonormal(self):
         for seed in range(20):
             summary = covariance_summary(random_sample(seed))
@@ -203,6 +211,11 @@ class TestGroupedDataset:
             GroupedDataset((s,), "nope")
         with pytest.raises(DomainError, match="malformed string"):
             GroupedDataset((s,), Design.ONE_SAMPLE, mu="x")
+
+    @pytest.mark.parametrize("mu", [complex("inf"), complex(0, math.nan), "inf"])
+    def test_mu_not_finite(self, mu):
+        with pytest.raises(DomainError, match="mu must be finite"):
+            GroupedDataset((make_sample(CROSS),), Design.ONE_SAMPLE, mu)
 
     def test_paired_requires_labels(self):
         a = make_sample(CROSS)

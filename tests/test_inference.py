@@ -140,6 +140,14 @@ class TestT2circOneSample:
         with pytest.raises(DomainError, match="malformed string"):
             test(gaussian_sample(1), mu="x")
 
+    @pytest.mark.parametrize("test", [t2_one_sample, t2circ_one_sample])
+    @pytest.mark.parametrize("mu", [complex("inf"), complex(0, -math.inf),
+                                    complex("nan"), complex(1, math.nan)])
+    def test_mu_not_finite(self, test, mu):
+        # inf used to give p = 0 and nan a message about the F statistic
+        with pytest.raises(DomainError, match="mu must be finite"):
+            test(gaussian_sample(1), mu)
+
     def test_matches_oracle(self):
         for seed in range(25):
             s = gaussian_sample(seed, n=7)
@@ -246,6 +254,12 @@ class TestCITest:
     def test_degenerate(self):
         with pytest.raises(DegenerateCovariance):
             ci_test(ComplexSample([(x, 0) for x in (1.0, 2.0, 3.0)]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_covariance_raises_without_warning(self):
+        # the 0 / 0 condition index used to leak a RuntimeWarning first
+        with pytest.raises(DegenerateCovariance, match="degenerate"):
+            ci_test(ComplexSample(np.full(4, 1 + 1j)))
 
     def test_not_f_based(self):
         res = ci_test(gaussian_sample(18))

@@ -465,6 +465,22 @@ class TestCliAnalyze:
                        "--no-outlier-screen"])
         assert rc == 3
 
+    def test_constant_condition_exit_3_without_warning(self, tmp_path):
+        # its 0 / 0 condition index used to print a RuntimeWarning first
+        path = tmp_path / "constant.csv"
+        path.write_text("unit,condition,re,im\n"
+                        + "".join(f"u{i},a,1.0,1.0\n" for i in range(5)))
+        src = str(Path(phasorstats.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c",
+             "import sys; from phasorstats.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "analyze", str(path), "--design", "one-sample"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert out.returncode == 3
+        assert "RuntimeWarning" not in out.stderr
+        assert "covariance is degenerate" in out.stderr
+
     def test_negative_seed_exit_3(self, capsys):
         # as for cluster; numpy's own ValueError used to exit 2 here
         rc = cli_main(["analyze", str(FIXTURES / "mouse_ssvep.csv"),
