@@ -9,6 +9,8 @@
   admit it. Degrees of freedom and the condition-index sample size are real
   parameters that must be ``whole``, so 2.0 passes where a count needs 2.
 - *Arrays of reals* are whatever ``np.asarray(..., dtype=float)`` reads.
+- A *sample* given to a test is a ``ComplexSample``, and its *groups* an
+  iterable of them (``instance``).
 
 A value that breaks the rule raises the caller's typed error, never a raw
 ``TypeError`` or ``ValueError``: ``InvalidSpec`` in ``simulate``,
@@ -111,3 +113,13 @@ def as_complex(name: str, value) -> complex:
     if not np.isfinite(number):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def instance(name: str, value, kind: type, what: str = ""):
+    """value, unchanged, where it is an instance of kind; the error names
+    the argument and the type it got (``what`` says what it must be, by
+    default "a <kind>")."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be {what or 'a ' + kind.__name__}, "
+                          f"got {type(value).__name__}")
+    return value

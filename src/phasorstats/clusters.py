@@ -20,8 +20,11 @@ from . import checks, inference, kernels
 from .data import ComplexSample, Design, GroupedDataset, align_units
 from .distributions import f_critical
 from .exceptions import DesignMismatch, DomainError, InvalidGraph, MalformedInput
-from .kernels import BLOCK_VALUES
 from .records import Record
+
+#: Values evaluated per permutation block, in permutations x nodes; bounds
+#: each block's temporaries.
+BLOCK_VALUES = 8192
 
 #: F values labelled per ``_cluster_labels`` call, in permutations x nodes:
 #: many F blocks per call, at a bounded cost in memory.

@@ -233,7 +233,7 @@ def covariance_summary(sample: ComplexSample) -> CovarianceSummary:
         than proceed. The numbers are those of ``kernels.spectrum`` on a
         batch of one.
     """
-    n = sample.n
+    n = checks.instance("sample", sample, ComplexSample).n
     if n < 2:
         raise TooFewObservations(f"covariance needs >= 2 observations, got {n}")
     mean, (a, b, c), (lmax, lmin), ci, degenerate = kernels.spectrum(

@@ -28,6 +28,7 @@ one, ``clusters`` builds its node records, and ``simulate`` takes p-values.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from typing import Callable, Optional, Sequence
@@ -76,8 +77,9 @@ class Contract:
     can test, the error raised where the kernel marks a sample ``bad``, the
     p-value rule (``p_values``) and the record builder (``results``).
 
-    A ``k_group`` kernel takes its k >= 2 groups as one argument; the
-    others take the sample, or the two samples, as arguments of their own.
+    A ``k_group`` kernel takes its k >= 2 groups as one argument, a list
+    or the stacked (..., k, n) array; the others take the sample, or the
+    two samples, as arguments of their own.
     MANOVA also needs more than k + ``spare`` observations in all, and its
     results carry the name of its statistic, ``statistic_name``.
     """
@@ -170,6 +172,20 @@ def _effect_sizes(A: np.ndarray, B: np.ndarray) -> list[Optional[float]]:
     return np.where(bad, None, d).ravel().tolist()
 
 
+def _observations(name: str, sample) -> np.ndarray:
+    """The observations of the argument ``name``; DomainError naming it and
+    its type unless it is a ComplexSample."""
+    return checks.instance(name, sample, ComplexSample).observations
+
+
+def _samples(groups) -> list[ComplexSample]:
+    """The k groups as a list; DomainError naming the argument and its type
+    unless each is a ComplexSample."""
+    checks.instance("groups", groups, Iterable, "an iterable of ComplexSample")
+    return [checks.instance(f"groups[{i}]", g, ComplexSample)
+            for i, g in enumerate(groups)]
+
+
 # ---------------------------------------------------------------------------
 # One-sample tests
 # ---------------------------------------------------------------------------
@@ -180,7 +196,8 @@ def t2_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     T^2 = N (xbar - mu)' C^{-1} (xbar - mu); F = T^2 (N-2) / (2(N-1)) with
     (2, N-2) degrees of freedom.
     """
-    return T2.results(sample.observations, checks.as_complex("mu", mu))[0]
+    return T2.results(_observations("sample", sample),
+                      checks.as_complex("mu", mu))[0]
 
 
 def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
@@ -190,7 +207,8 @@ def t2circ_one_sample(sample: ComplexSample, mu: complex = 0j) -> TestResult:
     F = N * T^2_circ follows F(2, 2N-2). No covariance term: the real and
     imaginary parts are assumed uncorrelated with equal variance.
     """
-    return T2CIRC.results(sample.observations, checks.as_complex("mu", mu))[0]
+    return T2CIRC.results(_observations("sample", sample),
+                          checks.as_complex("mu", mu))[0]
 
 
 def ci_test(sample: ComplexSample) -> TestResult:
@@ -201,7 +219,7 @@ def ci_test(sample: ComplexSample) -> TestResult:
     result means the assumptions of uncorrelated, equal-variance components
     are violated and the covariance-aware tests should be used instead.
     """
-    return CI_TEST.results(sample.observations)[0]
+    return CI_TEST.results(_observations("sample", sample))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +232,7 @@ def t2_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
     df = (2, Na + Nb - 3); the pairwise Mahalanobis distance of the two
     means is attached as the effect size.
     """
-    pair = (a.observations, b.observations)
+    pair = (_observations("a", a), _observations("b", b))
     return T2_TWO_SAMPLE.results(*pair, pair=pair)[0]
 
 
@@ -227,17 +245,17 @@ def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
     of freedom. For two equal groups it coincides with the k = 2 one-way
     ANOVA^2_circ.
     """
-    pair = (a.observations, b.observations)
+    pair = (_observations("a", a), _observations("b", b))
     return T2CIRC_TWO_SAMPLE.results(*pair, pair=pair)[0]
 
 
 def _paired(contract: Contract, a: ComplexSample, b: ComplexSample) -> TestResult:
     """The one-sample ``contract`` on the within-unit differences vs 0, with
     the pairwise distance of a and b as its effect size."""
+    pair = (_observations("a", a), _observations("b", b))
     (va, vb), labels = align_units((a, b))
     d = ComplexSample(va - vb, f"{a.condition_label}-{b.condition_label}", labels)
-    return contract.results(d.observations, 0j,
-                            pair=(a.observations, b.observations))[0]
+    return contract.results(d.observations, 0j, pair=pair)[0]
 
 
 def t2_paired(a: ComplexSample, b: ComplexSample) -> TestResult:
@@ -261,7 +279,7 @@ def anova2circ_independent(groups: Sequence[ComplexSample]) -> TestResult:
     Residual mean square: sum of squared vector distances of each point from
     its group mean over df_R = 2(sum N_k - k). F = MS_M / MS_R.
     """
-    return ANOVA2CIRC.results([g.observations for g in groups])[0]
+    return ANOVA2CIRC.results([g.observations for g in _samples(groups)])[0]
 
 
 def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
@@ -272,7 +290,7 @@ def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
     df = (2(k-1), 2(N-1)(k-1)). For k = 2 this reduces exactly to the
     paired T^2_circ test.
     """
-    groups = list(groups)
+    groups = _samples(groups)
     ANOVA2CIRC_REPEATED.check([g.n for g in groups])  # align_units needs a group
     return ANOVA2CIRC_REPEATED.results(align_units(groups)[0])[0]
 
@@ -285,4 +303,4 @@ def manova_oneway(groups: Sequence[ComplexSample]) -> TestResult:
     eigenvalues of W^{-1} B, converted to F with the standard approximation.
     For k = 2 the p-value equals the two-sample T^2 p-value.
     """
-    return MANOVA.results([g.observations for g in groups])[0]
+    return MANOVA.results([g.observations for g in _samples(groups)])[0]

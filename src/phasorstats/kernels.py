@@ -10,7 +10,8 @@ batched call in any memory layout (C or Fortran order, strided or selected).
 
 Each kernel takes complex observations with the sample along the last axis,
 (..., n), and returns arrays over the leading axes; the k-group kernels take
-a list of k such arrays. F kernels return ``(statistic, f, (df1, df2), bad)``.
+the stacked (..., k, n) array of k equal groups, or a list of k arrays of any
+sizes. F kernels return ``(statistic, f, (df1, df2), bad)``.
 ``bad`` marks samples on which the test cannot be evaluated (degenerate
 covariance, zero residual); there F = inf, so cluster permutations count
 the node as supra-threshold. An exactly zero mean difference gives F = 0.
@@ -29,10 +30,6 @@ import numpy as np
 #: Relative eigenvalue threshold below which a 2x2 covariance is treated as
 #: degenerate (rank deficient): lambda_min <= DEGENERACY_RTOL * trace.
 DEGENERACY_RTOL = 1e-12
-
-#: Values evaluated per block by the batched callers (Monte Carlo replicates
-#: x values, cluster permutations x nodes); bounds each block's temporaries.
-BLOCK_VALUES = 8192
 
 
 def _dot(x: np.ndarray, y: np.ndarray):
@@ -291,14 +288,34 @@ def t2circ_two_sample(A: np.ndarray, B: np.ndarray):
                     (axx + bxx) + (ayy + byy))
 
 
+def _sizes(groups) -> tuple[int, ...]:
+    """The size of each of k groups, given stacked or as a list (see
+    ``_between_within``)."""
+    if isinstance(groups, np.ndarray):
+        return (groups.shape[-1],) * groups.shape[-2]
+    return tuple(g.shape[-1] for g in groups)
+
+
 def _between_within(groups):
     """Between-group (b00, b01, b11) and within-group (wa, wb, wc) scatter
-    entries of the (re, im) responses of k groups, each (..., n_g)."""
-    grand = _rows(np.concatenate(groups, axis=-1))[1]
+    entries of the (re, im) responses of k groups: the stacked (..., k, n)
+    array, or a list of k arrays, each (..., n_g).
+
+    A stacked block takes one ``scatter`` pass for every group, and its
+    grand mean reads the same contiguous memory as (..., k n) rows, the
+    bits of the list's concatenation. Either way the groups are folded in
+    order, so the two forms give the same bits."""
+    if isinstance(groups, np.ndarray):
+        X = np.ascontiguousarray(groups)
+        grand = _rows(X.reshape(X.shape[:-2] + (-1,)))[1]
+        m, sxx, sxy, syy = scatter(X)
+        stats = [(m[..., j], sxx[..., j], sxy[..., j], syy[..., j])
+                 for j in range(X.shape[-2])]
+    else:
+        grand = _rows(np.concatenate(groups, axis=-1))[1]
+        stats = [scatter(g) for g in groups]
     b00 = b01 = b11 = wa = wb = wc = 0.0
-    for g in groups:
-        n = g.shape[-1]
-        m, sxx, sxy, syy = scatter(g)
+    for n, (m, sxx, sxy, syy) in zip(_sizes(groups), stats):
         d0, d1 = m.real - grand.real, m.imag - grand.imag
         b00, b01, b11 = (b00 + n * (d0 * d0), b01 + n * (d0 * d1),
                          b11 + n * (d1 * d1))
@@ -307,13 +324,15 @@ def _between_within(groups):
 
 
 def anova2circ_independent(groups):
-    """One-way independent ANOVA^2_circ over k groups, each (..., n_g): the
-    traces of MANOVA's between- and within-group scatter. The statistic is
-    F, df (2(k-1), 2(N-k)), zero and ``bad`` as in f_ratio."""
+    """One-way independent ANOVA^2_circ over k groups, the stacked (..., k, n)
+    array or a list of k arrays, each (..., n_g): the traces of MANOVA's
+    between- and within-group scatter. The statistic is F, df
+    (2(k-1), 2(N-k)), zero and ``bad`` as in f_ratio."""
     b00, _, b11, wa, _, wc = _between_within(groups)
     ss_model, ss_resid = b00 + b11, wa + wc
-    k = len(groups)
-    df_m, df_r = 2 * (k - 1), 2 * (sum(g.shape[-1] for g in groups) - k)
+    sizes = _sizes(groups)
+    k = len(sizes)
+    df_m, df_r = 2 * (k - 1), 2 * (sum(sizes) - k)
     f, bad = f_ratio(ss_model, df_m, ss_resid, df_r, ss_model + ss_resid)
     return f, f, (df_m, df_r), bad
 
@@ -337,10 +356,11 @@ def anova2circ_repeated(X: np.ndarray):
 
 
 def manova_oneway(groups):
-    """One-way MANOVA over k groups, each (..., n_g): ``pillai`` of the
-    between- and within-group scatter matrices of the (re, im) responses."""
-    return pillai(*_between_within(groups), len(groups),
-                  sum(g.shape[-1] for g in groups))
+    """One-way MANOVA over k groups, the stacked (..., k, n) array or a list
+    of k arrays, each (..., n_g): ``pillai`` of the between- and
+    within-group scatter matrices of the (re, im) responses."""
+    sizes = _sizes(groups)
+    return pillai(*_between_within(groups), len(sizes), sum(sizes))
 
 
 def spectrum(X: np.ndarray):

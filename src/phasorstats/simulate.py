@@ -7,14 +7,15 @@ mean in population-SD units) is applied along the first axis; rotation
 invariance of every statistic makes the direction irrelevant. With k > 1
 groups the signal is added to the first group only.
 
-Replicates are drawn and tested in blocks of at most kernels.BLOCK_VALUES
-complex values, which keeps temporaries small. Each block is one
-``standard_normal`` call that writes its (re, im) pairs straight into the
-(B, k, n) complex array, whose memory has that layout; the Cholesky step
-then rewrites the imaginary parts in place. The call consumes the generator
-exactly as B sequential (k*n, 2) draws do, so the stream, and with it every
-rate, does not depend on the block size. One batched kernel call
-(kernels.py) and vectorised p-values follow.
+Replicates are drawn and tested in blocks of at most ``_BLOCK_VALUES``
+(2^16) complex values, 1 MiB, plus the kernel's temporaries of a few times
+that. Each block is one ``standard_normal`` call that writes its (re, im)
+pairs straight into the (B, k, n) complex array, whose memory has that
+layout; the Cholesky step then rewrites the imaginary parts in place. The
+call consumes the generator exactly as B sequential (k*n, 2) draws do, so
+the stream, and with it every rate, does not depend on the block size. One
+batched kernel call (kernels.py) on the block, the (B, k, n) stack itself
+for the k-group tests, and vectorised p-values follow.
 Cells with a planted outlier first draw all n_reps outlier angles with one
 ``uniform`` call, then the normals block by block as the other cells do.
 
@@ -48,6 +49,11 @@ _CONTRACTS = {
     "CI_test": inference.CI_TEST,
 }
 TESTS = tuple(_CONTRACTS)
+
+#: Complex values drawn and tested per block (replicates x k x n), as many
+#: as a bootstrap block draws: a 400-replicate cell with k n <= 163 is one
+#: block of at most 1 MiB.
+_BLOCK_VALUES = 1 << 16
 
 #: The range of each real SimulationSpec field, as a predicate and in words.
 _RANGES = {
@@ -164,7 +170,7 @@ def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarr
     block size.
     """
     kn = spec.k * spec.n
-    per_block = max(1, kernels.BLOCK_VALUES // kn)
+    per_block = max(1, _BLOCK_VALUES // kn)
     dist = spec.planted_outlier_distance
     planted = dist is not None and dist > 0
     if planted:
@@ -192,7 +198,7 @@ def _p_values(spec: SimulationSpec, X: np.ndarray) -> np.ndarray:
     """p-value of spec.test for each replicate of a (B, k, n) block; raises
     the test's contract error if any replicate is degenerate."""
     contract = _CONTRACTS[spec.test]
-    result = contract.run(list(X.swapaxes(0, 1)) if contract.k_group else X[:, 0])
+    result = contract.run(X if contract.k_group else X[:, 0])
     return contract.p_values(result, spec.n)
 
 

@@ -91,6 +91,12 @@ class TestComplexSample:
 
 
 class TestCovarianceSummary:
+    def test_wrong_type_is_a_domain_error(self):
+        # an array in place of the sample used to raise a raw AttributeError
+        with pytest.raises(DomainError,
+                           match="^sample must be a ComplexSample, got ndarray$"):
+            covariance_summary(np.ones(4, complex))
+
     def test_symmetric_cross(self):
         # four points at unit distance on the axes: isotropic scatter
         summary = covariance_summary(ComplexSample(CROSS))

@@ -364,6 +364,33 @@ class TestManova:
             manova_oneway(groups)
 
 
+class TestArgumentTypes:
+    # a sample or group of the wrong type used to raise a raw AttributeError
+    # ("'int' object has no attribute 'observations'")
+    S = gaussian_sample(1, n=6, units=True)
+
+    @pytest.mark.parametrize("test,args,message", [
+        (t2_one_sample, (5,), "sample must be a ComplexSample, got int"),
+        (t2circ_one_sample, ("x",), "sample must be a ComplexSample, got str"),
+        (ci_test, (None,), "sample must be a ComplexSample, got NoneType"),
+        (t2_two_sample, (S, 5), "b must be a ComplexSample, got int"),
+        (t2circ_two_sample, (1j, S), "a must be a ComplexSample, got complex"),
+        (t2_paired, (S, [1, 2]), "b must be a ComplexSample, got list"),
+        (t2circ_paired, (np.ones(6), S), "a must be a ComplexSample, got ndarray"),
+        (anova2circ_independent, ([S, 5],), r"groups\[1\] must be a ComplexSample, got int"),
+        (anova2circ_repeated, ([S, S, None],),
+         r"groups\[2\] must be a ComplexSample, got NoneType"),
+        (manova_oneway, ([S, 5],), r"groups\[1\] must be a ComplexSample, got int"),
+        (manova_oneway, (5,), "groups must be an iterable of ComplexSample, got int"),
+    ], ids=["t2_one_sample", "t2circ_one_sample", "ci_test", "t2_two_sample",
+            "t2circ_two_sample", "t2_paired", "t2circ_paired",
+            "anova2circ_independent", "anova2circ_repeated", "manova_oneway",
+            "manova_oneway-groups"])
+    def test_wrong_type_is_a_domain_error(self, test, args, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            test(*args)
+
+
 class TestInvariances:
     @given(
         st.integers(min_value=0, max_value=10**6),

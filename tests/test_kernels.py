@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasorstats import (
     ComplexSample,
@@ -64,6 +66,33 @@ def test_k_group_kernels_match_scalar_tests(k, n):
             assert (f_anova[i], df_anova) == (anova.f_value, anova.df)
             assert (pillai[i], f_manova[i], df_manova) == (
                 manova.statistic, manova.f_value, manova.df)
+
+
+#: Layouts of a stacked (reps, k, n) block: those above, and the groups axis
+#: outermost in memory, as a stack of k separate (reps, n) arrays lies.
+STACKED_LAYOUTS = LAYOUTS + (
+    lambda X: np.ascontiguousarray(X.swapaxes(0, 1)).swapaxes(0, 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 9), n=st.integers(2, 70), reps=st.integers(1, 50),
+       layout=st.sampled_from(STACKED_LAYOUTS),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_stacked_groups_are_the_list_bit_for_bit(k, n, reps, layout, scale, seed):
+    # the stacked (reps, k, n) block takes one scatter pass and the list of
+    # k groups one per group; both feed the one fold over groups in order,
+    # so every output bit agrees (k >= 8 is where a pairwise sum over the
+    # groups axis would round differently from the fold)
+    X = scale * groups_block(seed, reps, k, n)
+    groups = list(X.swapaxes(0, 1))
+    for kernel in (kernels.anova2circ_independent, kernels.manova_oneway):
+        stat, f, df, bad = kernel(layout(X))
+        want_stat, want_f, want_df, want_bad = kernel(groups)
+        assert df == want_df and stat.shape == f.shape == (reps,)
+        assert np.array_equal(stat.view(np.uint64), want_stat.view(np.uint64))
+        assert np.array_equal(f.view(np.uint64), want_f.view(np.uint64))
+        assert np.array_equal(bad, want_bad)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])

@@ -29,7 +29,7 @@ from phasorstats.exceptions import (
     PhasorStatsError,
     SingularWithinScatter,
 )
-from phasorstats import kernels
+from phasorstats import simulate
 from phasorstats.kernels import condition_index
 from phasorstats.simulate import _CONTRACTS, _blocks, _p_values
 
@@ -167,8 +167,8 @@ def scalar_hits(spec, cell_index=0):
 
 
 class TestBatchedMatchesScalar:
-    # cells span several blocks (n = 64: 128 replicates per block) and
-    # every branch of the block generator
+    # cells span several blocks (8192 values, so n = 64: 128 replicates per
+    # block) and every branch of the block generator
     CELLS = [
         dict(test="T2", n=5, correlation=0.6),
         dict(test="T2", n=64, d=0.3, variance_ratio=4.0),
@@ -184,7 +184,8 @@ class TestBatchedMatchesScalar:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("fields", CELLS)
-    def test_hit_for_hit(self, fields, seed):
+    def test_hit_for_hit(self, fields, seed, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 8192)
         spec = SimulationSpec(n_reps=300, seed=seed, **fields)
         rate = simulate_rates(spec).cells[0].rate
         assert round(rate * spec.n_reps) == scalar_hits(spec)
@@ -197,9 +198,9 @@ class TestBatchedMatchesScalar:
         # planted outlier angles are drawn ahead of the normals, so no
         # cell's output depends on how its replicates are blocked
         spec = SimulationSpec(n_reps=300, seed=3, **fields)
-        expected = simulate_rates(spec).to_json()
-        for block in (7 * spec.n, spec.n, 1):
-            monkeypatch.setattr(kernels, "BLOCK_VALUES", block)
+        expected = simulate_rates(spec).to_json()  # one block of 2^16 values
+        for block in (8192, 7 * spec.n, spec.n, 1):
+            monkeypatch.setattr(simulate, "_BLOCK_VALUES", block)
             assert simulate_rates(spec).to_json() == expected
 
     def test_grid_cells_use_their_own_stream(self):
@@ -289,7 +290,7 @@ def formula_blocks(rng, spec):
     """The documented generator, one array per step: z0 + 1j*(a*z0 + c*z1)
     from (B, k*n, 2) draws, then the shift and the planted outlier."""
     kn = spec.k * spec.n
-    per_block = max(1, kernels.BLOCK_VALUES // kn)
+    per_block = max(1, simulate._BLOCK_VALUES // kn)
     dist = spec.planted_outlier_distance
     if dist:
         angles = rng.uniform(0.0, 2.0 * math.pi, spec.n_reps)
@@ -323,7 +324,7 @@ class TestBlocksMatchFormula:
         dict(test="T2", n=64, d=0.3, correlation=0.3, variance_ratio=2.0),
     ])
     def test_bit_for_bit(self, fields, monkeypatch):
-        monkeypatch.setattr(kernels, "BLOCK_VALUES", 256)  # 4 to 32 per block
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 256)  # 4 to 32 per block
         spec = SimulationSpec(n_reps=700, seed=0, **fields)
         got = list(_blocks(np.random.default_rng([8, 1]), spec))
         want = list(formula_blocks(np.random.default_rng([8, 1]), spec))
