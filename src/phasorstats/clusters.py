@@ -249,8 +249,14 @@ def _max_masses(f: np.ndarray, f_crit: float, forward) -> np.ndarray:
 def _validate_nodes(
     node_datasets: Sequence[GroupedDataset], graph: AdjacencyGraph
 ) -> Design:
-    if not (isinstance(node_datasets, Sequence)
-            and all(isinstance(d, GroupedDataset) for d in node_datasets)):
+    kinds = set()  # (design, (n, condition) of each sample) of every node
+    valid = isinstance(node_datasets, Sequence)
+    for d in node_datasets if valid else ():
+        if not isinstance(d, GroupedDataset):
+            valid = False
+            break
+        kinds.add((d.design, tuple((s.n, s.condition_label) for s in d.samples)))
+    if not valid:
         raise MalformedInput("node_datasets must be a sequence of GroupedDataset, "
                              f"got {node_datasets!r:.80}")
     if not isinstance(graph, AdjacencyGraph):
@@ -258,35 +264,34 @@ def _validate_nodes(
     if len(node_datasets) != graph.node_count:
         raise InvalidGraph(f"graph has {graph.node_count} nodes but "
                            f"{len(node_datasets)} datasets were supplied")
-    designs = {d.design for d in node_datasets}
+    designs = {design for design, _ in kinds}
     if len(designs) != 1:
         raise DesignMismatch("all nodes must share one design")
     design = designs.pop()
     if design not in _SUPPORTED_DESIGNS:
         names = [d.value for d in _SUPPORTED_DESIGNS]
         raise DesignMismatch(f"cluster correction supports {names}, got {design.value}")
-    shapes = {tuple(s.n for s in d.samples) for d in node_datasets}
-    if len(shapes) != 1:
+    if len({tuple(n for n, _ in groups) for _, groups in kinds}) != 1:
         raise DesignMismatch("all nodes must have identical group sizes")
-    conditions = {d.condition_labels for d in node_datasets}
-    if len(conditions) != 1:
+    if len(kinds) != 1:
         raise DesignMismatch("all nodes must list the same conditions")
     return design
 
 
 def _unit_matrix(samples: Sequence[ComplexSample]) -> np.ndarray:
-    """(len(samples), units) observations, column j one unit in every row:
-    labelled samples aligned by ``align_units`` with the columns in sorted
-    label order, so input row order does not matter; unlabelled ones stacked
-    as they are."""
+    """(len(samples), units) C-contiguous observations, column j one unit in
+    every row: labelled samples aligned by ``align_units`` with the columns
+    in sorted label order, so input row order does not matter (one gather
+    per distinct unit order, none where it is sorted already); unlabelled
+    ones stacked as they are. A label mismatch names the row as its node."""
     labelled = {s.unit_labels is not None for s in samples}
     if labelled == {False}:
         return np.stack([s.observations for s in samples])
     if len(labelled) > 1:
         raise DesignMismatch("either every node carries unit labels or none does")
-    M, labels = align_units(samples)
-    # C order: a column-major M gave the permutation loop up to 7x its page faults
-    return np.ascontiguousarray(M[:, np.argsort(labels)])
+    # in C order: a column-major matrix gave the permutation loop up to 7x
+    # its page faults
+    return align_units(samples, sorted(samples[0].unit_labels), at="node {}: ")[0]
 
 
 def cluster_correct(
@@ -305,12 +310,15 @@ def cluster_correct(
     component; corrected p = (1 + #{null >= observed}) / (1 + n_perm).
 
     Units are matched across nodes by label (``align_units``) in sorted
-    label order, so the row order of the inputs does not matter; a unit
-    label set that differs across nodes raises ``LabelMismatch``, and either
-    every node carries labels or none does. ``node_results``, whose F
-    values formed the clusters, are the scalar test's records from one
-    kernel call over all nodes (``inference.Contract.results``); a node it
-    cannot test raises the contract's error, prefixed by the node.
+    label order, so the row order of the inputs does not matter: the
+    nodes' observations are stacked once, with one gather per distinct unit
+    order (none for nodes already in sorted order). A unit label set
+    that differs across nodes raises ``LabelMismatch`` naming the node
+    (``node 4: ...``), and either every node carries labels or none does.
+    ``node_results``, whose F values formed the clusters, are the scalar
+    test's records from one kernel call over all nodes
+    (``inference.Contract.results``); a node it cannot test raises the
+    contract's error, prefixed by the node.
 
     Every call draws its permutations, in order, from one generator
     ``default_rng(seed)``: permutation p is row p of ``u =
@@ -373,8 +381,11 @@ def cluster_correct(
             mu = np.array([d.mu for d in node_datasets])
             D = _unit_matrix([d.samples[0] for d in node_datasets]) - mu[:, None]
         else:
-            M = _unit_matrix([s for d in node_datasets for s in d.samples])
-            D = M[0::2] - M[1::2]
+            # every a-sample, then every b-sample: a node's two samples share
+            # one label set (GroupedDataset checks it), so a mismatch is
+            # first met at an a-sample, whose row is its node
+            M = _unit_matrix([d.samples[g] for g in (0, 1) for d in node_datasets])
+            D = M[:k_nodes] - M[k_nodes:]
         node_results = contract.results(D, at="node {}: ")
         block_f = _sign_flip_block(D, test)
         n_draw = D.shape[1]

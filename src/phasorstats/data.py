@@ -116,25 +116,40 @@ class Design(str, Enum):
 UNIT_ALIGNED_DESIGNS = (Design.PAIRED, Design.ONEWAY_REPEATED)
 
 
-def _check_alignable(samples: Sequence[ComplexSample]) -> None:
+def _check_alignable(
+    samples: Sequence[ComplexSample], at: str = ""
+) -> dict[tuple[str, ...], list[int]]:
+    """The index of every sample, grouped by its unit order (``unit_labels``)
+    in order of first appearance.
+
+    LabelMismatch at the first sample without unit labels, with a label
+    twice or with a label set other than the first sample's, its message
+    prefixed by ``at`` formatted with that sample's index. Each distinct
+    unit order is checked once: a repeat of one passes as it did before.
+    """
+    rows: dict[tuple[str, ...], list[int]] = {}
     reference = None
-    for s in samples:
-        if s.unit_labels is None:
-            raise LabelMismatch(
-                f"condition {s.condition_label!r} has no unit labels; "
-                "within-unit designs require them"
-            )
-        if len(set(s.unit_labels)) != len(s.unit_labels):
-            raise LabelMismatch(
-                f"condition {s.condition_label!r} has duplicate unit labels"
-            )
-        if reference is None:
-            reference = set(s.unit_labels)
-        elif set(s.unit_labels) != reference:
-            raise LabelMismatch(
-                f"condition {s.condition_label!r} does not share unit labels "
-                "with the first condition"
-            )
+    for i, s in enumerate(samples):
+        units = s.unit_labels
+        index = rows.get(units)
+        if index is None:
+            if units is None:
+                problem = "has no unit labels; within-unit designs require them"
+            elif len(set(units)) != len(units):
+                problem = "has duplicate unit labels"
+            elif reference is None:
+                problem, reference = "", set(units)
+            elif set(units) != reference:
+                problem = "does not share unit labels with the first condition"
+            else:
+                problem = ""
+            if problem:
+                raise LabelMismatch(
+                    f"{at.format(i)}condition {s.condition_label!r} {problem}"
+                )
+            index = rows[units] = []
+        index.append(i)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,18 +193,29 @@ class GroupedDataset:
 
 def align_units(
     samples: Sequence[ComplexSample],
+    order: Optional[Sequence[str]] = None,
+    at: str = "",
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Observations as a (k, N) matrix aligned by unit label, plus the labels.
+    """Observations as a C-contiguous (k, N) matrix aligned by unit label,
+    plus the labels of its columns.
 
-    Rows follow sample order; columns follow the first sample's unit order.
-    Raises LabelMismatch unless every sample carries the same unique labels.
+    Rows follow sample order; columns follow ``order``, by default the first
+    sample's unit order. The observations are stacked once (one
+    concatenate), with one gather per distinct unit order: the rows in that
+    order are gathered into column order, and none is needed for a sample
+    already in it. Raises LabelMismatch unless every sample carries the
+    same unique labels, its message prefixed by ``at`` formatted with the
+    first offending sample's index; ``order``, if given, must list those
+    labels.
     """
-    _check_alignable(samples)
-    labels = samples[0].unit_labels
-    out = np.empty((len(samples), len(labels)), dtype=np.complex128)
-    for i, s in enumerate(samples):
-        order = {u: j for j, u in enumerate(s.unit_labels)}
-        out[i] = s.observations[[order[u] for u in labels]]
+    rows = _check_alignable(samples, at)
+    labels = samples[0].unit_labels if order is None else tuple(order)
+    out = np.concatenate([s.observations for s in samples])
+    out = out.reshape(len(samples), len(labels))
+    for units, index in rows.items():
+        if units != labels:
+            position = {u: j for j, u in enumerate(units)}
+            out[index] = out[np.ix_(index, [position[u] for u in labels])]
     return out, labels
 
 

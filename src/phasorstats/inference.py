@@ -164,9 +164,9 @@ MANOVA = Contract("MANOVA", kernels.manova_oneway, 2, SingularWithinScatter,
 def _effect_sizes(A: np.ndarray, B: np.ndarray) -> list[Optional[float]]:
     """The pairwise Mahalanobis distance of each pair of samples of A and B
     (``kernels.pairwise_mahalanobis``), None where the kernel marks the pair
-    ``bad``; none at all (every effect size None) below 3 observations in a
-    group."""
-    if min(A.shape[-1], B.shape[-1]) < 3:
+    ``bad``; none at all (every effect size None) below
+    ``kernels.PAIRWISE_MIN_N`` observations in a group."""
+    if min(A.shape[-1], B.shape[-1]) < kernels.PAIRWISE_MIN_N:
         return []
     d, bad = kernels.pairwise_mahalanobis(A, B)
     return np.where(bad, None, d).ravel().tolist()

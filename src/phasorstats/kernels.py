@@ -167,6 +167,12 @@ def quadform_inv(a, b, c, x, y):
     return _adjugate_form(a, b, c, x, y) / (a * c - b * b)
 
 
+#: Fewest observations per group for which the pairwise distance is
+#: reported: ``outliers.pairwise_mahalanobis`` raises below it, and the
+#: tests' records (``inference._effect_sizes``) carry no effect size.
+PAIRWISE_MIN_N = 3
+
+
 def pairwise_mahalanobis(A: np.ndarray, B: np.ndarray):
     """Distance between the means of A and B in pooled-covariance units, and
     ``bad``. Where the pooled covariance is degenerate, a mean difference

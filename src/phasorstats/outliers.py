@@ -139,10 +139,10 @@ def pairwise_mahalanobis(a: ComplexSample, b: ComplexSample) -> float:
     one. Raises DegenerateCovariance where that is ``bad`` (a difference
     across the degenerate axis of a degenerate pooled covariance).
     """
-    if a.n < 3 or b.n < 3:
+    if min(a.n, b.n) < kernels.PAIRWISE_MIN_N:
         raise TooFewObservations(
-            f"pairwise distance needs >= 3 observations per group, "
-            f"got {a.n} and {b.n}"
+            f"pairwise distance needs >= {kernels.PAIRWISE_MIN_N} observations "
+            f"per group, got {a.n} and {b.n}"
         )
     d, bad = kernels.pairwise_mahalanobis(a.observations, b.observations)
     if bad:

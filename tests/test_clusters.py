@@ -25,6 +25,7 @@ from phasorstats import (
     t2_one_sample,
     t2_two_sample,
     t2circ_one_sample,
+    t2circ_paired,
     t2circ_two_sample,
 )
 from phasorstats import clusters, kernels
@@ -378,6 +379,39 @@ class TestClusterCorrect:
         with pytest.raises(LabelMismatch):
             cluster_correct(nodes, line_graph(3), "T2circ", n_perm=10, seed=0)
 
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_label_mismatch_names_the_node(self, design):
+        nodes = labelled_nodes(design, 94, k=6, n=8)
+        nodes[4] = GroupedDataset(
+            tuple(ComplexSample(s.observations, s.condition_label,
+                                ("x",) + s.unit_labels[1:]) for s in nodes[4].samples),
+            DESIGNS[design])
+        message = "condition 'a' does not share unit labels with the first condition"
+        with pytest.raises(LabelMismatch) as raised:
+            cluster_correct(nodes, line_graph(6), "T2circ", n_perm=10, seed=0)
+        assert str(raised.value) == f"node 4: {message}"
+        if design == "paired":  # the scalar test's message has no node
+            a = nodes[0].samples[0]
+            with pytest.raises(LabelMismatch) as raised:
+                t2circ_paired(a, nodes[4].samples[1])
+            assert str(raised.value) == message.replace("'a'", "'b'")
+
+    @pytest.mark.parametrize("orders", [1, 2, 3])
+    def test_unit_matrix_in_sorted_c_order(self, orders):
+        # nodes in `orders` distinct unit orders, each a fresh, equal tuple:
+        # the per-sample alignment in sorted label order, bit for bit
+        rng = np.random.default_rng(95 + orders)
+        units = [f"u{j:02d}" for j in rng.permutation(9)]
+        perms = [rng.permutation(9) for _ in range(orders)]
+        samples = [ComplexSample(rng.standard_normal(9) + 1j * rng.standard_normal(9),
+                                 "a", [units[j] for j in perms[rng.integers(orders)]])
+                   for _ in range(12)]
+        got = clusters._unit_matrix(samples)
+        want = np.array([[s.observations[s.unit_labels.index(u)] for u in sorted(units)]
+                         for s in samples])
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
     def test_mixed_labelled_and_unlabelled_nodes_rejected(self):
         labelled = one_sample_nodes(42, k=2, n=8, units=True)
         bare = one_sample_nodes(43, k=2, n=8, units=False)

@@ -251,6 +251,90 @@ class TestGroupedDataset:
         assert np.allclose(matrix, [[1, 2], [4, 5]])
 
 
+
+def reference_align(samples, order=None):
+    """align_units sample by sample: a label dict and one gather per row."""
+    labels = tuple(order or samples[0].unit_labels)
+    out = np.empty((len(samples), len(labels)), dtype=np.complex128)
+    for i, s in enumerate(samples):
+        position = {u: j for j, u in enumerate(s.unit_labels)}
+        out[i] = s.observations[[position[u] for u in labels]]
+    return out, labels
+
+
+def reference_check(samples):
+    """The per-sample label checks: the message of the first failure."""
+    reference = None
+    for s in samples:
+        name = f"condition {s.condition_label!r}"
+        if s.unit_labels is None:
+            return f"{name} has no unit labels; within-unit designs require them"
+        if len(set(s.unit_labels)) != len(s.unit_labels):
+            return f"{name} has duplicate unit labels"
+        if reference is None:
+            reference = set(s.unit_labels)
+        elif set(s.unit_labels) != reference:
+            return f"{name} does not share unit labels with the first condition"
+    return None
+
+
+class TestAlignUnits:
+    """One stack and one gather per distinct unit order, bit for bit the
+    per-sample alignment."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12),
+           st.integers(1, 9), st.booleans())
+    def test_equals_per_sample_reference(self, seed, orders, n, k, given_order):
+        rng = np.random.default_rng(seed)
+        units = [f"u{j}" for j in range(n)]
+        perms = [np.arange(n)] + [rng.permutation(n) for _ in range(orders - 1)]
+        samples = []
+        for i in range(k):
+            perm = perms[rng.integers(orders)]
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            # a fresh, equal tuple object for every sample
+            samples.append(make_sample(z, f"c{i}", [units[j] for j in perm]))
+        order = sorted(units, reverse=True) if given_order else None
+        got, labels = align_units(samples, order)
+        want, want_labels = reference_align(samples, order)
+        assert labels == want_labels
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+    def test_one_order_is_the_stack(self):
+        units = ("u2", "u0", "u1")
+        samples = [make_sample([(i, 1), (i, 2), (i, 3)], f"c{i}", units)
+                   for i in range(4)]
+        matrix, labels = align_units(samples)
+        assert labels == units
+        assert matrix.tobytes() == np.stack([s.observations for s in samples]).tobytes()
+
+    @pytest.mark.parametrize("labels,at", [
+        # each failure after a repeat of an order that passed
+        ([("a", "b"), ("b", "a"), ("a", "b"), None], 3),
+        ([("a", "b"), ("b", "a"), ("b", "a"), ("b", "b")], 3),
+        ([("a", "b"), ("b", "a"), ("a", "b"), ("a", "c")], 3),
+        ([("a", "b"), ("a", "c"), ("a", "c")], 1),
+        ([None, ("a", "a")], 0),
+        ([("a", "a"), ("a", "c")], 0),
+        ([("a", "b"), ("b", "a"), ("a", "b", "c")], 2),
+    ])
+    def test_mismatch_at_the_first_offending_sample(self, labels, at):
+        samples = [make_sample(np.ones(len(u or "ab")), f"c{i}", u)
+                   for i, u in enumerate(labels)]
+        message = reference_check(samples)
+        assert f"'c{at}'" in message
+        with pytest.raises(LabelMismatch) as raised:
+            align_units(samples)
+        assert str(raised.value) == message
+        with pytest.raises(LabelMismatch) as raised:
+            align_units(samples, at="node {}: ")
+        assert str(raised.value) == f"node {at}: {message}"
+        with pytest.raises(LabelMismatch) as raised:
+            GroupedDataset(samples, Design.ONEWAY_REPEATED)
+        assert str(raised.value) == message
+
 def test_check_seed():
     assert check_seed(np.int64(5)) == 5
     assert type(check_seed(np.int64(5))) is int

@@ -14,7 +14,9 @@ from phasorstats import (
     exclude_outliers,
     mahalanobis_distances,
     pairwise_mahalanobis,
+    t2_two_sample,
 )
+from phasorstats import kernels
 from phasorstats.exceptions import (
     DegenerateCovariance,
     DomainError,
@@ -213,3 +215,13 @@ class TestPairwiseMahalanobis:
         b = ComplexSample([(x, 0.0) for x in (1.0, 2.0, 3.0)])
         with pytest.raises(DegenerateCovariance):
             pairwise_mahalanobis(a, b)
+
+    def test_one_minimum_for_the_distance_and_the_effect_size(self, monkeypatch):
+        # the scalar distance and the tests' effect sizes read one minimum
+        a, b = gaussian_sample(9, n=4, mean=1.0), gaussian_sample(10, n=4)
+        assert pairwise_mahalanobis(a, b) > 0
+        assert t2_two_sample(a, b).effect_size is not None
+        monkeypatch.setattr(kernels, "PAIRWISE_MIN_N", 5)
+        with pytest.raises(TooFewObservations, match=">= 5 observations per group"):
+            pairwise_mahalanobis(a, b)
+        assert t2_two_sample(a, b).effect_size is None
