@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checks
-from .data import ComplexSample, covariance_summary
-from .exceptions import DegenerateCovariance, TooFewObservations
+from . import checks, inference, kernels
+from .data import ComplexSample
+from .exceptions import TooFewObservations
 from .records import Record
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,24 +86,19 @@ def amp_errors_ellipse(sample: ComplexSample, level: float = 0.68) -> AmplitudeS
     in the same operation order as the vector form ``center + r1 cos(t)
     vmax + r2 sin(t) vmin``, so the bounds are bit for bit those of that
     form at a fraction of its cost; the grid is evaluated once for both
-    searches.
+    searches. Preconditions and errors are T^2's (``inference.ELLIPSE``).
     """
     checks.probability("level", level)
-    if sample.n < 3:
-        raise TooFewObservations(
-            f"ellipse error bars need >= 3 observations, got {sample.n}"
-        )
-    summary = covariance_summary(sample)
-    if summary.degenerate:
-        raise DegenerateCovariance("sample covariance is degenerate")
-    scale = -2.0 * math.log1p(-level) / sample.n
-    lmax, lmin = summary.eigenvalues
-    vmax = summary.eigenvectors[:, 0]
-    vmin = summary.eigenvectors[:, 1]
-    r1 = math.sqrt(lmax * scale)
-    r2 = math.sqrt(lmin * scale)
-    center = np.array(summary.mean)
-    c0, c1 = summary.mean
+    X = inference._observations("sample", sample)
+    inference.ELLIPSE.check([X.size])
+    mean, (a, b, c), (lmax, lmin), _, _ = inference.ELLIPSE.run(X)
+    vecs = kernels.eigvecs2(a, b, c, lmax)
+    scale = -2.0 * math.log1p(-level) / X.size
+    vmax, vmin = vecs.T
+    r1 = math.sqrt(float(lmax) * scale)
+    r2 = math.sqrt(float(lmin) * scale)
+    c0, c1 = float(mean.real), float(mean.imag)
+    center = np.array((c0, c1))
     a0, a1 = vmax.tolist()
     b0, b1 = vmin.tolist()
 
@@ -175,21 +170,20 @@ def amp_ci_bootstrap(
     """
     checks.probability("level", level)
     n_boot = checks.integer("n_boot", n_boot, 1, maximum=checks.MAX_DRAWS)
-    if sample.n < 2:
-        raise TooFewObservations(
-            f"bootstrap needs >= 2 observations, got {sample.n}"
-        )
+    obs = inference._observations("sample", sample)
+    n = obs.size
+    if n < 2:
+        raise TooFewObservations(f"bootstrap needs >= 2 observations, got {n}")
     rng = np.random.default_rng(checks.seeds(seed))
-    n = sample.n
     rows = max(1, _BOOT_VALUES // n)
     sums = np.empty(n_boot, dtype=complex)
     for start in range(0, n_boot, rows):
         stop = min(start + rows, n_boot)
         idx = rng.integers(0, n, size=(stop - start, n))
-        np.add.reduce(sample.observations[idx], axis=1, out=sums[start:stop])
+        np.add.reduce(obs[idx], axis=1, out=sums[start:stop])
     amps = np.abs(sums / n)  # the bits of .mean(axis=1)
     lo, hi = _quantiles(amps, ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
-    mean = sample.observations.mean()
+    mean = obs.mean()
     return AmplitudeSummary(
         mean_amplitude=abs(mean),
         mean_phase=math.atan2(mean.imag, mean.real),

@@ -10,7 +10,8 @@
   parameters that must be ``whole``, so 2.0 passes where a count needs 2.
 - *Arrays of reals* are whatever ``np.asarray(..., dtype=float)`` reads.
 - A *sample* given to a test is a ``ComplexSample``, and its *groups* an
-  iterable of them (``instance``).
+  iterable of them (``instance``, ``instances``); a *path* to a file a
+  ``str`` or ``os.PathLike`` (``path``).
 
 A value that breaks the rule raises the caller's typed error, never a raw
 ``TypeError`` or ``ValueError``: ``InvalidSpec`` in ``simulate``,
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import numbers
 import operator
+import os
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -115,11 +118,24 @@ def as_complex(name: str, value) -> complex:
     return number
 
 
-def instance(name: str, value, kind: type, what: str = ""):
-    """value, unchanged, where it is an instance of kind; the error names
-    the argument and the type it got (``what`` says what it must be, by
-    default "a <kind>")."""
+def instance(name: str, value, kind, what: str = ""):
+    """value, unchanged, where it is an instance of kind (a type, or a tuple
+    of types with ``what``); the error names the argument and the type it
+    got (``what`` says what it must be, by default "a <kind>")."""
     if not isinstance(value, kind):
         raise DomainError(f"{name} must be {what or 'a ' + kind.__name__}, "
                           f"got {type(value).__name__}")
     return value
+
+
+def instances(name: str, values, kind: type) -> list:
+    """values as a list, where they are an iterable of instances of kind;
+    the error names the argument, or the item as ``name[i]``."""
+    instance(name, values, Iterable, f"an iterable of {kind.__name__}")
+    return [instance(f"{name}[{i}]", v, kind) for i, v in enumerate(values)]
+
+
+def path(value):
+    """value, unchanged, where it is a str or os.PathLike: not an int, a
+    file descriptor that ``open`` would read and then close."""
+    return instance("path", value, (str, os.PathLike), "a str or os.PathLike")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, clusters
 from .clusters import AdjacencyGraph, cluster_correct
 from .data import Design
 from .distributions import ConditionIndexDistribution
@@ -34,6 +34,7 @@ from .ingest import (
     write_components_csv,
     write_csv,
 )
+from .outliers import DEFAULT_THRESHOLD
 from .report import format_text, run_flowchart
 from .simulate import (
     RateTable,
@@ -88,18 +89,11 @@ _positive = _checked(float, lambda v: v > 0.0, "positive")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 
 
-def _parse_floats(text: str, option: str) -> list[float]:
+def _parse_list(text: str, option: str, convert=float, what="numbers") -> list:
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        return [convert(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise MalformedInput(f"{option} expects comma-separated numbers") from None
-
-
-def _parse_ints(text: str, option: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise MalformedInput(f"{option} expects comma-separated integers") from None
+        raise MalformedInput(f"{option} expects comma-separated {what}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -233,8 +227,8 @@ def _cmd_power(args) -> int:
     )
     table = simulate_grid(
         base,
-        d_values=_parse_floats(args.d, "--d"),
-        n_values=_parse_ints(args.n, "--n"),
+        d_values=_parse_list(args.d, "--d"),
+        n_values=_parse_list(args.n, "--n", int, "integers"),
     )
     _emit(table.to_json() if args.json else table.to_csv(), args.out)
     return EXIT_OK
@@ -276,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", default=None,
                    help="restrict post-hoc tests to baseline vs the rest")
     p.add_argument("--no-outlier-screen", action="store_true")
-    p.add_argument("--threshold", type=_positive, default=3.0,
+    p.add_argument("--threshold", type=_positive, default=DEFAULT_THRESHOLD,
                    help="Mahalanobis outlier threshold")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "text"], default="text")
@@ -303,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", help="rejection rates over d and N grids")
     p.add_argument("--test", default="T2circ",
                    choices=["T2", "T2circ", "ANOVA2circ", "MANOVA"])
-    p.add_argument("--d", default="0,0.25,0.5,1,2,4")
-    p.add_argument("--n", default="4,8,16,32,64")
+    p.add_argument("--d", default=",".join(map(str, _D_GRID)))
+    p.add_argument("--n", default=",".join(map(str, _N_GRID)))
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--reps", type=int, default=10000)
+    p.add_argument("--reps", type=int, default=_DEFAULT_REPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
@@ -316,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="permutation cluster correction")
     p.add_argument("nodes", nargs="+", help="one components CSV per node")
     p.add_argument("--edges", required=True, help="edge list file, 'i j' rows")
-    p.add_argument("--design", required=True,
-                   choices=["one-sample", "two-sample", "paired"])
+    p.add_argument("--design", required=True, choices=[
+        name for name, design in _DESIGNS.items() if design in clusters.DESIGNS])
     p.add_argument("--mu", type=_parse_mu, default="0,0")
-    p.add_argument("--test", default="T2circ", choices=["T2", "T2circ"])
+    p.add_argument("--test", default="T2circ", choices=clusters.TESTS)
     p.add_argument("--alpha-forming", type=_probability, default=0.05)
     p.add_argument("--perms", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)

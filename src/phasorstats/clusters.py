@@ -30,13 +30,15 @@ BLOCK_VALUES = 8192
 #: many F blocks per call, at a bounded cost in memory.
 SPAN_VALUES = 2**16
 
-_SUPPORTED_DESIGNS = (Design.ONE_SAMPLE, Design.PAIRED, Design.TWO_SAMPLE_INDEPENDENT)
+#: The designs a node's dataset may have.
+DESIGNS = (Design.ONE_SAMPLE, Design.PAIRED, Design.TWO_SAMPLE_INDEPENDENT)
 
 #: The one- and two-sample contracts (inference.py) of each node test.
 _CONTRACTS = {
     "T2": (inference.T2, inference.T2_TWO_SAMPLE),
     "T2circ": (inference.T2CIRC, inference.T2CIRC_TWO_SAMPLE),
 }
+TESTS = tuple(_CONTRACTS)
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,11 @@ class AdjacencyGraph:
     @classmethod
     def from_edge_list(cls, path, node_count: int) -> "AdjacencyGraph":
         """Read one 'i j' pair per line; '#' lines and blanks are skipped, and
-        so is a leading UTF-8 byte-order mark."""
+        so is a leading UTF-8 byte-order mark. DomainError unless ``path``
+        is a str or os.PathLike."""
         edges = []
         try:
-            text = Path(path).read_text(encoding="utf-8-sig")
+            text = Path(checks.path(path)).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
             raise InvalidGraph(f"{path}: not UTF-8 text") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -268,8 +271,8 @@ def _validate_nodes(
     if len(designs) != 1:
         raise DesignMismatch("all nodes must share one design")
     design = designs.pop()
-    if design not in _SUPPORTED_DESIGNS:
-        names = [d.value for d in _SUPPORTED_DESIGNS]
+    if design not in DESIGNS:
+        names = [d.value for d in DESIGNS]
         raise DesignMismatch(f"cluster correction supports {names}, got {design.value}")
     if len({tuple(n for n, _ in groups) for _, groups in kinds}) != 1:
         raise DesignMismatch("all nodes must have identical group sizes")

@@ -157,7 +157,8 @@ class GroupedDataset:
     """Samples for one analysis, with the design and comparison point.
 
     MalformedInput for an unknown design or a number of samples that does
-    not fit it; DomainError for a mu that is not a finite complex number.
+    not fit it; DomainError for samples that are not an iterable of
+    ComplexSample or a mu that is not a finite complex number.
     """
 
     samples: tuple[ComplexSample, ...]
@@ -165,7 +166,8 @@ class GroupedDataset:
     mu: complex = 0j
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
+        samples = checks.instances("samples", self.samples, ComplexSample)
+        object.__setattr__(self, "samples", tuple(samples))
         try:
             object.__setattr__(self, "design", Design(self.design))
         except ValueError as exc:

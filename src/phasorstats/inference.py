@@ -24,11 +24,12 @@ from ``kernels``, its minimum observations per group, its error where the
 kernel marks a sample ``bad``, its p-value rule and the one builder of
 ``TestResult`` records. The scalar tests below build theirs on a batch of
 one, ``clusters`` builds its node records, and ``simulate`` takes p-values.
+``ELLIPSE``, ``MAHALANOBIS`` (both T2's precondition on another kernel)
+and ``PAIRWISE`` serve ``amplitude``, ``outliers`` and the effect sizes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from typing import Callable, Optional, Sequence
@@ -71,11 +72,11 @@ class TestResult(Record):
 
 @dataclass(frozen=True)
 class Contract:
-    """One test's contract, declared once below for the scalar test, the
-    Monte Carlo harness (``simulate``) and the cluster test (``clusters``):
-    the batched kernel (``kernels``), the fewest observations per group it
-    can test, the error raised where the kernel marks a sample ``bad``, the
-    p-value rule (``p_values``) and the record builder (``results``).
+    """The contract of one batched kernel (``kernels``), declared once
+    below: the fewest observations per group it takes and the error raised
+    where it marks a sample ``bad`` (``check``, ``run``). A test's contract
+    adds the p-value rule (``p_values``) and the record builder
+    (``results``) for the scalar test, ``simulate`` and ``clusters``.
 
     A ``k_group`` kernel takes its k >= 2 groups as one argument, a list
     or the stacked (..., k, n) array; the others take the sample, or the
@@ -111,9 +112,8 @@ class Contract:
         its message prefixed by ``at`` formatted with the flat index of the
         first such sample (the cluster test's ``"node {}: "``)."""
         result = self.kernel(*args)
-        bad = np.flatnonzero(result[-1])
-        if bad.size:
-            raise self.error(at.format(bad[0]) + self.message)
+        if result[-1].any():
+            raise self.error(at.format(np.flatnonzero(result[-1])[0]) + self.message)
         return result
 
     def p_values(self, result, n: int):
@@ -145,13 +145,17 @@ class Contract:
 
 T2 = Contract("T2", kernels.t2_one_sample, 3, DegenerateCovariance,
               "sample covariance is degenerate")
-T2_TWO_SAMPLE = Contract("T2", kernels.t2_two_sample, 3, DegenerateCovariance,
-                         "pooled covariance is degenerate")
+T2_TWO_SAMPLE = replace(T2, kernel=kernels.t2_two_sample,
+                        message="pooled covariance is degenerate")
 T2CIRC = Contract("T2circ", kernels.t2circ_one_sample, 2, ZeroResidualVariance,
                   "all observations coincide")
 T2CIRC_TWO_SAMPLE = replace(T2CIRC, kernel=kernels.t2circ_two_sample)
-CI_TEST = Contract("CI_test", kernels.condition_index, 3, DegenerateCovariance,
-                   "sample covariance is degenerate")
+CI_TEST = replace(T2, name="CI_test", kernel=kernels.condition_index)
+ELLIPSE = replace(T2, name="ellipse", kernel=kernels.spectrum)
+MAHALANOBIS = replace(T2, name="Mahalanobis distance", kernel=kernels.mahalanobis)
+PAIRWISE = Contract("pairwise distance", kernels.pairwise_mahalanobis, 3,
+                    DegenerateCovariance,
+                    "mean difference has a component along the degenerate axis")
 ANOVA2CIRC = Contract("ANOVA2circ", kernels.anova2circ_independent, 2,
                       ZeroResidualVariance, "residual variation is zero",
                       k_group=True)
@@ -164,11 +168,11 @@ MANOVA = Contract("MANOVA", kernels.manova_oneway, 2, SingularWithinScatter,
 def _effect_sizes(A: np.ndarray, B: np.ndarray) -> list[Optional[float]]:
     """The pairwise Mahalanobis distance of each pair of samples of A and B
     (``kernels.pairwise_mahalanobis``), None where the kernel marks the pair
-    ``bad``; none at all (every effect size None) below
-    ``kernels.PAIRWISE_MIN_N`` observations in a group."""
-    if min(A.shape[-1], B.shape[-1]) < kernels.PAIRWISE_MIN_N:
+    ``bad``; none at all (every effect size None) below ``PAIRWISE``'s
+    minimum of observations in a group."""
+    if min(A.shape[-1], B.shape[-1]) < PAIRWISE.min_n:
         return []
-    d, bad = kernels.pairwise_mahalanobis(A, B)
+    d, bad = PAIRWISE.kernel(A, B)
     return np.where(bad, None, d).ravel().tolist()
 
 
@@ -176,14 +180,6 @@ def _observations(name: str, sample) -> np.ndarray:
     """The observations of the argument ``name``; DomainError naming it and
     its type unless it is a ComplexSample."""
     return checks.instance(name, sample, ComplexSample).observations
-
-
-def _samples(groups) -> list[ComplexSample]:
-    """The k groups as a list; DomainError naming the argument and its type
-    unless each is a ComplexSample."""
-    checks.instance("groups", groups, Iterable, "an iterable of ComplexSample")
-    return [checks.instance(f"groups[{i}]", g, ComplexSample)
-            for i, g in enumerate(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +275,8 @@ def anova2circ_independent(groups: Sequence[ComplexSample]) -> TestResult:
     Residual mean square: sum of squared vector distances of each point from
     its group mean over df_R = 2(sum N_k - k). F = MS_M / MS_R.
     """
-    return ANOVA2CIRC.results([g.observations for g in _samples(groups)])[0]
+    groups = checks.instances("groups", groups, ComplexSample)
+    return ANOVA2CIRC.results([g.observations for g in groups])[0]
 
 
 def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
@@ -290,7 +287,7 @@ def anova2circ_repeated(groups: Sequence[ComplexSample]) -> TestResult:
     df = (2(k-1), 2(N-1)(k-1)). For k = 2 this reduces exactly to the
     paired T^2_circ test.
     """
-    groups = _samples(groups)
+    groups = checks.instances("groups", groups, ComplexSample)
     ANOVA2CIRC_REPEATED.check([g.n for g in groups])  # align_units needs a group
     return ANOVA2CIRC_REPEATED.results(align_units(groups)[0])[0]
 
@@ -303,4 +300,5 @@ def manova_oneway(groups: Sequence[ComplexSample]) -> TestResult:
     eigenvalues of W^{-1} B, converted to F with the standard approximation.
     For k = 2 the p-value equals the two-sample T^2 p-value.
     """
-    return MANOVA.results([g.observations for g in _samples(groups)])[0]
+    groups = checks.instances("groups", groups, ComplexSample)
+    return MANOVA.results([g.observations for g in groups])[0]

@@ -49,8 +49,9 @@ def _open_rows(path, columns: Sequence[str]) -> tuple[dict, Iterator]:
 
     Rows come lazily as (line number, cells of ``columns``), checked as they
     come: the columns exist, each row is as long as the header, and there
-    is at least one row.
+    is at least one row. DomainError unless ``path`` is a str or os.PathLike.
     """
+    checks.path(path)
     metadata: dict[str, float] = {}
     # lines end at "\n", "\r\n" or "\r" and keep their ends untranslated,
     # as the csv module asks, so a quoted field may hold any of them;

@@ -2,11 +2,12 @@
 
 This module is the only home of the bivariate moment sums, the 2x2
 eigenvalues, the degeneracy rule and the inverse quadratic form. The scalar
-tests in ``inference``, ``covariance_summary`` and the Mahalanobis distances
-in ``outliers`` run these functions on a batch of one. Every sum over the
-sample axis is a mean or a ``scatter`` sum of a C-contiguous copy, so a
-scalar test or covariance summary is bit for bit the matching row of a
-batched call in any memory layout (C or Fortran order, strided or selected).
+tests in ``inference``, ``covariance_summary``, the ellipse in
+``amplitude`` and the distances in ``outliers`` run these functions on a
+batch of one. Every sum over the sample axis is a mean or a ``scatter``
+sum of a C-contiguous copy, so a scalar test or covariance summary is bit
+for bit the matching row of a batched call in any memory layout (C or
+Fortran order, strided or selected).
 
 Each kernel takes complex observations with the sample along the last axis,
 (..., n), and returns arrays over the leading axes; the k-group kernels take
@@ -16,9 +17,9 @@ sizes. F kernels return ``(statistic, f, (df1, df2), bad)``.
 covariance, zero residual); there F = inf, so cluster permutations count
 the node as supra-threshold. An exactly zero mean difference gives F = 0.
 
-Each test's contract (``inference.Contract``) turns these results into
-p-values and ``TestResult`` records, and ``bad`` into its typed error; the
-scalar tests, the simulator and the cluster test all go through it.
+Each contract (``inference.Contract``) turns ``bad`` into its typed error,
+and a test's results into p-values and ``TestResult`` records; the callers
+above, the simulator and the cluster test all go through one.
 """
 
 from __future__ import annotations
@@ -167,10 +168,18 @@ def quadform_inv(a, b, c, x, y):
     return _adjugate_form(a, b, c, x, y) / (a * c - b * b)
 
 
-#: Fewest observations per group for which the pairwise distance is
-#: reported: ``outliers.pairwise_mahalanobis`` raises below it, and the
-#: tests' records (``inference._effect_sizes``) carry no effect size.
-PAIRWISE_MIN_N = 3
+def mahalanobis(X: np.ndarray):
+    """Distance D (not D^2) of each observation from its sample mean in
+    covariance units, over the last axis, and ``bad`` (a degenerate
+    covariance, where D = nan)."""
+    m, a, b, c = covariance(X)
+    bad = degenerate(a, b, c)
+    # transposed, the sample axis comes first and the moments broadcast
+    # over it; a 1-d sample and its scalar moments are left as they are
+    z = X.T - m.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.sqrt(np.maximum(quadform_inv(a.T, b.T, c.T, z.real, z.imag), 0.0))
+    return np.where(bad.T, np.nan, d).T, bad
 
 
 def pairwise_mahalanobis(A: np.ndarray, B: np.ndarray):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checks, kernels
+from . import checks, inference
 from .data import ComplexSample, Design, GroupedDataset, UNIT_ALIGNED_DESIGNS
 from .exceptions import DegenerateCovariance, TooFewObservations
 from .records import Record
@@ -23,7 +23,7 @@ DEFAULT_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
-class OutlierReport:
+class OutlierReport(Record):
     """Per-observation distances for one condition's sample."""
 
     condition: str
@@ -64,29 +64,16 @@ class ScreeningReport(Record):
 def mahalanobis_distances(
     sample: ComplexSample, threshold: float = DEFAULT_THRESHOLD
 ) -> OutlierReport:
-    """Distance of each observation from the sample mean, as D (not D^2).
-
-    Raises DegenerateCovariance when the covariance cannot be inverted and
-    TooFewObservations below N = 3.
-    """
+    """Distance of each observation from the sample mean, as D (not D^2):
+    ``kernels.mahalanobis`` on a batch of one, with the preconditions and
+    errors of T^2 (``inference.MAHALANOBIS``)."""
     checks.real("threshold", threshold, lambda v: v > 0, "positive")
-    if sample.n < 3:
-        raise TooFewObservations(
-            f"Mahalanobis distances need >= 3 observations, got {sample.n}"
-        )
-    m, a, b, c = kernels.covariance(sample.observations)
-    if kernels.degenerate(a, b, c):
-        raise DegenerateCovariance(
-            f"covariance of condition {sample.condition_label!r} is degenerate"
-        )
-    z = sample.observations - m
-    d = np.sqrt(np.maximum(kernels.quadform_inv(a, b, c, z.real, z.imag), 0.0))
-    return OutlierReport(
-        condition=sample.condition_label,
-        distances=tuple(float(x) for x in d),
-        flagged=tuple(int(i) for i in np.nonzero(d > threshold)[0]),
-        threshold=threshold,
-    )
+    X = inference._observations("sample", sample)
+    inference.MAHALANOBIS.check([X.size])
+    d = inference.MAHALANOBIS.run(X)[0]
+    flagged = np.flatnonzero(d > threshold)
+    return OutlierReport(sample.condition_label, tuple(d.tolist()),
+                         tuple(flagged.tolist()), threshold)
 
 
 def exclude_outliers(
@@ -100,6 +87,7 @@ def exclude_outliers(
     conditions; otherwise flagged observations are dropped individually.
     Conditions too small (N < 3) or degenerate are left unscreened.
     """
+    checks.instance("dataset", dataset, GroupedDataset)
     per_condition = []
     for s in dataset.samples:
         try:
@@ -136,17 +124,10 @@ def exclude_outliers(
 def pairwise_mahalanobis(a: ComplexSample, b: ComplexSample) -> float:
     """Distance between two group means in pooled-covariance units: a
     multivariate Cohen's d, ``kernels.pairwise_mahalanobis`` on a batch of
-    one. Raises DegenerateCovariance where that is ``bad`` (a difference
-    across the degenerate axis of a degenerate pooled covariance).
+    one under ``inference.PAIRWISE``: DegenerateCovariance where that is
+    ``bad`` (a difference across the degenerate axis of a degenerate pooled
+    covariance), TooFewObservations below 3 observations in a group.
     """
-    if min(a.n, b.n) < kernels.PAIRWISE_MIN_N:
-        raise TooFewObservations(
-            f"pairwise distance needs >= {kernels.PAIRWISE_MIN_N} observations "
-            f"per group, got {a.n} and {b.n}"
-        )
-    d, bad = kernels.pairwise_mahalanobis(a.observations, b.observations)
-    if bad:
-        raise DegenerateCovariance(
-            "mean difference has a component along the degenerate axis"
-        )
-    return float(d)
+    pair = (inference._observations("a", a), inference._observations("b", b))
+    inference.PAIRWISE.check([x.size for x in pair])
+    return float(inference.PAIRWISE.run(*pair)[0])

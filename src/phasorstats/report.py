@@ -278,9 +278,10 @@ def run_flowchart(
     the condition-index test picks the branch, the design picks the test,
     and significant multi-group results get Bonferroni-corrected pairwise
     post-hoc comparisons (restricted to ``baseline`` vs the rest when a
-    baseline condition is given). alpha must be a real number in (0, 1)
-    and seed a non-negative integer.
+    baseline condition is given). dataset must be a GroupedDataset, alpha
+    a real number in (0, 1) and seed a non-negative integer.
     """
+    checks.instance("dataset", dataset, GroupedDataset)
     seed = checks.seed(seed)
     checks.probability("alpha", alpha)
     if baseline is not None and baseline not in dataset.condition_labels:
@@ -296,9 +297,9 @@ def run_flowchart(
     m = 0
     if dataset.design in _PAIR_DESIGN and primary.p_value < alpha:
         posthoc, m = _posthoc_tests(dataset, branch, alpha, baseline)
-    # ci_test and amp_errors_ellipse both need N >= 3 and a non-degenerate
-    # covariance, so the conditions with a CI p-value are exactly those with
-    # an ellipse; the others get no entry and draw no bootstrap. Each
+    # ci_test and amp_errors_ellipse run T2's precondition (inference.CI_TEST
+    # and ELLIPSE), so the conditions with a CI p-value are exactly those
+    # with an ellipse; the others get no entry and draw no bootstrap. Each
     # condition has its own [seed, i] stream, so the bootstraps run in the
     # process's thread pool (numpy releases the GIL) with the bits of a
     # serial run, and inline on one CPU or for one condition; the pool

@@ -9,11 +9,22 @@ from hypothesis import strategies as st
 from scipy.special import fdtr
 
 from phasorstats import (
+    AdjacencyGraph,
     ComplexSample,
+    Design,
+    GroupedDataset,
+    amp_ci_bootstrap,
+    amp_errors_ellipse,
     anova2circ_independent,
     anova2circ_repeated,
     ci_test,
+    exclude_outliers,
+    mahalanobis_distances,
     manova_oneway,
+    pairwise_mahalanobis,
+    read_components_csv,
+    read_timeseries_csv,
+    run_flowchart,
     t2_one_sample,
     t2_paired,
     t2_two_sample,
@@ -382,10 +393,33 @@ class TestArgumentTypes:
          r"groups\[2\] must be a ComplexSample, got NoneType"),
         (manova_oneway, ([S, 5],), r"groups\[1\] must be a ComplexSample, got int"),
         (manova_oneway, (5,), "groups must be an iterable of ComplexSample, got int"),
+        # the computations beside the tests, and the objects that hold samples
+        # (a raw AttributeError or TypeError before)
+        (amp_errors_ellipse, (5,), "sample must be a ComplexSample, got int"),
+        (amp_ci_bootstrap, (5,), "sample must be a ComplexSample, got int"),
+        (mahalanobis_distances, ([1, 2, 3],), "sample must be a ComplexSample, got list"),
+        (pairwise_mahalanobis, (S, 5), "b must be a ComplexSample, got int"),
+        (GroupedDataset, ((5,), Design.ONE_SAMPLE),
+         r"samples\[0\] must be a ComplexSample, got int"),
+        (GroupedDataset, (5, Design.ONE_SAMPLE),
+         "samples must be an iterable of ComplexSample, got int"),
+        (exclude_outliers, (5,), "dataset must be a GroupedDataset, got int"),
+        (run_flowchart, (5,), "dataset must be a GroupedDataset, got int"),
+        # a path that is not a path: an int used to be read as a file
+        # descriptor, and closed
+        (read_components_csv, (0,), "path must be a str or os.PathLike, got int"),
+        (read_timeseries_csv, (None,),
+         "path must be a str or os.PathLike, got NoneType"),
+        (AdjacencyGraph.from_edge_list, (1.5, 3),
+         "path must be a str or os.PathLike, got float"),
     ], ids=["t2_one_sample", "t2circ_one_sample", "ci_test", "t2_two_sample",
             "t2circ_two_sample", "t2_paired", "t2circ_paired",
             "anova2circ_independent", "anova2circ_repeated", "manova_oneway",
-            "manova_oneway-groups"])
+            "manova_oneway-groups", "amp_errors_ellipse", "amp_ci_bootstrap",
+            "mahalanobis_distances", "pairwise_mahalanobis",
+            "GroupedDataset-sample", "GroupedDataset-samples", "exclude_outliers",
+            "run_flowchart", "read_components_csv", "read_timeseries_csv",
+            "from_edge_list"])
     def test_wrong_type_is_a_domain_error(self, test, args, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             test(*args)

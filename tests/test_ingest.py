@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from phasorstats import (
     read_timeseries_csv,
 )
 from phasorstats.exceptions import (
+    DomainError,
     FrequencyNotResolvable,
     MalformedInput,
     NonIntegerCycles,
@@ -102,6 +104,19 @@ class TestComponentsCsv:
         assert rows[0].unit == "m1" and rows[0].re == 1.5
         text = write_components_csv(rows)
         assert "m1,sound,1.5,-0.25" in text
+
+    @pytest.mark.parametrize("reader", [read_components_csv, read_timeseries_csv])
+    def test_file_descriptor_is_refused_and_left_open(self, reader):
+        # an int path used to be read as a file descriptor and then closed
+        r, w = os.pipe()
+        os.write(w, b"unit,condition,re,im\nm1,a,1.0,0.0\n")
+        os.close(w)
+        try:
+            with pytest.raises(DomainError, match="^path must be a str"):
+                reader(r)
+            assert os.read(r, 9) == b"unit,cond"  # still open, and unread
+        finally:
+            os.close(r)
 
     def test_component_row_is_a_named_tuple(self):
         # built, read, printed and compared as the frozen dataclass it was

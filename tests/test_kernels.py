@@ -14,6 +14,7 @@ from phasorstats import (
     ci_test,
     covariance_summary,
     f_sf,
+    mahalanobis_distances,
     manova_oneway,
     t2_one_sample,
     t2_paired,
@@ -107,7 +108,7 @@ def test_scalar_tests_are_rows_of_one_batched_call(scale):
     rows = []
     for x, y in X:
         a, b = ComplexSample(x, "a", labels), ComplexSample(y, "b", labels)
-        rows.append((covariance_summary(a), ci_test(a), (
+        rows.append((covariance_summary(a), ci_test(a), mahalanobis_distances(a), (
             t2_one_sample(a, mu), t2_paired(a, b), t2_two_sample(a, b),
             t2circ_one_sample(a, mu), t2circ_paired(a, b),
             t2circ_two_sample(a, b))))
@@ -118,9 +119,11 @@ def test_scalar_tests_are_rows_of_one_batched_call(scale):
                    kernels.t2_two_sample(A, B), kernels.t2circ_one_sample(A, mu),
                    kernels.t2circ_one_sample(A - B),
                    kernels.t2circ_two_sample(A, B))
-        assert not (ci_bad.any() or any(r[3].any() for r in batched))
+        D, D_bad = kernels.mahalanobis(A)
+        assert not (ci_bad.any() or D_bad.any() or any(r[3].any() for r in batched))
         ci_p = ConditionIndexDistribution(n, "modified").sf(ci)
-        for i, (summary, ci_res, results) in enumerate(rows):
+        for i, (summary, ci_res, dist, results) in enumerate(rows):
+            assert dist.distances == tuple(D[i].tolist())
             assert summary.cov.tolist() == [[ca[i], cb[i]], [cb[i], cc[i]]]
             assert summary.eigenvalues == (lmax[i], lmin[i])
             assert summary.condition_index == ci[i]
@@ -204,6 +207,11 @@ def test_degenerate_samples_are_flagged_like_the_scalar_errors():
         t2_one_sample(ComplexSample(line))
     ci, bad = kernels.condition_index(line[None, :])
     assert bad[0] and ci[0] == np.inf
+    d, bad = kernels.mahalanobis(np.stack([line, line + 1j * np.arange(4)]))
+    assert bad.tolist() == [True, False] and np.isnan(d[0]).all()
+    assert np.isfinite(d[1]).all()
+    with pytest.raises(DegenerateCovariance):
+        mahalanobis_distances(ComplexSample(line))
 
     same = np.full(4, 2 + 1j)
     _, f, _, bad = kernels.t2circ_one_sample(same[None, :])

@@ -1,6 +1,7 @@
 """Mahalanobis screening and the pairwise effect size."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from phasorstats import (
     ComplexSample,
     Design,
     GroupedDataset,
+    OutlierReport,
+    amp_errors_ellipse,
+    ci_test,
     exclude_outliers,
     mahalanobis_distances,
     pairwise_mahalanobis,
+    t2_one_sample,
     t2_two_sample,
 )
-from phasorstats import kernels
+from phasorstats import inference
 from phasorstats.exceptions import (
     DegenerateCovariance,
     DomainError,
@@ -83,6 +88,27 @@ class TestDistances:
             mahalanobis_distances(ComplexSample([1 + 1j, 2 + 2j]))
         with pytest.raises(DegenerateCovariance):
             mahalanobis_distances(ComplexSample([(x, x) for x in (1.0, 2.0, 3.0)]))
+
+    # the distances, the ellipse and the condition-index test invert the
+    # covariance that T2 inverts, and refuse the same samples the same way
+    @pytest.mark.parametrize("compute", [t2_one_sample, ci_test,
+                                         amp_errors_ellipse, mahalanobis_distances])
+    @pytest.mark.parametrize("values,error", [
+        ([1 + 1j, 2 + 2j], TooFewObservations),
+        ([(x, x) for x in (1.0, 2.0, 3.0)], DegenerateCovariance),
+        ([(x, 0.0) for x in (1.0, 2.0, 3.0)], DegenerateCovariance),
+    ], ids=["n2", "diagonal", "real"])
+    def test_one_precondition_with_t2(self, compute, values, error):
+        with pytest.raises(error):
+            compute(ComplexSample(values))
+
+    @pytest.mark.parametrize("threshold", [3.0, 0.5, math.inf])
+    def test_report_json_round_trip(self, threshold):
+        values = list(gaussian_sample(2, n=15).observations) + [40 + 40j]
+        report = mahalanobis_distances(ComplexSample(values, "a"), threshold)
+        assert report.flagged or threshold == math.inf
+        back = OutlierReport.from_json(report.to_json())
+        assert back == report and back.to_json() == report.to_json()
 
 
 class TestExcludeOutliers:
@@ -221,7 +247,7 @@ class TestPairwiseMahalanobis:
         a, b = gaussian_sample(9, n=4, mean=1.0), gaussian_sample(10, n=4)
         assert pairwise_mahalanobis(a, b) > 0
         assert t2_two_sample(a, b).effect_size is not None
-        monkeypatch.setattr(kernels, "PAIRWISE_MIN_N", 5)
+        monkeypatch.setattr(inference, "PAIRWISE", replace(inference.PAIRWISE, min_n=5))
         with pytest.raises(TooFewObservations, match=">= 5 observations per group"):
             pairwise_mahalanobis(a, b)
         assert t2_two_sample(a, b).effect_size is None
