@@ -1,9 +1,9 @@
 """Data model for complex Fourier components grouped by experimental condition.
 
 An observation is one Fourier coefficient, held as a complex number.
-Samples store observations as a read-only complex array; all operations on
-them are pure functions, so everything here is safe to share across
-concurrently running simulation workers.
+Samples hold their own read-only copy of their observations and leave the
+caller's array as it was; all operations on them are pure functions, so
+everything here is safe to share across concurrently running workers.
 """
 
 from __future__ import annotations
@@ -24,31 +24,33 @@ from .exceptions import (
 
 
 def _coerce_observations(observations) -> np.ndarray:
-    """Coerce observations to a 1-d complex128 array.
+    """Observations as a new 1-d complex128 array, converted once.
 
     Accepts a complex array, an (N, 2) real array of (re, im) columns, or
     a sequence of complex (or real) numbers; MalformedInput for anything
     else, or for a non-finite value.
     """
-    arr = np.asarray(observations)
-    pairs = arr.ndim == 2 and arr.shape[1] == 2
-    if pairs and np.iscomplexobj(arr):
+    try:
+        arr = np.array(observations, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(str(exc)) from None
+    if arr.ndim == 2 and arr.shape[1] == 2:
         if np.any(arr.imag != 0.0):
             raise MalformedInput(
                 "(N, 2) observation arrays must hold real (re, im) columns"
             )
-        arr = arr.real
-    try:
-        arr = np.asarray(arr, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(str(exc)) from None
-    if pairs:
         arr = arr[:, 0].real + 1j * arr[:, 1].real
     if arr.ndim != 1:
         raise MalformedInput("observations must be one-dimensional")
-    if arr.size and not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise MalformedInput("observations must be finite")
     return arr
+
+
+def unit_mean(values) -> complex:
+    """The coherent mean of one unit's repetitions: one value plus 0j (the
+    bits of numpy's mean of it, without numpy), otherwise numpy's mean."""
+    return values[0] + 0j if len(values) == 1 else np.asarray(values).mean()
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +60,8 @@ class ComplexSample:
     Parameters
     ----------
     observations :
-        Complex values, or any form accepted by ``_coerce_observations``.
+        Complex values, or any form accepted by ``_coerce_observations``. The
+        sample holds its own read-only copy and leaves the caller's as it was.
     condition_label :
         Name of the experimental condition.
     unit_labels :
@@ -74,7 +77,7 @@ class ComplexSample:
         arr.setflags(write=False)
         object.__setattr__(self, "observations", arr)
         if self.unit_labels is not None:
-            labels = tuple(str(u) for u in self.unit_labels)
+            labels = tuple(map(str, self.unit_labels))
             if len(labels) != arr.size:
                 raise LabelMismatch(
                     f"{len(labels)} unit labels for {arr.size} observations"
@@ -290,7 +293,8 @@ def coherent_mean(
     Each input sample holds one unit's repetitions; its unit label (first
     entry of ``unit_labels``, if present) identifies the unit in the output.
     Averaging is coherent: phases are preserved, so repetitions with opposed
-    phases cancel instead of adding as amplitudes would.
+    phases cancel instead of adding as amplitudes would. Each mean is
+    ``unit_mean``, the rule ``ingest.build_dataset`` uses too.
     """
     means = []
     labels = []
@@ -298,10 +302,10 @@ def coherent_mean(
     for i, s in enumerate(samples_per_unit):
         if s.n == 0:
             raise EmptyUnit(f"unit at position {i} has no observations")
-        means.append(s.observations.mean())
+        means.append(unit_mean(s.observations))
         labels.append(s.unit_labels[0] if s.unit_labels else str(i))
         if cond is None and s.condition_label:
             cond = s.condition_label
     if not means:
         raise EmptyUnit("no units supplied")
-    return ComplexSample(np.asarray(means), cond or "", tuple(labels))
+    return ComplexSample(means, cond or "", tuple(labels))

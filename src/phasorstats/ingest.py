@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import checks
-from .data import ComplexSample, Design, GroupedDataset
+from .data import ComplexSample, Design, GroupedDataset, unit_mean
 from .exceptions import (
     FrequencyNotResolvable,
     MalformedInput,
@@ -146,23 +146,17 @@ def build_dataset(
 
     Conditions and units keep their order of first appearance. When a unit
     contributes several rows to one condition they are collapsed to their
-    coherent (complex) mean.
+    coherent (complex) mean, ``data.unit_mean``, the rule
+    ``coherent_mean`` uses too.
     """
     by_condition: dict[str, dict[str, list[complex]]] = {}
     for unit, condition, re, im in rows:
         units = by_condition.setdefault(condition, {})
         units.setdefault(unit, []).append(complex(re, im))
-    samples = []
-    for condition, units in by_condition.items():
-        # the reduction coherent_mean runs; numpy's mean of one value is
-        # that value added to 0, which only turns a -0.0 part into 0.0
-        means = [
-            values[0] + 0j if len(values) == 1 else np.asarray(values).mean()
-            for values in units.values()
-        ]
-        samples.append(ComplexSample(
-            np.asarray(means, dtype=np.complex128), condition, tuple(units)
-        ))
+    samples = [
+        ComplexSample([unit_mean(v) for v in units.values()], condition, tuple(units))
+        for condition, units in by_condition.items()
+    ]
     return GroupedDataset(tuple(samples), design, mu)
 
 

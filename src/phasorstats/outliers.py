@@ -9,7 +9,6 @@ gives a multivariate analogue of Cohen's d (Del Giudice, 2009).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +84,9 @@ def exclude_outliers(
     (no re-screening of the reduced data). In unit-aligned designs any unit
     that contributes at least one flagged observation is removed from all
     conditions; otherwise flagged observations are dropped individually.
-    Conditions too small (N < 3) or degenerate are left unscreened.
+    Conditions too small (N < 3) or degenerate are left unscreened. A
+    condition may be left empty: the report's ``n_before`` and flagged
+    indices record it, and ``run_flowchart`` refuses it by name.
     """
     checks.instance("dataset", dataset, GroupedDataset)
     per_condition = []
@@ -115,8 +116,6 @@ def exclude_outliers(
                  for s, c in zip(dataset.samples, per_condition)]
         excluded_units = ()
     new_samples = [s.subset(keep) for s, keep in zip(dataset.samples, keeps)]
-    if any(s.n == 0 for s in new_samples):
-        warnings.warn("outlier screening removed every observation of a condition")
     screened = GroupedDataset(tuple(new_samples), dataset.design, dataset.mu)
     return screened, ScreeningReport(threshold, excluded_units, tuple(per_condition))
 

@@ -125,6 +125,25 @@ def _summarize_condition(sample: ComplexSample) -> ConditionSummary:
     )
 
 
+def _check_sizes(
+    dataset: GroupedDataset, screening: Optional[ScreeningReport]
+) -> None:
+    """TooFewObservations at the first condition with fewer than the 2
+    observations its summary needs, naming the condition and, where
+    screening removed observations of it, the screening and its threshold."""
+    for i, s in enumerate(dataset.samples):
+        if s.n >= 2:
+            continue
+        n_before = screening.per_condition[i].n_before if screening else s.n
+        left = f"{s.n} observation(s)" if n_before == s.n else (
+            f"{s.n} of its {n_before} observations left after outlier "
+            f"screening at threshold D > {screening.threshold:g}"
+        )
+        raise TooFewObservations(
+            f"condition {s.condition_label!r} has {left}; a summary needs >= 2"
+        )
+
+
 def _decide_branch(
     conditions: Sequence[ConditionSummary], alpha: float
 ) -> tuple[str, str]:
@@ -280,6 +299,8 @@ def run_flowchart(
     post-hoc comparisons (restricted to ``baseline`` vs the rest when a
     baseline condition is given). dataset must be a GroupedDataset, alpha
     a real number in (0, 1) and seed a non-negative integer.
+    TooFewObservations where a condition has fewer than 2 observations
+    left, naming it and, where screening removed them, the threshold.
     """
     checks.instance("dataset", dataset, GroupedDataset)
     seed = checks.seed(seed)
@@ -289,6 +310,7 @@ def run_flowchart(
     screening = None
     if screen_outliers:
         dataset, screening = exclude_outliers(dataset, outlier_threshold)
+    _check_sizes(dataset, screening)
     conditions = tuple(_summarize_condition(s) for s in dataset.samples)
     branch, rationale = _decide_branch(conditions, alpha)
     leaf, primary_test = _LEAVES[(dataset.design, branch)]

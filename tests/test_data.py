@@ -15,6 +15,7 @@ from phasorstats import (
     coherent_mean,
     covariance_summary,
     extract_component,
+    t2circ_one_sample,
 )
 from phasorstats.checks import seed as check_seed
 from phasorstats.data import align_units
@@ -88,6 +89,34 @@ class TestComplexSample:
         s = ComplexSample(CROSS)
         with pytest.raises(ValueError):
             s.observations[0] = 0
+
+    def test_view_base_rewrite_does_not_reach_the_sample(self):
+        # a NaN written through the base of a view after the sample was
+        # checked used to reach the statistic as "F statistic must be >= 0"
+        base = np.array(random_sample(3).observations)
+        s = ComplexSample(base[:])
+        before = s.observations.copy()
+        result = t2circ_one_sample(s)
+        base[0] = math.nan
+        assert np.array_equal(s.observations, before)
+        assert t2circ_one_sample(s) == result
+
+    @pytest.mark.parametrize("form", [
+        np.array([1 + 2j, 3 - 1j, -2 + 0.5j]),
+        np.array([1.0, -2.0, 0.5]),
+        [1 + 2j, 3, -2.5j],
+        np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5]]),
+    ], ids=["complex-array", "float-array", "list", "re-im-pairs"])
+    def test_every_input_form_gives_an_owned_read_only_array(self, form):
+        # the sample used to keep a complex128 argument itself and freeze it
+        flags = form.flags.writeable if isinstance(form, np.ndarray) else None
+        s = ComplexSample(form)
+        obs = s.observations
+        assert obs.dtype == np.complex128 and obs.ndim == 1
+        assert obs.flags.owndata and not obs.flags.writeable
+        if flags is not None:
+            assert not np.shares_memory(form, obs)
+            assert form.flags.writeable == flags
 
 
 class TestCovarianceSummary:

@@ -232,6 +232,29 @@ class TestFlowchart:
         )
         assert len({r.to_json() for r in reports}) == 1
 
+    # each used to warn (a UserWarning from outlier screening) and fail in
+    # covariance_summary with "covariance needs >= 2 observations, got 0"
+    @pytest.mark.parametrize("case,kwargs,message", [
+        ("one-unit", {}, "condition 'b' has 1 observation(s)"),
+        ("one-unit", {"screen_outliers": False}, "condition 'b' has 1 observation(s)"),
+        ("human", {"outlier_threshold": 0.5},
+         "condition '0' has 0 of its 100 observations left after outlier "
+         "screening at threshold D > 0.5"),
+    ])
+    def test_too_small_condition_is_named(self, case, kwargs, message):
+        if case == "human":
+            ds = build_dataset(read_components_csv(FIXTURES / "human_ssvep.csv"),
+                               Design.ONEWAY_REPEATED)
+        else:
+            ds = GroupedDataset((spherical_sample(1, n=6, condition="a", units=False),
+                                 ComplexSample([1 + 1j], "b")),
+                                Design.TWO_SAMPLE_INDEPENDENT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(exceptions.TooFewObservations) as exc:
+                run_flowchart(ds, **kwargs)
+        assert str(exc.value) == f"{message}; a summary needs >= 2"
+
     def test_screening_disabled(self):
         values = list(spherical_sample(40, units=False).observations)
         values.append(50 + 50j)
@@ -480,6 +503,38 @@ class TestCliAnalyze:
         assert out.returncode == 3
         assert "RuntimeWarning" not in out.stderr
         assert "covariance is degenerate" in out.stderr
+
+    @pytest.mark.parametrize("args,condition", [
+        (["human_ssvep.csv", "--design", "oneway-rm", "--threshold", "0.5"],
+         "'0' has 0 of its 100 observations left after outlier screening at "
+         "threshold D > 0.5"),
+        (["mouse_ssvep.csv", "--design", "paired", "--threshold", "0.3"],
+         "'sound' has 0 of its 6 observations left after outlier screening at "
+         "threshold D > 0.3"),
+        (["mouse_ssvep.csv", "--design", "two-sample", "--threshold", "0.3"],
+         "'sound' has 0 of its 6"),
+        (["one-unit", "--design", "two-sample"], "'b' has 1 observation(s)"),
+        (["one-unit", "--design", "two-sample", "--no-outlier-screen"],
+         "'b' has 1 observation(s)"),
+    ], ids=["human-oneway-rm", "mouse-paired", "mouse-two-sample", "one-unit",
+            "one-unit-unscreened"])
+    def test_too_small_condition_exit_3_naming_it(self, tmp_path, args, condition):
+        # these printed a UserWarning with the path of outliers.py, then
+        # "error: covariance needs >= 2 observations, got 0" (or got 1)
+        one_unit = tmp_path / "one-unit.csv"
+        one_unit.write_text("unit,condition,re,im\nu1,a,1,2\nu2,a,2,1\n"
+                            "u3,a,0,1\nu1,b,1,1\n")
+        path = one_unit if args[0] == "one-unit" else FIXTURES / args[0]
+        src = str(Path(phasorstats.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; from phasorstats.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "analyze", str(path), *args[1:]],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert out.returncode == 3
+        assert "Warning" not in out.stderr
+        [line] = out.stderr.splitlines()
+        assert line.startswith(f"error: condition {condition}")
+        assert line.endswith("; a summary needs >= 2")
 
     def test_negative_seed_exit_3(self, capsys):
         # as for cluster; numpy's own ValueError used to exit 2 here
