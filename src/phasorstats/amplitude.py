@@ -36,64 +36,18 @@ class AmplitudeSummary(Record):
     level: float
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section minimum of f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 #: Coarse grid of ellipse angles the extremal searches start from.
 _GRID = np.linspace(0.0, 2.0 * math.pi, 49).tolist()
+_STEP = _GRID[1] - _GRID[0]
 
 
-def _extremal_distance(f, on_grid: np.ndarray, sign: float) -> float:
-    """Extremal value of the distance function f over the angle parameter.
-
-    ``on_grid`` holds f over ``_GRID``. Golden-section refinement from the
-    three best cells of that coarse grid; the distance from a fixed point to
-    an ellipse has at most two local minima, so three restarts cover every
-    candidate basin.
-    """
-    values = sign * on_grid
-    step = _GRID[1] - _GRID[0]
-    best = math.inf
-    for i in np.argsort(values)[:3]:
-        t = _golden_min(lambda x: sign * f(x), _GRID[i] - step, _GRID[i] + step)
-        best = min(best, sign * f(t))
-    return sign * best
-
-
-def amp_errors_ellipse(sample: ComplexSample, level: float = 0.68) -> AmplitudeSummary:
-    """Amplitude bounds from the standard-error ellipse of the mean.
-
-    The ellipse is the covariance of the mean (sample covariance / N)
-    scaled by the chi-square(2) quantile for ``level``, -2 log(1 - level);
-    bounds are its extremal distances from the origin, found by
-    golden-section search over the ellipse angle. If the origin lies inside
-    the ellipse, error_low is 0. The distance is evaluated in Python floats,
-    in the same operation order as the vector form ``center + r1 cos(t)
-    vmax + r2 sin(t) vmin``, so the bounds are bit for bit those of that
-    form at a fraction of its cost; the grid is evaluated once for both
-    searches. Preconditions and errors are T^2's (``inference.ELLIPSE``).
-    """
-    checks.probability("level", level)
-    X = inference._observations("sample", sample)
-    inference.ELLIPSE.check([X.size])
-    mean, (a, b, c), (lmax, lmin), _, _ = inference.ELLIPSE.run(X)
+def ellipse_summary(spectrum, n: int, level: float) -> AmplitudeSummary:
+    """``amp_errors_ellipse`` of a sample of n observations from its
+    ``kernels.spectrum`` on a batch of one, which must meet ``ELLIPSE``'s
+    precondition (n >= 3, not degenerate)."""
+    mean, (a, b, c), (lmax, lmin), _, _ = spectrum
     vecs = kernels.eigvecs2(a, b, c, lmax)
-    scale = -2.0 * math.log1p(-level) / X.size
+    scale = -2.0 * math.log1p(-level) / n
     vmax, vmin = vecs.T
     r1 = math.sqrt(float(lmax) * scale)
     r2 = math.sqrt(float(lmin) * scale)
@@ -109,20 +63,68 @@ def amp_errors_ellipse(sample: ComplexSample, level: float = 0.68) -> AmplitudeS
         w = r2 * math.sin(theta)
         return math.hypot(c0 + u * a0 + w * b0, c1 + u * a1 + w * b1)
 
+    on_grid = [dist(t) for t in _GRID]
+
+    def extremal(sign: float) -> float:
+        # golden-section refinement of sign * dist from the three best cells
+        # of the grid; the distance from a fixed point to an ellipse has at
+        # most two local minima, so three restarts cover every candidate
+        # basin. The distance is evaluated inline, the sign folded in.
+        best = math.inf
+        for i in np.argsort(np.multiply(sign, on_grid))[:3].tolist():
+            lo, hi = _GRID[i] - _STEP, _GRID[i] + _STEP
+            x = hi - _GOLDEN * (hi - lo)
+            y = lo + _GOLDEN * (hi - lo)
+            fx, fy = sign * dist(x), sign * dist(y)
+            while abs(hi - lo) > 1e-10:
+                left = fx < fy
+                if left:
+                    hi, y, fy = y, x, fx
+                    t = x = hi - _GOLDEN * (hi - lo)
+                else:
+                    lo, x, fx = x, y, fy
+                    t = y = lo + _GOLDEN * (hi - lo)
+                u = r1 * math.cos(t)
+                w = r2 * math.sin(t)
+                f = sign * math.hypot(c0 + u * a0 + w * b0, c1 + u * a1 + w * b1)
+                if left:
+                    fx = f
+                else:
+                    fy = f
+            best = min(best, sign * dist(0.5 * (lo + hi)))
+        return sign * best
+
     # origin inside the ellipse <=> its Mahalanobis distance from the
     # center, in ellipse-axis units, is below 1
     m2 = ((center @ vmax) / r1) ** 2 + ((center @ vmin) / r2) ** 2
-    on_grid = np.array([dist(t) for t in _GRID])
-    high = _extremal_distance(dist, on_grid, -1.0)
-    low = 0.0 if m2 <= 1.0 else _extremal_distance(dist, on_grid, 1.0)
     return AmplitudeSummary(
         mean_amplitude=math.hypot(c0, c1),
         mean_phase=math.atan2(c1, c0),
-        error_low=low,
-        error_high=high,
+        error_low=0.0 if m2 <= 1.0 else extremal(1.0),
+        error_high=extremal(-1.0),
         method="ellipse_se",
         level=level,
     )
+
+
+def amp_errors_ellipse(sample: ComplexSample, level: float = 0.68) -> AmplitudeSummary:
+    """Amplitude bounds from the standard-error ellipse of the mean.
+
+    The ellipse is the covariance of the mean (sample covariance / N)
+    scaled by the chi-square(2) quantile for ``level``, -2 log(1 - level);
+    bounds are its extremal distances from the origin, found by
+    golden-section search over the ellipse angle (``ellipse_summary``, on
+    this sample's ``ELLIPSE`` run). If the origin lies inside the ellipse,
+    error_low is 0. The distance is evaluated in Python floats, in the same
+    operation order as the vector form ``center + r1 cos(t) vmax + r2
+    sin(t) vmin``, so the bounds are bit for bit those of that form at a
+    fraction of its cost; the grid is evaluated once for both searches.
+    Preconditions and errors are T^2's (``inference.ELLIPSE``).
+    """
+    checks.probability("level", level)
+    X = inference._observations("sample", sample)
+    inference.ELLIPSE.check([X.size])
+    return ellipse_summary(inference.ELLIPSE.run(X), X.size, level)
 
 
 def _quantiles(values: np.ndarray, qs) -> list[float]:
@@ -142,10 +144,14 @@ def _quantiles(values: np.ndarray, qs) -> list[float]:
     return out
 
 
-#: Resample indices drawn per bootstrap block. Shorter blocks leave so much
-#: Python between the GIL-free numpy calls that concurrent bootstraps
-#: serialise (``report.run_flowchart`` runs one per thread).
-_BOOT_VALUES = 1 << 16
+#: Resample indices drawn per bootstrap block; the bounds do not depend on
+#: it. Much shorter blocks leave so much Python between the GIL-free numpy
+#: calls that concurrent bootstraps serialise (``report.run_flowchart`` runs
+#: one per thread). Longer ones make each block's indices and their complex
+#: gather (24 bytes a value, 0.75 MiB here) large enough that glibc's heap
+#: keeps or returns them by its history: at 2^16 a process of repeated
+#: analyses settled at either of two peak sizes 2 MB apart, and ran slower.
+_BOOT_VALUES = 1 << 15
 
 
 def amp_ci_bootstrap(

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, clusters
 from .clusters import AdjacencyGraph, cluster_correct
-from .data import Design
+from .data import Design, GroupedDataset
 from .distributions import ConditionIndexDistribution
 from .exceptions import MalformedInput
 from .ingest import (
@@ -103,10 +103,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_analyze(args) -> int:
-    rows = read_components_csv(args.input)
+def _read_dataset(args) -> tuple[GroupedDataset, str]:
+    """The input's dataset and the SHA-256 of the bytes it was built from,
+    from one read of the file."""
+    with open(args.input, "rb") as f:
+        data = f.read()
+    rows = read_components_csv(args.input, data)
     dataset = build_dataset(rows, _DESIGNS[args.design], args.mu)
-    sha = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
+    return dataset, hashlib.sha256(data).hexdigest()
+
+
+def _cmd_analyze(args) -> int:
+    dataset, sha = _read_dataset(args)
     report = run_flowchart(
         dataset,
         alpha=args.alpha,

@@ -47,10 +47,13 @@ def _coerce_observations(observations) -> np.ndarray:
     return arr
 
 
-def unit_mean(values) -> complex:
-    """The coherent mean of one unit's repetitions: one value plus 0j (the
-    bits of numpy's mean of it, without numpy), otherwise numpy's mean."""
-    return values[0] + 0j if len(values) == 1 else np.asarray(values).mean()
+def unit_mean(values):
+    """The coherent mean of one unit's repetitions, or of each row of a 2-d
+    array of units with as many repetitions each: one value plus 0j (the
+    bits of numpy's mean of it), otherwise numpy's mean over the last axis,
+    which reduces each row as it reduces the 1-d array of that row."""
+    values = np.asarray(values)
+    return values[..., 0] + 0j if values.shape[-1] == 1 else values.mean(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

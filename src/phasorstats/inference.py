@@ -41,6 +41,7 @@ from .data import ComplexSample, align_units
 from .distributions import ConditionIndexDistribution, f_sf
 from .exceptions import (
     DegenerateCovariance,
+    MalformedInput,
     PhasorStatsError,
     SingularWithinScatter,
     TooFewGroups,
@@ -245,13 +246,41 @@ def t2circ_two_sample(a: ComplexSample, b: ComplexSample) -> TestResult:
     return T2CIRC_TWO_SAMPLE.results(*pair, pair=pair)[0]
 
 
+def paired_results(contract: Contract, samples: Sequence[ComplexSample],
+                   pairs: Sequence[tuple[int, int]]) -> tuple[TestResult, ...]:
+    """The paired test of each pair (i, j) of indices into unit-aligned
+    ``samples``, in one batch: the one-sample ``contract`` on the within-unit
+    differences i - j vs 0, with the pairwise distance of i and j as its
+    effect size.
+
+    The samples are aligned once. Each pair's differences are in the unit
+    order of its sample i, as a call on that pair alone takes them, so each
+    result has the bits of that call. MalformedInput where a difference is
+    not finite (it overflowed), as for any sample.
+    """
+    M, labels = align_units(samples)
+    first, second = ([p[k] for p in pairs] for k in (0, 1))
+    with np.errstate(over="ignore"):
+        D = M[first] - M[second]
+    position = None
+    for row, i in enumerate(first):
+        units = samples[i].unit_labels
+        if units != labels:
+            position = position or {u: c for c, u in enumerate(labels)}
+            D[row] = D[row, [position[u] for u in units]]
+    if not np.isfinite(D).all():
+        raise MalformedInput("observations must be finite")
+    A, B = (np.stack([samples[i].observations for i in side])
+            for side in (first, second))
+    return contract.results(D, 0j, pair=(A, B))
+
+
 def _paired(contract: Contract, a: ComplexSample, b: ComplexSample) -> TestResult:
     """The one-sample ``contract`` on the within-unit differences vs 0, with
     the pairwise distance of a and b as its effect size."""
-    pair = (_observations("a", a), _observations("b", b))
-    (va, vb), labels = align_units((a, b))
-    d = ComplexSample(va - vb, f"{a.condition_label}-{b.condition_label}", labels)
-    return contract.results(d.observations, 0j, pair=pair)[0]
+    pair = (checks.instance("a", a, ComplexSample),
+            checks.instance("b", b, ComplexSample))
+    return paired_results(contract, pair, [(0, 1)])[0]
 
 
 def t2_paired(a: ComplexSample, b: ComplexSample) -> TestResult:

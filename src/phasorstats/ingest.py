@@ -20,8 +20,10 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import itertools
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,12 +46,73 @@ class ComponentRow(NamedTuple):
     im: float
 
 
-def _open_rows(path, columns: Sequence[str]) -> tuple[dict, Iterator]:
-    """The metadata and the data rows of a CSV file.
+class ComponentTable(Sequence):
+    """Component rows held as four columns, as the reader makes them.
 
-    Rows come lazily as (line number, cells of ``columns``), checked as they
-    come: the columns exist, each row is as long as the header, and there
-    is at least one row. DomainError unless ``path`` is a str or os.PathLike.
+    A read-only sequence of ``ComponentRow``, equal to any sequence of the
+    same rows; ``build_dataset`` reads its columns without forming a row.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, unit: list[str], condition: list[str],
+                 re: list[float], im: list[float]) -> None:
+        self.columns = (unit, condition, re, im)
+
+    @classmethod
+    def of(cls, rows: Iterable[Sequence]) -> "ComponentTable":
+        """The table of rows (unit, condition, re, im)."""
+        if isinstance(rows, cls):
+            return rows
+        columns = [list(column) for column in zip(*rows)]
+        return cls(*(columns or ([], [], [], [])))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [ComponentRow(*row) for row in zip(*(c[i] for c in self.columns))]
+        return ComponentRow(*(c[i] for c in self.columns))
+
+    def __iter__(self) -> Iterator[ComponentRow]:
+        return map(ComponentRow._make, zip(*self.columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ComponentTable({list(self)!r})"
+
+
+class _Body(NamedTuple):
+    """The data rows of a CSV file, column by column."""
+
+    metadata: dict[str, float]
+    #: the cells of each column asked for, in that order: stripped, except in
+    #: the number columns (``_NUMBERS``), whose parse strips the same space
+    cells: list[Sequence[str]]
+    #: the line number of each row (its last line), worked out on demand
+    lines: Callable[[], list[int]]
+    #: raised once the rows before the row it names have been parsed
+    error: Optional[MalformedInput]
+
+
+def _open_rows(path, columns: Sequence[str], data: Optional[bytes] = None,
+               required: Sequence[str] = ()) -> _Body:
+    """The metadata and the data rows of a CSV file, from one ``csv.reader``
+    pass over its text (``data``, its bytes where already read).
+
+    Checked, in this order: the ``required`` metadata keys are given, the
+    columns exist, each row is as long as the header, and there is at least
+    one row; rows whose every cell is blank are skipped.
+    A short row, or a row the csv module cannot split, is left in
+    ``error``, so that an error of the rows before it comes first.
+    DomainError unless ``path`` is a str or os.PathLike.
     """
     checks.path(path)
     metadata: dict[str, float] = {}
@@ -57,8 +120,11 @@ def _open_rows(path, columns: Sequence[str]) -> tuple[dict, Iterator]:
     # as the csv module asks, so a quoted field may hold any of them;
     # "utf-8-sig" drops the byte-order mark of spreadsheet "CSV UTF-8" exports
     try:
-        with open(path, newline="", encoding="utf-8-sig") as f:
-            lines = f.readlines()
+        if data is None:
+            with open(path, newline="", encoding="utf-8-sig") as f:
+                lines = f.readlines()
+        else:
+            lines = io.StringIO(data.decode("utf-8-sig"), newline="").readlines()
     except UnicodeDecodeError:
         raise MalformedInput(f"{path}: not UTF-8 text") from None
     body_start = 0
@@ -83,33 +149,57 @@ def _open_rows(path, columns: Sequence[str]) -> tuple[dict, Iterator]:
     body = lines[body_start:]
     if not body or not body[0].strip():
         raise MalformedInput(f"{path}: no header row")
+    for key in required:
+        if key not in metadata:
+            raise MalformedInput(f"{path}: missing '# {key}=<Hz>' metadata line")
     reader = csv.reader(body)
     header = [h.strip() for h in next(reader)]
+    for name in columns:
+        if name not in header:
+            raise MalformedInput(
+                f"{path}: line 1: missing column {name!r} "
+                f"(have {', '.join(header)})"
+            )
+    indices = [header.index(name) for name in columns]
+    rows: list[list[str]] = []
+    error = None
+    try:
+        rows.extend(reader)  # keeps the rows before a row it cannot split
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        error = MalformedInput(
+            f"{path}: line {body_start + reader.line_num}: {exc}")
 
-    def cells() -> Iterator[tuple[int, list[str]]]:
-        for name in columns:
-            if name not in header:
-                raise MalformedInput(
-                    f"{path}: line 1: missing column {name!r} "
-                    f"(have {', '.join(header)})"
-                )
-        indices = [header.index(name) for name in columns]
-        empty = True
-        for row in reader:
+    def numbers() -> list[int]:
+        again = csv.reader(body)
+        next(again)
+        return [body_start + again.line_num
+                for _ in itertools.islice(again, len(rows))]
+
+    def select(rows) -> list[Sequence[str]]:
+        by_column = list(zip(*rows)) or [()] * len(header)
+        return [by_column[i] if name in _NUMBERS else list(map(str.strip, by_column[i]))
+                for name, i in zip(columns, indices)]
+
+    width = len(header)
+    cells = select(rows) if rows and min(map(len, rows)) >= width else None
+    # a blank row has a blank first cell (text, so stripped, in both
+    # schemas), so where none has, every row is kept
+    if cells is None or "" in cells[0]:
+        lines_of = numbers()
+        kept = []
+        for i, row in enumerate(rows):
             if not any(c.strip() for c in row):
                 continue
-            lineno = body_start + reader.line_num  # the row's last line
-            if len(row) < len(header):
-                raise MalformedInput(
-                    f"{path}: line {lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}"
-                )
-            empty = False
-            yield lineno, [row[i].strip() for i in indices]
-        if empty:
+            if len(row) < width:
+                error = MalformedInput(f"{path}: line {lines_of[i]}: expected "
+                                       f"{width} fields, got {len(row)}")
+                break
+            kept.append(i)
+        if not kept and error is None:
             raise MalformedInput(f"{path}: no data rows")
-
-    return metadata, cells()
+        cells = select([rows[i] for i in kept])
+        return _Body(metadata, cells, lambda: [lines_of[i] for i in kept], error)
+    return _Body(metadata, cells, numbers, error)
 
 
 def _parse_float(path, lineno: int, name: str, raw: str) -> float:
@@ -127,14 +217,67 @@ def _parse_float(path, lineno: int, name: str, raw: str) -> float:
     return value
 
 
-def read_components_csv(path) -> list[ComponentRow]:
-    """Parse a components CSV into rows, preserving file order."""
-    _, rows = _open_rows(path, COMPONENT_COLUMNS)
-    return [
-        ComponentRow(unit, condition, _parse_float(path, lineno, "re", re),
-                     _parse_float(path, lineno, "im", im))
-        for lineno, (unit, condition, re, im) in rows
-    ]
+def _parse_int(path, lineno: int, name: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise MalformedInput(
+            f"{path}: line {lineno}: {name} {raw!r} is not an integer"
+        ) from None
+
+
+def _floats(cells: Sequence[str]) -> list[float]:
+    values = list(map(float, cells))
+    # a sum is finite only if every term is; where it is not, it may have
+    # overflowed on finite terms
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise ValueError
+    return values
+
+
+#: Each number column: its parse of a whole column (ValueError where any
+#: cell fails) and its parse of one cell (MalformedInput naming the line).
+_NUMBERS = {
+    "re": (_floats, _parse_float),
+    "im": (_floats, _parse_float),
+    "value": (_floats, _parse_float),
+    "t_index": (lambda cells: list(map(int, cells)), _parse_int),
+}
+
+
+def _read_columns(path, columns: Sequence[str], data: Optional[bytes] = None,
+                  required: Sequence[str] = ()):
+    """The metadata and the columns of a CSV file, those in ``_NUMBERS``
+    parsed, the others stripped text.
+
+    Each number column is parsed whole; only where one fails are the rows
+    parsed one by one, in file order, so the error is the first that a
+    row-by-row reader meets, with its line number.
+    """
+    body = _open_rows(path, columns, data, required)
+    try:
+        parsed = [_NUMBERS[name][0](cells) if name in _NUMBERS else cells
+                  for name, cells in zip(columns, body.cells)]
+    except ValueError:
+        for lineno, row in zip(body.lines(), zip(*body.cells)):
+            for name, raw in zip(columns, row):
+                if name in _NUMBERS:
+                    _NUMBERS[name][1](path, lineno, name, raw.strip())
+        raise
+    if body.error is not None:
+        raise body.error
+    return body.metadata, parsed
+
+
+def read_components_csv(path, data: Optional[bytes] = None) -> ComponentTable:
+    """Parse a components CSV into a ``ComponentTable``, its rows in file
+    order.
+
+    The file is read as columns (``_read_columns``); ``data``, where given,
+    is its content already read, and ``path`` then only names it in
+    messages. MalformedInput names the line of the first bad row.
+    """
+    return ComponentTable(*_read_columns(path, COMPONENT_COLUMNS, data)[1])
 
 
 def build_dataset(
@@ -147,15 +290,36 @@ def build_dataset(
     Conditions and units keep their order of first appearance. When a unit
     contributes several rows to one condition they are collapsed to their
     coherent (complex) mean, ``data.unit_mean``, the rule
-    ``coherent_mean`` uses too.
+    ``coherent_mean`` uses too; it runs once for all the units that have
+    the same number of rows. ``rows`` is a ``ComponentTable``, or any
+    iterable of (unit, condition, re, im) rows.
     """
-    by_condition: dict[str, dict[str, list[complex]]] = {}
-    for unit, condition, re, im in rows:
-        units = by_condition.setdefault(condition, {})
-        units.setdefault(unit, []).append(complex(re, im))
+    unit, condition, re, im = ComponentTable.of(rows).columns
+    n = len(unit)
+    # each row's (condition, unit) group, named by the row where it first
+    # appears: one hash a row, and the groups in order of first appearance
+    head_of: dict[tuple[str, str], int] = {}
+    group = np.fromiter(map(head_of.setdefault, zip(condition, unit),
+                            itertools.count()), np.intp, n)
+    heads = np.fromiter(head_of.values(), np.intp, len(head_of))
+    # re + 1j * im would turn an imaginary -0.0 into 0.0
+    values = np.empty(n, np.complex128)
+    values.real, values.imag = np.fromiter(re, float, n), np.fromiter(im, float, n)
+    # each group's rows, in file order, from one stable sort
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=n)[heads]
+    starts = np.cumsum(counts) - counts
+    means = np.empty(len(heads), np.complex128)
+    for count in set(counts.tolist()):  # np.unique would import numpy.ma
+        same = np.flatnonzero(counts == count)
+        means[same] = unit_mean(values[order[starts[same, None] + np.arange(count)]])
+    groups = list(head_of)
+    by_condition: dict[str, list[int]] = {}
+    for g, (c, _) in enumerate(groups):
+        by_condition.setdefault(c, []).append(g)
     samples = [
-        ComplexSample([unit_mean(v) for v in units.values()], condition, tuple(units))
-        for condition, units in by_condition.items()
+        ComplexSample(means[gs], c, tuple(groups[g][1] for g in gs))
+        for c, gs in by_condition.items()
     ]
     return GroupedDataset(tuple(samples), design, mu)
 
@@ -209,22 +373,11 @@ def read_timeseries_csv(path) -> list[ComponentRow]:
     Rows are grouped by (unit, condition) in order of first appearance;
     each group must contain t_index values 0 .. M-1 exactly once.
     """
-    metadata, rows = _open_rows(path, TIMESERIES_COLUMNS)
-    for key in ("sample_rate", "target_frequency"):
-        if key not in metadata:
-            raise MalformedInput(
-                f"{path}: missing '# {key}=<Hz>' metadata line"
-            )
+    metadata, (units, conditions, t_index, values) = _read_columns(
+        path, TIMESERIES_COLUMNS, required=("sample_rate", "target_frequency"))
     groups: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for lineno, (unit, condition, t_index, value) in rows:
-        try:
-            t = int(t_index)
-        except ValueError:
-            raise MalformedInput(
-                f"{path}: line {lineno}: t_index {t_index!r} is not an integer"
-            ) from None
-        groups.setdefault((unit, condition), []).append(
-            (t, _parse_float(path, lineno, "value", value)))
+    for key, t, value in zip(zip(units, conditions), t_index, values):
+        groups.setdefault(key, []).append((t, value))
     out = []
     for (unit, condition), points in groups.items():
         points.sort(key=lambda p: p[0])

@@ -81,18 +81,25 @@ def exclude_outliers(
     """Single-pass outlier screening of every condition.
 
     Distances are computed once per condition with all points included
-    (no re-screening of the reduced data). In unit-aligned designs any unit
+    (no re-screening of the reduced data), by ``inference.MAHALANOBIS``,
+    the kernel of ``mahalanobis_distances``, and compared with the
+    threshold, which is checked once. In unit-aligned designs any unit
     that contributes at least one flagged observation is removed from all
     conditions; otherwise flagged observations are dropped individually.
     Conditions too small (N < 3) or degenerate are left unscreened. A
-    condition may be left empty: the report's ``n_before`` and flagged
-    indices record it, and ``run_flowchart`` refuses it by name.
+    sample screening leaves whole is kept as it is, and so is the dataset
+    where every sample is. A condition may be left empty: the report's
+    ``n_before`` and flagged indices record it, and ``run_flowchart``
+    refuses it by name.
     """
     checks.instance("dataset", dataset, GroupedDataset)
+    checks.real("threshold", threshold, lambda v: v > 0, "positive")
     per_condition = []
     for s in dataset.samples:
         try:
-            flagged = mahalanobis_distances(s, threshold).flagged
+            inference.MAHALANOBIS.check([s.n])
+            d = inference.MAHALANOBIS.run(s.observations)[0]
+            flagged = tuple(np.flatnonzero(d > threshold).tolist())
         except (TooFewObservations, DegenerateCovariance):
             flagged = ()
         units = tuple(s.unit_labels[i] for i in flagged) if s.unit_labels else ()
@@ -115,8 +122,10 @@ def exclude_outliers(
         keeps = [[i for i in range(s.n) if i not in c.flagged_indices]
                  for s, c in zip(dataset.samples, per_condition)]
         excluded_units = ()
-    new_samples = [s.subset(keep) for s, keep in zip(dataset.samples, keeps)]
-    screened = GroupedDataset(tuple(new_samples), dataset.design, dataset.mu)
+    new_samples = tuple(s if len(keep) == s.n else s.subset(keep)
+                        for s, keep in zip(dataset.samples, keeps))
+    screened = dataset if new_samples == dataset.samples else GroupedDataset(
+        new_samples, dataset.design, dataset.mu)
     return screened, ScreeningReport(threshold, excluded_units, tuple(per_condition))
 
 

@@ -17,21 +17,24 @@ import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import __version__, checks
-from .amplitude import AmplitudeSummary, amp_ci_bootstrap, amp_errors_ellipse
-from .data import (
-    ComplexSample,
-    Design,
-    GroupedDataset,
-    covariance_summary,
-)
-from .exceptions import DegenerateCovariance, MalformedInput, TooFewObservations
+from . import __version__, checks, kernels
+from .amplitude import AmplitudeSummary, amp_ci_bootstrap, ellipse_summary
+from .data import ComplexSample, Design, GroupedDataset
+from .exceptions import MalformedInput, TooFewObservations
 from .inference import (
+    ANOVA2CIRC,
+    ANOVA2CIRC_REPEATED,
+    CI_TEST,
+    MANOVA,
+    T2,
+    T2_TWO_SAMPLE,
+    T2CIRC,
+    T2CIRC_TWO_SAMPLE,
     TestResult,
     anova2circ_independent,
     anova2circ_repeated,
-    ci_test,
     manova_oneway,
+    paired_results,
     t2_one_sample,
     t2_paired,
     t2_two_sample,
@@ -101,38 +104,46 @@ class AnalysisReport(Record):
     provenance: Provenance
 
 
-def _summarize_condition(sample: ComplexSample) -> ConditionSummary:
-    summary = covariance_summary(sample)
-    try:
-        ci_p = ci_test(sample).p_value
-    except (TooFewObservations, DegenerateCovariance):
-        ci_p = None
-    amp = abs(summary.mean_complex)
+def _summarize_condition(sample: ComplexSample, spectrum) -> ConditionSummary:
+    """One condition's summary from its ``kernels.spectrum``: the numbers of
+    ``covariance_summary``, and the p-value of ``ci_test`` where its
+    precondition holds (``CI_TEST.min_n`` observations, not degenerate)."""
+    mean, (a, b, c), (lmax, lmin), ci, degenerate = spectrum
+    ci_p = None
+    if sample.n >= CI_TEST.min_n and not degenerate:
+        ci_p = float(CI_TEST.p_values((ci, degenerate), sample.n))
+    m0, m1 = float(mean.real), float(mean.imag)
     return ConditionSummary(
         condition=sample.condition_label,
         n=sample.n,
-        mean_re=summary.mean[0],
-        mean_im=summary.mean[1],
-        amplitude=amp,
-        phase=math.atan2(summary.mean[1], summary.mean[0]),
-        covariance=tuple(tuple(float(x) for x in row) for row in summary.cov),
-        eigenvalues=(float(summary.eigenvalues[0]), float(summary.eigenvalues[1])),
-        condition_index=(
-            None if summary.degenerate else float(summary.condition_index)
-        ),
-        degenerate=summary.degenerate,
+        mean_re=m0,
+        mean_im=m1,
+        amplitude=abs(complex(m0, m1)),
+        phase=math.atan2(m1, m0),
+        covariance=((float(a), float(b)), (float(b), float(c))),
+        eigenvalues=(float(lmax), float(lmin)),
+        condition_index=None if degenerate else float(ci),
+        degenerate=bool(degenerate),
         ci_p_value=ci_p,
     )
 
 
 def _check_sizes(
-    dataset: GroupedDataset, screening: Optional[ScreeningReport]
+    dataset: GroupedDataset,
+    screening: Optional[ScreeningReport],
+    minimum: int,
+    needs: str,
+    indices: Optional[Sequence[int]] = None,
+    at: str = "",
 ) -> None:
-    """TooFewObservations at the first condition with fewer than the 2
-    observations its summary needs, naming the condition and, where
-    screening removed observations of it, the screening and its threshold."""
-    for i, s in enumerate(dataset.samples):
-        if s.n >= 2:
+    """TooFewObservations at the first condition (of ``indices``, by default
+    every one) with fewer than the ``minimum`` observations that ``needs``
+    asks for, naming the condition and, where screening removed
+    observations of it, the screening and its threshold; prefixed by
+    ``at``."""
+    for i in range(dataset.k) if indices is None else indices:
+        s = dataset.samples[i]
+        if s.n >= minimum:
             continue
         n_before = screening.per_condition[i].n_before if screening else s.n
         left = f"{s.n} observation(s)" if n_before == s.n else (
@@ -140,7 +151,8 @@ def _check_sizes(
             f"screening at threshold D > {screening.threshold:g}"
         )
         raise TooFewObservations(
-            f"condition {s.condition_label!r} has {left}; a summary needs >= 2"
+            f"{at}condition {s.condition_label!r} has {left}; {needs} needs "
+            f">= {minimum}"
         )
 
 
@@ -183,30 +195,34 @@ def _decide_branch(
     return "circ", rationale
 
 
-#: Each flowchart leaf, keyed by (design, branch): its name and the call of
-#: its test on the samples and mu. The two-group leaves also serve as the
-#: post-hoc tests of the one-way designs, on the design of _PAIR_DESIGN.
+#: Each flowchart leaf, keyed by (design, branch): its name, the contract
+#: of its test (for a paired leaf, the one-sample contract it runs on the
+#: differences) and the call of its test on the samples and mu. The
+#: two-group leaves also serve as the post-hoc tests of the one-way designs,
+#: on the design of _PAIR_DESIGN.
 _LEAVES = {
     (Design.ONE_SAMPLE, "circ"):
-        ("one_sample_t2circ", lambda s, mu: t2circ_one_sample(s[0], mu)),
+        ("one_sample_t2circ", T2CIRC, lambda s, mu: t2circ_one_sample(s[0], mu)),
     (Design.ONE_SAMPLE, "classic"):
-        ("one_sample_t2", lambda s, mu: t2_one_sample(s[0], mu)),
+        ("one_sample_t2", T2, lambda s, mu: t2_one_sample(s[0], mu)),
     (Design.TWO_SAMPLE_INDEPENDENT, "circ"):
-        ("two_sample_t2circ", lambda s, mu: t2circ_two_sample(*s)),
+        ("two_sample_t2circ", T2CIRC_TWO_SAMPLE, lambda s, mu: t2circ_two_sample(*s)),
     (Design.TWO_SAMPLE_INDEPENDENT, "classic"):
-        ("two_sample_t2", lambda s, mu: t2_two_sample(*s)),
-    (Design.PAIRED, "circ"): ("paired_t2circ", lambda s, mu: t2circ_paired(*s)),
-    (Design.PAIRED, "classic"): ("paired_t2", lambda s, mu: t2_paired(*s)),
+        ("two_sample_t2", T2_TWO_SAMPLE, lambda s, mu: t2_two_sample(*s)),
+    (Design.PAIRED, "circ"):
+        ("paired_t2circ", T2CIRC, lambda s, mu: t2circ_paired(*s)),
+    (Design.PAIRED, "classic"): ("paired_t2", T2, lambda s, mu: t2_paired(*s)),
     (Design.ONEWAY_INDEPENDENT, "circ"):
-        ("anova2circ_independent", lambda s, mu: anova2circ_independent(s)),
+        ("anova2circ_independent", ANOVA2CIRC, lambda s, mu: anova2circ_independent(s)),
     (Design.ONEWAY_INDEPENDENT, "classic"):
-        ("manova", lambda s, mu: manova_oneway(s)),
+        ("manova", MANOVA, lambda s, mu: manova_oneway(s)),
     (Design.ONEWAY_REPEATED, "circ"):
-        ("anova2circ_repeated", lambda s, mu: anova2circ_repeated(s)),
+        ("anova2circ_repeated", ANOVA2CIRC_REPEATED,
+         lambda s, mu: anova2circ_repeated(s)),
     # no repeated-measures MANOVA variant here; the one-way Pillai test is
     # the documented fallback when assumptions are violated
     (Design.ONEWAY_REPEATED, "classic"):
-        ("manova", lambda s, mu: manova_oneway(s)),
+        ("manova", MANOVA, lambda s, mu: manova_oneway(s)),
 }
 
 #: The design of each pair of conditions in a one-way post-hoc comparison.
@@ -218,10 +234,14 @@ _PAIR_DESIGN = {
 
 def _posthoc_tests(
     dataset: GroupedDataset,
+    screening: Optional[ScreeningReport],
     branch: str,
     alpha: float,
     baseline: Optional[str],
 ) -> tuple[tuple[PosthocResult, ...], int]:
+    """The pairwise tests, Bonferroni-corrected: one batch of paired tests
+    for a repeated-measures design, one call per pair otherwise (the groups
+    of an independent design differ in size)."""
     labels = dataset.condition_labels
     if baseline is not None:
         pairs = [(baseline, other) for other in labels if other != baseline]
@@ -229,20 +249,22 @@ def _posthoc_tests(
         pairs = list(itertools.combinations(labels, 2))
     m = len(pairs)
     adjusted = alpha / m
-    _, test = _LEAVES[(_PAIR_DESIGN[dataset.design], branch)]
-    by_label = {s.condition_label: s for s in dataset.samples}
-    results = []
-    for a, b in pairs:
-        res = test((by_label[a], by_label[b]), dataset.mu)
-        results.append(
-            PosthocResult(
-                pair=(a, b),
-                result=res,
-                alpha_adjusted=adjusted,
-                significant=res.p_value < adjusted,
-            )
-        )
-    return tuple(results), m
+    leaf, contract, test = _LEAVES[(_PAIR_DESIGN[dataset.design], branch)]
+    index = {label: i for i, label in enumerate(labels)}
+    pairs_at = [(index[a], index[b]) for a, b in pairs]
+    for (a, b), at in zip(pairs, pairs_at):
+        _check_sizes(dataset, screening, contract.min_n, leaf, at,
+                     f"post-hoc pair {a!r} vs {b!r}: ")
+    if dataset.design is Design.ONEWAY_REPEATED:
+        results = paired_results(contract, dataset.samples, pairs_at)
+    else:
+        results = [test([dataset.samples[i] for i in at], dataset.mu)
+                   for at in pairs_at]
+    return tuple(
+        PosthocResult(pair=pair, result=res, alpha_adjusted=adjusted,
+                      significant=res.p_value < adjusted)
+        for pair, res in zip(pairs, results)
+    ), m
 
 
 def _available_cpus() -> int:
@@ -299,8 +321,13 @@ def run_flowchart(
     post-hoc comparisons (restricted to ``baseline`` vs the rest when a
     baseline condition is given). dataset must be a GroupedDataset, alpha
     a real number in (0, 1) and seed a non-negative integer.
-    TooFewObservations where a condition has fewer than 2 observations
-    left, naming it and, where screening removed them, the threshold.
+    Each condition's covariance is formed once (``kernels.spectrum``): its
+    summary, its condition-index p-value and its ellipse are read from it.
+    Only a condition with a p-value, which is ``ELLIPSE``'s precondition
+    too, gets an amplitude entry and draws a bootstrap. TooFewObservations
+    where a condition has fewer than 2 observations left, or fewer than the
+    selected test (or a post-hoc pair's test) needs, naming it, that test
+    and, where screening removed observations, the threshold.
     """
     checks.instance("dataset", dataset, GroupedDataset)
     seed = checks.seed(seed)
@@ -310,18 +337,21 @@ def run_flowchart(
     screening = None
     if screen_outliers:
         dataset, screening = exclude_outliers(dataset, outlier_threshold)
-    _check_sizes(dataset, screening)
-    conditions = tuple(_summarize_condition(s) for s in dataset.samples)
+    _check_sizes(dataset, screening, 2, "a summary")
+    spectra = [kernels.spectrum(s.observations) for s in dataset.samples]
+    conditions = tuple(_summarize_condition(s, spectrum)
+                       for s, spectrum in zip(dataset.samples, spectra))
     branch, rationale = _decide_branch(conditions, alpha)
-    leaf, primary_test = _LEAVES[(dataset.design, branch)]
+    leaf, contract, primary_test = _LEAVES[(dataset.design, branch)]
+    _check_sizes(dataset, screening, contract.min_n, leaf)
     primary = primary_test(dataset.samples, dataset.mu)
     posthoc: tuple[PosthocResult, ...] = ()
     m = 0
     if dataset.design in _PAIR_DESIGN and primary.p_value < alpha:
-        posthoc, m = _posthoc_tests(dataset, branch, alpha, baseline)
-    # ci_test and amp_errors_ellipse run T2's precondition (inference.CI_TEST
-    # and ELLIPSE), so the conditions with a CI p-value are exactly those
-    # with an ellipse; the others get no entry and draw no bootstrap. Each
+        posthoc, m = _posthoc_tests(dataset, screening, branch, alpha, baseline)
+    # one gate: a condition has a CI p-value where it has CI_TEST.min_n
+    # observations and is not degenerate, which is ELLIPSE's precondition,
+    # so exactly those conditions get an ellipse and a bootstrap. Each
     # condition has its own [seed, i] stream, so the bootstraps run in the
     # process's thread pool (numpy releases the GIL) with the bits of a
     # serial run, and inline on one CPU or for one condition; the pool
@@ -352,8 +382,8 @@ def run_flowchart(
     else:
         bootstraps = [bootstrap(item) for item in tested]
     amplitudes = tuple(
-        AmplitudeEntry(s.condition_label, amp_errors_ellipse(s, level=0.68), b)
-        for (_, s), b in zip(tested, bootstraps)
+        AmplitudeEntry(s.condition_label, ellipse_summary(spectra[i], s.n, 0.68), b)
+        for (i, s), b in zip(tested, bootstraps)
     )
     return AnalysisReport(
         design=dataset.design.value,

@@ -21,7 +21,7 @@ from phasorstats import (
     covariance_summary,
 )
 from phasorstats import amplitude as amplitude_module
-from phasorstats.amplitude import AmplitudeSummary, _golden_min
+from phasorstats.amplitude import AmplitudeSummary
 from phasorstats.exceptions import (
     DegenerateCovariance,
     DomainError,
@@ -127,10 +127,31 @@ class TestEllipse:
             )
 
 
+def golden_min(f, lo, hi, tol=1e-10):
+    """Golden-section minimum of f on [lo, hi], as the library searched
+    before it evaluated the distance inline."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - g * (b - a)
+    d = a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while abs(b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def numpy_ellipse(sample, level):
     """Oracle: the ellipse bounds with the distance evaluated on numpy
-    2-vectors, as ``amp_errors_ellipse`` did before it moved to floats; the
-    search itself is the library's."""
+    2-vectors, as ``amp_errors_ellipse`` did before it moved to floats, and
+    searched by ``golden_min`` through a closure, as before the search
+    evaluated it inline."""
     summary = covariance_summary(sample)
     scale = -2.0 * math.log1p(-level) / sample.n
     lmax, lmin = summary.eigenvalues
@@ -153,7 +174,7 @@ def numpy_ellipse(sample, level):
         step = grid[1] - grid[0]
         best = math.inf
         for i in np.argsort(values)[:3]:
-            t = _golden_min(lambda x: sign * f(x), grid[i] - step, grid[i] + step)
+            t = golden_min(lambda x: sign * f(x), grid[i] - step, grid[i] + step)
             best = min(best, sign * f(t))
         return sign * best
 

@@ -1,6 +1,7 @@
 """Hypothesis tests: hand-worked examples, oracles, structural identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,10 +33,13 @@ from phasorstats import (
     t2circ_paired,
     t2circ_two_sample,
 )
+from phasorstats import inference
+from phasorstats.data import align_units
 from phasorstats.exceptions import (
     DegenerateCovariance,
     DomainError,
     LabelMismatch,
+    MalformedInput,
     SingularWithinScatter,
     TooFewGroups,
     TooFewObservations,
@@ -250,6 +254,51 @@ class TestPaired:
         b = gaussian_sample(17)
         with pytest.raises(LabelMismatch):
             t2circ_paired(a, b)
+
+    @pytest.mark.parametrize("contract,scalar", [(inference.T2, t2_paired),
+                                                 (inference.T2CIRC, t2circ_paired)])
+    def test_batch_keeps_each_pairs_first_unit_order(self, contract, scalar):
+        # four conditions, each listing its 40 units in its own order; every
+        # ordered pair, so most pairs start at a condition whose order is
+        # not the dataset's reference (the first condition's)
+        rng = np.random.default_rng(21)
+        units = [f"u{i}" for i in range(40)]
+        samples = []
+        for c in range(4):
+            order = rng.permutation(40) if c else np.arange(40)
+            z = rng.standard_normal((40, 2)) @ [[3.0, 0.4], [0.0, 0.7]]
+            values = z[:, 0] + 1j * z[:, 1] + 0.1 * c
+            samples.append(ComplexSample(values[order], f"c{c}",
+                                         tuple(units[i] for i in order)))
+        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+        batch = inference.paired_results(contract, samples, pairs)
+        moved = []
+        for (i, j), got in zip(pairs, batch):
+            a, b = samples[i], samples[j]
+            observed = (a.observations, b.observations)
+            # the pair on its own: aligned to a's units, as t2_paired did
+            # before the batch, and through the public call
+            (va, vb), _ = align_units((a, b))
+            alone = contract.results(va - vb, 0j, pair=observed)[0]
+            assert got.to_json() == alone.to_json() == scalar(a, b).to_json()
+            (ra, rb), _ = align_units((a, b), order=units)
+            moved.append(contract.results(ra - rb, 0j, pair=observed)[0] != alone)
+        # the reference order gives other bits here, so a batch that kept
+        # it would fail the assertion above
+        assert any(moved)
+
+    def test_overflowing_difference_is_malformed_input(self):
+        labels = ("u1", "u2", "u3", "u4")
+        a = ComplexSample([1e308, 1.0, 2.0, 3.0], "a", labels)
+        b = ComplexSample([-1e308, 1.5, 2.7, 3.1], "b", labels)
+        c = ComplexSample([0.5, 1.0, 2.5, 3.5], "c", labels[::-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning first
+            for call in (lambda: t2_paired(a, b), lambda: t2circ_paired(a, b),
+                         lambda: inference.paired_results(
+                             inference.T2, (c, a, b), [(0, 1), (1, 2)])):
+                with pytest.raises(MalformedInput, match="must be finite"):
+                    call()
 
 
 class TestCITest:

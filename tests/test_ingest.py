@@ -1,6 +1,8 @@
 """CSV ingestion and single-bin DFT extraction."""
 
 import cmath
+import csv
+import io
 import math
 import os
 
@@ -226,6 +228,191 @@ class TestComponentsCsv:
         assert rows[0].im == 2.0
 
 
+def row_reader(path):
+    """Reference: the row-by-row components reader that the columnar one
+    replaced. Rows come lazily, their floats parsed as they come, so an
+    error is the first one met in file order."""
+    metadata = {}
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError:
+        raise MalformedInput(f"{path}: not UTF-8 text") from None
+    body_start = 0
+    for i, line in enumerate(lines):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            body_start = i + 1
+            item = stripped.lstrip("#").strip()
+            if "=" in item:
+                key, _, value = item.partition("=")
+                try:
+                    metadata[key.strip()] = float(value.strip())
+                except ValueError:
+                    raise MalformedInput(
+                        f"{path}: line {i + 1}: metadata value "
+                        f"{value.strip()!r} is not a number") from None
+        elif stripped == "":
+            body_start = i + 1
+        else:
+            break
+    body = lines[body_start:]
+    if not body or not body[0].strip():
+        raise MalformedInput(f"{path}: no header row")
+    reader = csv.reader(body)
+    header = [h.strip() for h in next(reader)]
+    columns = ("unit", "condition", "re", "im")
+    for name in columns:
+        if name not in header:
+            raise MalformedInput(f"{path}: line 1: missing column {name!r} "
+                                 f"(have {', '.join(header)})")
+    indices = [header.index(name) for name in columns]
+
+    def number(lineno, name, raw):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise MalformedInput(f"{path}: line {lineno}: column {name!r} value "
+                                 f"{raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise MalformedInput(f"{path}: line {lineno}: column {name!r} must be finite")
+        return value
+
+    rows = []
+    for row in reader:
+        if not any(c.strip() for c in row):
+            continue
+        lineno = body_start + reader.line_num
+        if len(row) < len(header):
+            raise MalformedInput(f"{path}: line {lineno}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
+        unit, condition, re, im = (row[i].strip() for i in indices)
+        rows.append(ComponentRow(unit, condition, number(lineno, "re", re),
+                                 number(lineno, "im", im)))
+    if not rows:
+        raise MalformedInput(f"{path}: no data rows")
+    return rows
+
+
+def outcome(read, path, *args):
+    """The rows a reader returns, their floats as repr (which tells -0.0
+    from 0.0), or the type and message of the error it raises."""
+    try:
+        return [(r.unit, r.condition, repr(r.re), repr(r.im))
+                for r in read(path, *args)]
+    except MalformedInput as exc:
+        return type(exc), str(exc)
+
+
+LABEL = st.text(st.sampled_from(list('ab ,"\r\n\t#') + ["\ufeff", "é"]), max_size=4)
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "0", "1e308", "1_0", "+.5", "5.", "-1E-320"]),
+).flatmap(lambda x: st.sampled_from([x, f" {x}", f"{x}\t ", f" {x} "]))
+NOT_A_NUMBER = st.sampled_from(["1e309", "-inf", "nan", "oops", "", "0x1p3",
+                                "infinity", "1,5"])
+
+
+@st.composite
+def component_files(draw):
+    """Component CSV bytes: any line ends, minimal or full quoting, a
+    byte-order mark, comment and metadata lines, blank and padded header
+    names, extra columns, blank, whitespace-only, empty-field and short
+    rows, and cells that are numbers, signed zeros, non-finite or not
+    numbers at all."""
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator=end, quoting=draw(
+        st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    for line in draw(st.lists(st.sampled_from(
+            ["# made by hand", "# sample_rate=100", "#", "", "   "]), max_size=3)):
+        buf.write(line + end)
+    header = draw(st.permutations(["unit", "condition", "re", "im"]))
+    for extra in draw(st.lists(st.sampled_from(["run", "note"]), max_size=2,
+                               unique=True)):
+        header.insert(draw(st.integers(0, len(header))), extra)
+    writer.writerow([draw(st.sampled_from([h, f" {h} "])) for h in header])
+    # half the files are well formed; the others may hold any error
+    broken = draw(st.booleans())
+    number = st.one_of(NUMBER, NUMBER, NOT_A_NUMBER) if broken else NUMBER
+    kinds = ["row"] * 6 + ["blank", "spaces", "commas"] + ["short"] * broken
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "row":
+            writer.writerow([draw(number) if h in ("re", "im") else draw(LABEL)
+                             for h in header])
+        elif kind == "blank":
+            writer.writerow([])
+        elif kind == "spaces":
+            writer.writerow(["  "])
+        elif kind == "commas":
+            writer.writerow([" "] * len(header))
+        else:
+            writer.writerow([draw(LABEL)] * draw(st.integers(1, len(header) - 1)))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + buf.getvalue()).encode("utf-8")
+
+
+class TestColumnarReader:
+    @settings(max_examples=400, deadline=None)
+    @given(data=component_files())
+    def test_reads_what_the_row_reader_read(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(data)
+        expected = outcome(row_reader, path)
+        assert outcome(read_components_csv, path) == expected
+        assert outcome(read_components_csv, path, data) == expected
+
+    # the malformed inputs of TestComponentsCsv, and the precedence of a
+    # short row and a bad number
+    @pytest.mark.parametrize("text", [
+        "unit,cond,re,im\nm1,a,1,2\n",
+        "unit,condition,re,im\nm1,a,1.0,2.0\nm2,a,oops,0\n",
+        "unit,condition,re,im\r\nm1,a,1,2\r\nm2,a,oops,0\r\n",
+        "unit,condition,re,im\rm1,a,1,2\rm2,a,oops,0\r",
+        'unit,condition,re,im\n"m\n1",a,1.0,2.0\nm2,a,oops,0\n',
+        "",
+        "unit,condition,re,im\n",
+        "unit,condition,re,im\nm1,a,1,nan\nm2,a,inf,0\n",
+        "unit,condition,re,im\nm1,a,1,2\nm2,a\nm3,a,x,0\n",
+        "unit,condition,re,im\nm1,a,1,2\nm3,a,x,0\nm2,a\n",
+        "unit,condition,re,im\n,,,\n  \n\n",
+        "# sample_rate=fast\nunit,condition,re,im\nm1,a,1,2\n",
+    ])
+    def test_malformed_input_gives_the_row_readers_error(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        expected = outcome(row_reader, path)
+        assert expected[0] is MalformedInput
+        assert outcome(read_components_csv, path) == expected
+
+    def test_field_over_the_csv_limit_is_malformed_input(self, tmp_path):
+        # it used to escape as a raw _csv.Error, a traceback from the CLI;
+        # a bad number on an earlier line still comes first
+        path = tmp_path / "long.csv"
+        long = "a" * (csv.field_size_limit() + 1)
+        path.write_text(f"unit,condition,re,im\nm1,a,1,2\nm2,{long},1,2\n")
+        with pytest.raises(MalformedInput, match="long.csv: line 3: field larger"):
+            read_components_csv(path)
+        path.write_text(f"unit,condition,re,im\nm1,a,x,2\nm2,{long},1,2\n")
+        with pytest.raises(MalformedInput, match="line 2: column 're'"):
+            read_components_csv(path)
+
+    def test_non_utf8_gives_the_row_readers_error(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes("unit,condition,re,im\nm\xe9,a,1,2\n".encode("latin-1"))
+        assert outcome(read_components_csv, path) == outcome(row_reader, path)
+
+    def test_table_is_a_sequence_of_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("unit,condition,re,im\nm1,a,1.5,-0.0\nm2,b,2,3\n")
+        table = read_components_csv(path)
+        rows = [ComponentRow("m1", "a", 1.5, -0.0), ComponentRow("m2", "b", 2.0, 3.0)]
+        assert len(table) == 2 and list(table) == rows and table == rows
+        assert table[1] == rows[1] and table[-1:] == rows[-1:]
+        assert table != rows[:1] and table != "m1"
+
+
 class TestBuildDataset:
     def test_repetitions_coherently_averaged(self, tmp_path):
         path = tmp_path / "reps.csv"
@@ -300,6 +487,37 @@ class TestBuildDataset:
             assert sample.condition_label == expected.condition_label == cond
             assert sample.unit_labels == expected.unit_labels == tuple(units)
             assert sample.observations.dtype == np.complex128
+            assert (sample.observations.tobytes()
+                    == expected.observations.tobytes())
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(1, 20), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_units_with_other_repetition_counts(self, counts, seed):
+        # the means of units with 1 ... 20 rows (past numpy's 8-value
+        # pairwise block) are each the coherent mean of that unit alone,
+        # though each repetition count is averaged in one call
+        rng = np.random.default_rng(seed)
+        cells = [(f"u{u}", f"c{u % 3}") for u, count in enumerate(counts)
+                 for _ in range(count)]
+        cells = [cells[i] for i in rng.permutation(len(cells))]
+        values = rng.standard_normal((len(cells), 2)) * 10.0 ** rng.integers(
+            -300, 300, (len(cells), 2))
+        values[rng.random(values.shape) < 0.1] = -0.0
+        rows = [ComponentRow(unit, cond, re, im)
+                for (unit, cond), (re, im) in zip(cells, values.tolist())]
+        conditions = list(dict.fromkeys(cond for _, cond in cells))
+        design = Design.ONE_SAMPLE if len(conditions) == 1 else Design.ONEWAY_INDEPENDENT
+        ds = build_dataset(rows, design)
+        assert list(ds.condition_labels) == conditions
+        for sample in ds.samples:
+            repetitions = {unit: [complex(r.re, r.im) for r in rows if r.unit == unit]
+                           for unit in sample.unit_labels}
+            expected = coherent_mean([
+                ComplexSample(np.asarray(v), "", (unit,) * len(v))
+                for unit, v in repetitions.items()
+            ])
             assert (sample.observations.tobytes()
                     == expected.observations.tobytes())
 

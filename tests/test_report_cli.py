@@ -1,5 +1,6 @@
 """Flowchart reports, JSON round-trips, CLI behavior and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from phasorstats import (
     amp_errors_ellipse,
     build_dataset,
     ci_test,
+    covariance_summary,
     exclude_outliers,
     read_components_csv,
     run_flowchart,
@@ -32,7 +34,7 @@ from phasorstats import (
     t2circ_paired,
     t2circ_two_sample,
 )
-from phasorstats import cli, exceptions, report as report_module
+from phasorstats import amplitude, cli, exceptions, kernels, report as report_module
 from phasorstats.cli import PRESETS, main as cli_main
 from phasorstats.exceptions import DomainError, MalformedInput, PhasorStatsError
 from phasorstats.report import AmplitudeEntry, format_text
@@ -254,6 +256,133 @@ class TestFlowchart:
             with pytest.raises(exceptions.TooFewObservations) as exc:
                 run_flowchart(ds, **kwargs)
         assert str(exc.value) == f"{message}; a summary needs >= 2"
+
+    # the 2 observations of a condition always have a degenerate covariance,
+    # so the classic branch is taken and its T^2 refuses them; each of
+    # these said only "T2 needs >= 3 observations per group, got 2"
+    SMALL = {
+        "one-sample": (Design.ONE_SAMPLE, [("a", ["u1", "u2"])],
+                       "condition 'a' has 2 observation(s); one_sample_t2 needs >= 3"),
+        "paired": (Design.PAIRED, [("a", ["u1", "u2"]), ("b", ["u1", "u2"])],
+                   "condition 'a' has 2 observation(s); paired_t2 needs >= 3"),
+        "two-sample": (Design.TWO_SAMPLE_INDEPENDENT,
+                       [("a", ["u1", "u2", "u3", "u4"]), ("b", ["u5", "u6"])],
+                       "condition 'b' has 2 observation(s); two_sample_t2 needs >= 3"),
+        # the MANOVA leaf runs on the three groups and is significant; the
+        # post-hoc two-sample T^2 of the first pair refuses them
+        "oneway": (Design.ONEWAY_INDEPENDENT,
+                   [("a", ["u1", "u2"]), ("b", ["u3", "u4"]), ("c", ["u5", "u6"])],
+                   "post-hoc pair 'a' vs 'b': condition 'a' has 2 observation(s); "
+                   "two_sample_t2 needs >= 3"),
+    }
+    SMALL_VALUES = [0.1 + 0.2j, -0.3 + 0.1j, 10.2 + 9.9j, 9.8 + 10.3j,
+                    20.1 - 0.2j, 19.7 + 0.4j]
+
+    @classmethod
+    def small_dataset(cls, case):
+        design, conditions, _ = cls.SMALL[case]
+        values = iter(cls.SMALL_VALUES)
+        return GroupedDataset(tuple(
+            ComplexSample([next(values) for _ in units], condition, tuple(units))
+            for condition, units in conditions), design)
+
+    @pytest.mark.parametrize("case", list(SMALL))
+    def test_condition_too_small_for_its_test_is_named(self, case):
+        with pytest.raises(exceptions.TooFewObservations) as exc:
+            run_flowchart(self.small_dataset(case), bootstrap_reps=50)
+        assert str(exc.value) == self.SMALL[case][2]
+
+    def test_one_covariance_per_condition(self, monkeypatch):
+        # the summary, the condition-index p-value and the ellipse of each
+        # screened condition come from one spectrum; the primary MANOVA and
+        # the paired post-hoc tests form none
+        calls = []
+        spectrum = kernels.spectrum
+
+        def counting(X):
+            calls.append(X.shape)
+            return spectrum(X)
+
+        monkeypatch.setattr(kernels, "spectrum", counting)
+        rng = np.random.default_rng(5)
+        labels = tuple(f"u{i}" for i in range(20))
+        k = 5
+        groups = tuple(
+            ComplexSample((rng.standard_normal(20) * 3.0 + 1j * rng.standard_normal(20))
+                          + 2.0 * i, f"g{i}", labels) for i in range(k))
+        report = run_flowchart(GroupedDataset(groups, Design.ONEWAY_REPEATED),
+                               bootstrap_reps=50)
+        assert report.branch == "classic" and len(report.posthoc) == 10
+        assert len(report.amplitudes) == k
+        assert calls == [(20,)] * k
+
+    @staticmethod
+    def condition_cases():
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 4, 89):
+            z = rng.standard_normal((n, 2)) @ [[2.0, 0.5], [0.0, 0.3]]
+            yield z[:, 0] + 1j * z[:, 1] + 0.4 - 0.2j
+        yield np.arange(6.0) * (1 + 2j) + 0.3  # collinear: degenerate
+        yield np.full(5, 1.5 - 0.5j)  # identical: a zero covariance
+        z = rng.standard_normal((12, 2))
+        base = z[:, 0] + 1j * z[:, 1] + 0.8
+        for angle in (0.3, 2.0, -1.2):
+            yield base * complex(math.cos(angle), math.sin(angle))
+        for e in (40, -40):
+            yield base * 2.0**e
+
+    def test_condition_parts_equal_the_scalar_calls(self):
+        # ConditionSummary, its CI p-value and the ellipse, read from one
+        # spectrum, are bit for bit covariance_summary, ci_test and
+        # amp_errors_ellipse (a JSON float keeps every bit and the sign of 0)
+        seen = set()
+        for values in self.condition_cases():
+            s = ComplexSample(values, "c")
+            spectrum = kernels.spectrum(s.observations)
+            got = report_module._summarize_condition(s, spectrum)
+            summary = covariance_summary(s)
+            try:
+                p = ci_test(s).p_value
+            except (exceptions.TooFewObservations, exceptions.DegenerateCovariance):
+                p = None
+            expected = report_module.ConditionSummary(
+                "c", s.n, summary.mean[0], summary.mean[1], abs(summary.mean_complex),
+                math.atan2(summary.mean[1], summary.mean[0]),
+                tuple(tuple(float(x) for x in row) for row in summary.cov),
+                summary.eigenvalues,
+                None if summary.degenerate else summary.condition_index,
+                summary.degenerate, p)
+            assert got.to_json() == expected.to_json()
+            seen.add((s.n, got.degenerate, p is None))
+            if p is not None:
+                assert (amplitude.ellipse_summary(spectrum, s.n, 0.68).to_json()
+                        == amp_errors_ellipse(s, 0.68).to_json())
+        # a p-value where n >= 3 and not degenerate, none otherwise
+        assert {(2, True, True), (6, True, True), (5, True, True),
+                (3, False, False), (89, False, False)} <= seen
+
+    @pytest.mark.parametrize("classic", [False, True])
+    def test_repeated_posthoc_in_each_pairs_unit_order(self, classic):
+        # the conditions list their units in different orders; each post-hoc
+        # result is its pair's own paired test, aligned to its first
+        # condition's units
+        rng = np.random.default_rng(71)
+        scale = np.diag([6.0, 0.5]) if classic else np.eye(2)
+        labels = [f"u{i}" for i in range(30)]
+        groups = []
+        for i in range(4):
+            order = rng.permutation(30)
+            z = rng.standard_normal((30, 2)) @ scale
+            groups.append(ComplexSample((z[:, 0] + 1j * z[:, 1] + 3j * i)[order],
+                                        f"g{i}", tuple(labels[j] for j in order)))
+        report = run_flowchart(GroupedDataset(tuple(groups), Design.ONEWAY_REPEATED),
+                               screen_outliers=False, bootstrap_reps=50)
+        assert report.branch == ("classic" if classic else "circ")
+        assert len(report.posthoc) == 6
+        test = t2_paired if classic else t2circ_paired
+        by_label = {s.condition_label: s for s in groups}
+        for ph in report.posthoc:
+            assert ph.result == test(*(by_label[c] for c in ph.pair))
 
     def test_screening_disabled(self):
         values = list(spherical_sample(40, units=False).observations)
@@ -535,6 +664,54 @@ class TestCliAnalyze:
         [line] = out.stderr.splitlines()
         assert line.startswith(f"error: condition {condition}")
         assert line.endswith("; a summary needs >= 2")
+
+    @pytest.mark.parametrize("case", list(TestFlowchart.SMALL))
+    def test_condition_too_small_for_its_test_exit_3(self, tmp_path, case):
+        design, conditions, message = TestFlowchart.SMALL[case]
+        values = iter(TestFlowchart.SMALL_VALUES)
+        path = tmp_path / "small.csv"
+        path.write_text("unit,condition,re,im\n" + "".join(
+            f"{u},{condition},{v.real!r},{v.imag!r}\n"
+            for condition, units in conditions for u, v in zip(units, values)))
+        flag = {v: k for k, v in cli._DESIGNS.items()}[design]
+        src = str(Path(phasorstats.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; from phasorstats.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "analyze", str(path), "--design", flag],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert out.returncode == 3
+        assert out.stderr.splitlines() == [f"error: {message}"]
+
+    def test_input_is_read_once_and_its_bytes_hashed(self, tmp_path, monkeypatch):
+        # the file is rewritten after it is read: the report is of the bytes
+        # read, and input_sha256 their hash
+        path = tmp_path / "mouse.csv"
+        original = (FIXTURES / "mouse_ssvep.csv").read_bytes()
+        path.write_bytes(original)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        real_read = cli.read_components_csv
+
+        def rewriting_read(name, data=None):
+            path.write_text("unit,condition,re,im\nm1,sound,1,2\n")
+            return real_read(name, data)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(cli, "read_components_csv", rewriting_read)
+        out = tmp_path / "report.json"
+        assert cli_main(["analyze", str(path), "--design", "paired", "--format",
+                         "json", "--seed", "0", "--out", str(out)]) == 0
+        assert len(opened) == 1
+        report = json.loads(out.read_text())
+        golden = json.loads((FIXTURES / "mouse_report.json").read_text())
+        assert report["provenance"]["input_sha256"] == hashlib.sha256(original).hexdigest()
+        assert report == golden
 
     def test_negative_seed_exit_3(self, capsys):
         # as for cluster; numpy's own ValueError used to exit 2 here
