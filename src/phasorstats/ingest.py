@@ -108,8 +108,9 @@ def _open_rows(path, columns: Sequence[str], data: Optional[bytes] = None,
     pass over its text (``data``, its bytes where already read).
 
     Checked, in this order: the ``required`` metadata keys are given, the
-    columns exist, each row is as long as the header, and there is at least
-    one row; rows whose every cell is blank are skipped.
+    header can be split and has the columns (an error names the header's
+    line), each row is as long as the header, and there is at least one
+    row; rows whose every cell is blank are skipped.
     A short row, or a row the csv module cannot split, is left in
     ``error``, so that an error of the rows before it comes first.
     DomainError unless ``path`` is a str or os.PathLike.
@@ -153,12 +154,16 @@ def _open_rows(path, columns: Sequence[str], data: Optional[bytes] = None,
         if key not in metadata:
             raise MalformedInput(f"{path}: missing '# {key}=<Hz>' metadata line")
     reader = csv.reader(body)
-    header = [h.strip() for h in next(reader)]
+    try:
+        header = [h.strip() for h in next(reader)]
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise MalformedInput(
+            f"{path}: line {body_start + reader.line_num}: {exc}") from None
     for name in columns:
         if name not in header:
             raise MalformedInput(
-                f"{path}: line 1: missing column {name!r} "
-                f"(have {', '.join(header)})"
+                f"{path}: line {body_start + reader.line_num}: missing column "
+                f"{name!r} (have {', '.join(header)})"
             )
     indices = [header.index(name) for name in columns]
     rows: list[list[str]] = []

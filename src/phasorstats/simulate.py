@@ -16,6 +16,10 @@ call consumes the generator exactly as B sequential (k*n, 2) draws do, so
 the stream, and with it every rate, does not depend on the block size. One
 batched kernel call (kernels.py) on the block, the (B, k, n) stack itself
 for the k-group tests, and vectorised p-values follow.
+The blocks of every cell a thread runs are drawn into one buffer that the
+thread keeps, at most 1 MiB, so a grid, a preset or a power curve does not
+allocate, and fault in, a fresh block per cell; a cell whose one replicate
+is larger than ``_BLOCK_VALUES`` draws into an array of its own.
 Cells with a planted outlier first draw all n_reps outlier angles with one
 ``uniform`` call, then the normals block by block as the other cells do.
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
@@ -50,10 +55,14 @@ _CONTRACTS = {
 }
 TESTS = tuple(_CONTRACTS)
 
-#: Complex values drawn and tested per block (replicates x k x n), as many
-#: as a bootstrap block draws: a 400-replicate cell with k n <= 163 is one
-#: block of at most 1 MiB.
+#: Complex values drawn and tested per block (replicates x k x n), and the
+#: most that a thread keeps between cells: a 400-replicate cell with
+#: k n <= 163 is one block of at most 1 MiB.
 _BLOCK_VALUES = 1 << 16
+
+#: Each thread's spare block buffer (``buffer``), unset until the thread's
+#: first cell ends; ``_blocks`` checks it out while it draws.
+_spare = threading.local()
 
 #: The range of each real SimulationSpec field, as a predicate and in words.
 _RANGES = {
@@ -168,6 +177,14 @@ def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarr
     of its size. A block of B replicates consumes the stream as B
     sequential (k*n, 2) draws do, so the output does not depend on the
     block size.
+
+    Every block is a C-contiguous view of one buffer: the calling thread's
+    spare (``_spare``), checked out for the life of the generator and
+    handed back when it ends, or a new one where the thread has none free
+    (another live generator holds it) or it is too small. A buffer of more
+    than ``_BLOCK_VALUES`` values, that of a cell whose one replicate is
+    larger, is not kept. So a block is valid until the next one is drawn:
+    use it, or copy what is needed of it, before asking for the next.
     """
     kn = spec.k * spec.n
     per_block = max(1, _BLOCK_VALUES // kn)
@@ -179,19 +196,29 @@ def _blocks(rng: np.random.Generator, spec: SimulationSpec) -> Iterator[np.ndarr
     # Cholesky transform to covariance [[1, r sqrt(v)], [., v]]
     r, v = spec.correlation, spec.variance_ratio
     a, c = r * math.sqrt(v), math.sqrt(v * (1.0 - r * r))
-    for start in range(0, spec.n_reps, per_block):
-        b = min(per_block, spec.n_reps - start)
-        X = np.empty((b, spec.k, spec.n), dtype=complex)
-        _fill_normal(rng, X)
-        if (a, c) != (0.0, 1.0):
-            im = X.imag
-            im *= c
-            im += a * X.real  # c*z1 + a*z0: the bits of a*z0 + c*z1
-        X[:, 0] += spec.d
-        if planted:
-            # displace the first point of group 0 from the mean of the rest
-            X[:, 0, 0] = X[:, 0, 1:].mean(axis=-1) + offsets[start:start + b]
-        yield X
+    size = min(per_block, spec.n_reps) * kn
+    buffer = None
+    if size <= _BLOCK_VALUES:
+        buffer, _spare.buffer = getattr(_spare, "buffer", None), None
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size, dtype=complex)
+    try:
+        for start in range(0, spec.n_reps, per_block):
+            b = min(per_block, spec.n_reps - start)
+            X = buffer[:b * kn].reshape(b, spec.k, spec.n)
+            _fill_normal(rng, X)
+            if (a, c) != (0.0, 1.0):
+                im = X.imag
+                im *= c
+                im += a * X.real  # c*z1 + a*z0: the bits of a*z0 + c*z1
+            X[:, 0] += spec.d
+            if planted:
+                # displace the first point of group 0 from the mean of the rest
+                X[:, 0, 0] = X[:, 0, 1:].mean(axis=-1) + offsets[start:start + b]
+            yield X
+    finally:
+        if buffer.size <= _BLOCK_VALUES:
+            _spare.buffer = buffer
 
 
 def _p_values(spec: SimulationSpec, X: np.ndarray) -> np.ndarray:

@@ -260,11 +260,16 @@ def row_reader(path):
     if not body or not body[0].strip():
         raise MalformedInput(f"{path}: no header row")
     reader = csv.reader(body)
-    header = [h.strip() for h in next(reader)]
+    try:
+        header = [h.strip() for h in next(reader)]
+    except csv.Error as exc:
+        raise MalformedInput(f"{path}: line {body_start + reader.line_num}: "
+                             f"{exc}") from None
     columns = ("unit", "condition", "re", "im")
     for name in columns:
         if name not in header:
-            raise MalformedInput(f"{path}: line 1: missing column {name!r} "
+            raise MalformedInput(f"{path}: line {body_start + reader.line_num}: "
+                                 f"missing column {name!r} "
                                  f"(have {', '.join(header)})")
     indices = [header.index(name) for name in columns]
 
@@ -397,6 +402,33 @@ class TestColumnarReader:
         path.write_text(f"unit,condition,re,im\nm1,a,x,2\nm2,{long},1,2\n")
         with pytest.raises(MalformedInput, match="line 2: column 're'"):
             read_components_csv(path)
+
+    @pytest.mark.parametrize("prefix,line", [
+        ("", 1), ("\n\n", 3), ("# made by hand\n  \n", 3),
+        ("# sample_rate=100\n# target_frequency=10\n", 3),
+    ])
+    def test_header_over_the_csv_limit_is_malformed_input(self, tmp_path,
+                                                          prefix, line):
+        # a header field used to escape as a raw _csv.Error
+        path = tmp_path / "long.csv"
+        long = "a" * (csv.field_size_limit() + 1)
+        path.write_text(f"{prefix}unit,condition,re,im,{long}\nm1,a,1,2\n")
+        with pytest.raises(MalformedInput,
+                           match=f"long.csv: line {line}: field larger"):
+            read_components_csv(path)
+        assert outcome(read_components_csv, path) == outcome(row_reader, path)
+
+    @pytest.mark.parametrize("prefix,line", [
+        ("", 1), ("\n\n", 3), ("# made by hand\n\n# note\n", 4),
+    ])
+    def test_missing_column_names_the_header_line(self, tmp_path, prefix, line):
+        # it used to say line 1 wherever the header was
+        path = tmp_path / "cols.csv"
+        path.write_text(f"{prefix}unit,cond,re,im\nm1,a,1,2\n")
+        with pytest.raises(MalformedInput, match=f"cols.csv: line {line}: "
+                                                 "missing column 'condition'"):
+            read_components_csv(path)
+        assert outcome(read_components_csv, path) == outcome(row_reader, path)
 
     def test_non_utf8_gives_the_row_readers_error(self, tmp_path):
         path = tmp_path / "latin.csv"
@@ -592,6 +624,23 @@ class TestTimeseriesCsv:
             "u1,a,0,1.0\nu1,a,2,1.0\n"
         )
         with pytest.raises(MalformedInput, match="exactly once"):
+            read_timeseries_csv(path)
+
+    def test_missing_column_names_the_header_line(self, tmp_path):
+        # the header follows two metadata lines; it used to say line 1
+        path = tmp_path / "ts.csv"
+        path.write_text("# sample_rate=100\n# target_frequency=10\n"
+                        "unit,condition,t,value\nu1,a,0,1.0\n")
+        with pytest.raises(MalformedInput,
+                           match="ts.csv: line 3: missing column 't_index'"):
+            read_timeseries_csv(path)
+
+    def test_header_over_the_csv_limit_is_malformed_input(self, tmp_path):
+        path = tmp_path / "ts.csv"
+        long = "a" * (csv.field_size_limit() + 1)
+        path.write_text("# sample_rate=100\n# target_frequency=10\n"
+                        f"unit,condition,t_index,value,{long}\nu1,a,0,1.0\n")
+        with pytest.raises(MalformedInput, match="ts.csv: line 3: field larger"):
             read_timeseries_csv(path)
 
     def test_non_integer_cycle_series(self, tmp_path):

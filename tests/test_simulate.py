@@ -1,7 +1,11 @@
 """Monte Carlo harness: determinism, calibration sanity, generators."""
 
+import itertools
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +290,11 @@ class TestGenerator:
         assert hits / spec.n_reps == pytest.approx(rate_axis, abs=1e-12)
 
 
+def assert_same_bits(X, Y):
+    assert X.dtype == Y.dtype and X.shape == Y.shape
+    assert np.array_equal(X.view(np.uint64), Y.view(np.uint64))
+
+
 def formula_blocks(rng, spec):
     """The documented generator, one array per step: z0 + 1j*(a*z0 + c*z1)
     from (B, k*n, 2) draws, then the shift and the planted outlier."""
@@ -326,12 +335,102 @@ class TestBlocksMatchFormula:
     def test_bit_for_bit(self, fields, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK_VALUES", 256)  # 4 to 32 per block
         spec = SimulationSpec(n_reps=700, seed=0, **fields)
-        got = list(_blocks(np.random.default_rng([8, 1]), spec))
-        want = list(formula_blocks(np.random.default_rng([8, 1]), spec))
-        assert len(got) == len(want) >= 5
-        for X, Y in zip(got, want):
-            assert X.dtype == Y.dtype and X.shape == Y.shape
-            assert np.array_equal(X.view(np.uint64), Y.view(np.uint64))
+        got = _blocks(np.random.default_rng([8, 1]), spec)
+        want = formula_blocks(np.random.default_rng([8, 1]), spec)
+        # each block as it is drawn: it is valid until the next one is
+        count = 0
+        for X, Y in itertools.zip_longest(got, want):
+            assert X is not None and Y is not None, "block counts differ"
+            assert_same_bits(X, Y)
+            count += 1
+        assert count >= 5
+
+
+def first_address(spec, seed=0):
+    """The address of the memory that a cell's first block is drawn into."""
+    return next(_blocks(np.random.default_rng(seed), spec)).ctypes.data
+
+
+class TestKeptBlock:
+    # a thread draws every cell into one kept buffer, so a cell does not
+    # allocate and fault in a fresh block
+
+    def test_consecutive_cells_share_one_buffer(self, monkeypatch):
+        addresses = []
+
+        def recording(spec, X):
+            addresses.append(X.ctypes.data)
+            return p_values(spec, X)
+
+        p_values = simulate._p_values
+        monkeypatch.setattr(simulate, "_p_values", recording)
+        simulate_rates(SimulationSpec(test="ANOVA2circ", k=3, n=16, n_reps=400))
+        simulate_rates(SimulationSpec(test="T2", n=8, n_reps=50))
+        simulate_grid(SimulationSpec(test="MANOVA", k=3, n=8, n_reps=100),
+                      d_values=[0.0, 1.0])
+        assert len(addresses) == 4 and len(set(addresses)) == 1
+
+    def test_interleaved_generators_do_not_alias(self, monkeypatch):
+        # the second live generator finds no spare and draws into its own
+        # buffer, so neither overwrites the other's block
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 256)  # 14 per block
+        first = SimulationSpec(test="ANOVA2circ", k=3, n=6, d=0.8, n_reps=700)
+        second = SimulationSpec(test="T2", n=18, correlation=0.6, n_reps=700)
+        got = [_blocks(np.random.default_rng([8, i]), spec)
+               for i, spec in enumerate((first, second))]
+        want = [formula_blocks(np.random.default_rng([8, i]), spec)
+                for i, spec in enumerate((first, second))]
+        count = 0
+        for X, Y, U, V in itertools.zip_longest(*got, *want):
+            assert not np.shares_memory(X, Y)
+            assert_same_bits(X, U)
+            assert_same_bits(Y, V)
+            count += 1
+        assert count == 50
+
+    def test_threads_give_the_serial_tables(self):
+        # more threads than cores, switching often: each draws into its own
+        # buffer, so every table is the one a serial run gives
+        specs = [SimulationSpec(test=test, k=k, n=n, d=d, n_reps=300, seed=seed)
+                 for seed, (test, k, n, d) in enumerate([
+                     ("ANOVA2circ", 3, 16, 0.5), ("MANOVA", 2, 8, 0.0),
+                     ("T2circ", 1, 64, 0.3), ("CI_test", 1, 12, 0.0)])]
+        serial = [simulate_rates(spec).to_json() for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(simulate_rates, spec)
+                           for _ in range(4) for spec in specs]
+                tables = [f.result(timeout=120).to_json() for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert tables == serial * 4
+
+    def test_large_replicate_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_spare", threading.local())
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 256)
+        small = SimulationSpec(test="T2", n=8, n_reps=100)
+        simulate_rates(small)
+        kept = simulate._spare.buffer
+        assert kept.size <= 256
+        # one replicate of 300 values draws into an array of its own
+        large = SimulationSpec(test="T2", n=300, n_reps=3)
+        assert first_address(large) != kept.ctypes.data
+        simulate_rates(large)
+        assert simulate._spare.buffer.size <= 256
+        assert first_address(small) == kept.ctypes.data
+
+    def test_a_new_thread_draws_without_a_spare(self):
+        spec = SimulationSpec(test="T2circ", n=8, n_reps=200, seed=2)
+        expected = simulate_rates(spec).to_json()
+        result = []
+        thread = threading.Thread(target=lambda: result.append(
+            (simulate_rates(spec).to_json(), simulate._spare.buffer.size)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert result == [(expected, 200 * 8)]
 
 
 class TestHugeCounts:
