@@ -191,7 +191,7 @@ def amp_ci_bootstrap(
     lo, hi = _quantiles(amps, ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
     mean = obs.mean()
     return AmplitudeSummary(
-        mean_amplitude=abs(mean),
+        mean_amplitude=float(abs(mean)),
         mean_phase=math.atan2(mean.imag, mean.real),
         error_low=float(lo),
         error_high=float(hi),

@@ -219,15 +219,17 @@ class ConditionIndexDistribution:
         """Density at x (scalar or array). Zero at x = 1, decaying tail."""
         arr = _support(x)
         m = self._m
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore"):
+            square = arr * arr
+        with np.errstate(divide="ignore", invalid="ignore"):
             logpdf = (
                 math.log(m - 1)
                 + (m - 1) * math.log(2.0)
-                + np.log(arr * arr - 1.0)
+                + _log_square_plus(arr, square, -1.0)
                 + (m - 2) * np.log(arr)
-                - m * np.log(arr * arr + 1.0)
+                - m * _log_square_plus(arr, square, 1.0)
             )
-        out = np.where(arr > 1.0, np.exp(logpdf), 0.0)
+        out = np.where((arr > 1.0) & (arr < math.inf), np.exp(logpdf), 0.0)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
     def sf(self, x):
@@ -251,6 +253,19 @@ class ConditionIndexDistribution:
         log_q = math.log1p(-p) / (self._m - 1)
         q = math.exp(log_q)
         return (1.0 + math.sqrt(-math.expm1(log_q) * (1.0 + q))) / q
+
+
+def _log_square_plus(arr: np.ndarray, square: np.ndarray, one: float):
+    """log(x^2 + one) for one = 1 or -1, given square = x * x. Where x * x
+    overflows (x above about 1.34e154) it is 2 log x + log1p(one / x^2),
+    finite for every finite x; elsewhere log(square + one), as before."""
+    near = np.log(square + one)
+    far = np.isinf(square)
+    if not far.any():
+        return near
+    inverse = 1.0 / arr
+    return np.where(far, 2.0 * np.log(arr) + np.log1p(one * inverse * inverse),
+                    near)
 
 
 def _support(x) -> np.ndarray:

@@ -84,10 +84,14 @@ def eig2(a, b, c):
 
 def _major_axis(a, b, c, lmax):
     """Unnormalised eigenvector (x, y) of [[a, b], [b, c]] for the eigenvalue
-    lmax; (1, 0) when the matrix is a multiple of the identity."""
-    iso = np.logical_and(a == c, b == 0.0)
-    x = np.where(iso, 1.0, np.where(a >= c, lmax - c, b))
-    y = np.where(iso, 0.0, np.where(a >= c, b, lmax - a))
+    lmax. A diagonal matrix (b = 0) gets the unit axis of its larger entry,
+    (1, 0) where a >= c and (0, 1) where not: lmax - c may round to 0 there
+    (a and c one ulp apart), and where it does not, (lmax - c, 0)
+    normalises to the same axis."""
+    diagonal = b == 0.0
+    first = a >= c
+    x = np.where(diagonal, np.where(first, 1.0, 0.0), np.where(first, lmax - c, b))
+    y = np.where(diagonal, np.where(first, 0.0, 1.0), np.where(first, b, lmax - a))
     return x, y
 
 

@@ -74,13 +74,28 @@ _RANGES = {
 }
 
 
+def _check_resolution(d: float, what: str) -> None:
+    """InvalidSpec where the location d swamps the unit noise: from 2^43
+    (about 8.8e12) on, math.ulp(d) exceeds 2^-10 of the noise SD and d +
+    noise rounds the noise away from ``what`` the caller draws."""
+    if math.ulp(d) > 2.0**-10:
+        raise InvalidSpec(
+            f"d = {d!r} leaves the {what} without resolution: "
+            f"math.ulp(d) = {math.ulp(d)!r} exceeds 2^-10 of the unit noise "
+            "SD, so d must be below 2^43")
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """One simulation cell: generator parameters, test, alpha, size and
     seed, a non-negative integer; InvalidSpec for a field out of range
-    (n_reps in [1, 2^32), k * n at most 2^32 - 1), for n, k or n_reps that
-    is not an integer, or for d, correlation, variance_ratio, alpha or a
-    planted outlier distance that is not a finite real number."""
+    (n_reps in [1, 2^32), k * n at most 2^32 - 1, d below 2^43), for n, k
+    or n_reps that is not an integer, or for d, correlation,
+    variance_ratio, alpha or a planted outlier distance that is not a finite
+    real number. From d = 2^43 on, d + noise rounds the unit noise away
+    (``_check_resolution``), and the rates would be those of the rounding:
+    T2 used to raise DegenerateCovariance at d = 1e20, and CI_test to
+    reject every replicate at d = 1e308."""
 
     test: str
     d: float = 0.0
@@ -111,6 +126,7 @@ class SimulationSpec:
             valid, what = _RANGES[name]
             checks.real(name, getattr(self, name), valid,
                         f"a finite real number {what}", InvalidSpec)
+        _check_resolution(self.d, "draws")
         contract = _CONTRACTS[self.test]
         try:
             contract.check((self.n,) * (self.k if contract.k_group else 1))
@@ -320,11 +336,7 @@ def simulate_amplitude_skew(
     if d < 0.0:
         raise InvalidSpec(f"d must be >= 0, got {d}")
     rng = np.random.default_rng([checks.seed(seed, InvalidSpec), 0])
-    if math.ulp(d) > 2.0**-10:
-        raise InvalidSpec(
-            f"d = {d!r} leaves the amplitudes without resolution: "
-            f"math.ulp(d) = {math.ulp(d)!r} exceeds 2^-10 of the unit noise "
-            "SD, so d must be below 2^43")
+    _check_resolution(d, "amplitudes")
     draws = np.empty(n_reps, dtype=complex)
     _fill_normal(rng, draws)
     draws.real += d

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -228,8 +228,17 @@ def ellipse_cases(draw):
     return ComplexSample(obs * 10.0 ** exponent), level
 
 
+#: six points on the axes whose covariance is exactly a = 0.01, b = 0,
+#: c = 0.01 - 1 ulp: eig2 rounds lmax down to c there
+ONE_ULP_APART = ComplexSample(np.array([
+    0.15811388300841897, -0.15811388300841897,
+    0.11180339887498893j, -0.11180339887498893j,
+    0.11180339887499002j, -0.11180339887499002j]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(ellipse_cases())
+@example((ONE_ULP_APART, 0.68))
 def test_ellipse_bit_for_bit_with_numpy_evaluation(case):
     sample, level = case
     try:
@@ -238,6 +247,22 @@ def test_ellipse_bit_for_bit_with_numpy_evaluation(case):
         assert covariance_summary(sample).degenerate
         return
     assert got.to_json() == numpy_ellipse(sample, level).to_json()
+
+
+@pytest.mark.filterwarnings("error")
+def test_ellipse_of_diagonal_covariance_one_ulp_from_circular():
+    # the major axis used to be (0, 0) here, and the ellipse divided by its
+    # zero norm
+    summary = covariance_summary(ONE_ULP_APART)
+    below = float(np.nextafter(0.01, 0.0))
+    assert summary.cov.tolist() == [[0.01, 0.0], [0.0, below]]
+    assert summary.eigenvalues[0] == below
+    assert summary.eigenvectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    got = amp_errors_ellipse(ONE_ULP_APART, 0.68)
+    assert got.error_low == 0.0  # the mean is the origin
+    radius = math.sqrt(0.01 * -2.0 * math.log1p(-0.68) / 6)
+    assert got.error_high == pytest.approx(radius, rel=1e-12)
+    assert got == numpy_ellipse(ONE_ULP_APART, 0.68)
 
 
 class TestBootstrap:

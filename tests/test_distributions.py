@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import fdtr, fdtrc
 
 import phasorstats
-from phasorstats import ConditionIndexDistribution, f_critical, f_sf
+from phasorstats import ConditionIndexDistribution, distributions, f_critical, f_sf
 from phasorstats.exceptions import DomainError
 
 
@@ -200,6 +201,45 @@ class TestConditionIndexDistribution:
     def test_pdf_tail_decay(self):
         dist = ConditionIndexDistribution(6)
         assert dist.pdf(1e6) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["edelman", "modified"])
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_pdf_where_x_squared_overflows(self, n, variant):
+        # x * x overflows from about 1.34e154: the density used to be nan,
+        # with RuntimeWarnings, at 1e160, 1e200 and inf
+        dist = ConditionIndexDistribution(n, variant)
+        assert dist.pdf(math.inf) == 0.0
+        for x in (1e160, 1e200, sys.float_info.max):
+            assert 0.0 <= dist.pdf(x) < 1e-300
+        np.testing.assert_array_equal(
+            dist.pdf(np.array([2.0, 1e200, math.inf])), [dist.pdf(2.0), 0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_pdf_forms_agree_next_to_the_switch(self):
+        # below the switch log(x^2 -/+ 1) is taken from x * x, above it as
+        # 2 log x + log1p(-/+ x^-2); both against the exact value of x^2 -/+ 1
+        # (x is an integer here, and math.log takes an int of any size)
+        below = math.sqrt(sys.float_info.max)
+        while math.isinf(below * below):
+            below = math.nextafter(below, 0.0)
+        while not math.isinf((up := math.nextafter(below, math.inf)) * up):
+            below = up
+        xs = [math.nextafter(below, 0.0), below]
+        xs += [math.nextafter(xs[-1], math.inf), math.nextafter(xs[-1], math.inf) * 2]
+        x = np.array(xs)
+        with np.errstate(over="ignore"):
+            square = x * x
+        assert np.isinf(square).tolist() == [False, False, True, True]
+        for one in (-1, 1):
+            got = distributions._log_square_plus(x, square, float(one))
+            exact = [math.log(int(v) ** 2 + one) for v in xs]
+            np.testing.assert_allclose(got, exact, rtol=1e-15, atol=0)
+        # the density itself, for n = 3: 2 (x^2 - 1) / (x^2 + 1)^2 (subnormal)
+        dist = ConditionIndexDistribution(3)
+        for v in xs:
+            exact = float(Fraction(2 * (int(v) ** 2 - 1), (int(v) ** 2 + 1) ** 2))
+            assert dist.pdf(v) == pytest.approx(exact, rel=1e-12)
 
     def test_domain(self):
         dist = ConditionIndexDistribution(4)

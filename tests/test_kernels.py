@@ -293,3 +293,22 @@ class TestDegeneracyAtAnyScale:
         # a zero matrix is degenerate, also beside one that is scaled
         big = np.array([0.0, 2.0**450])
         assert kernels.degenerate(big, np.zeros(2), big).tolist() == [True, False]
+
+
+@pytest.mark.filterwarnings("error")
+def test_diagonal_covariance_gets_the_unit_axis_of_its_larger_entry():
+    # a and c one ulp apart: eig2 rounds lmax down to the smaller entry, so
+    # lmax - c is 0 and the axis used to be (0, 0), which eigvecs2 divided
+    # by its zero norm
+    below = float(np.nextafter(0.01, 0.0))
+    assert kernels.eig2(0.01, 0.0, below)[0] == below
+    x_axis, y_axis = [[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]
+    cases = [(0.01, below, x_axis), (below, 0.01, y_axis), (2.0, 2.0, x_axis),
+             (3.0, 1.0, x_axis), (1.0, 3.0, y_axis), (0.0, 0.0, x_axis)]
+    for a, c, expected in cases:
+        lmax, _ = kernels.eig2(a, 0.0, c)
+        np.testing.assert_array_equal(kernels.eigvecs2(a, 0.0, c, lmax), expected)
+    a, c = (np.array(v) for v in zip(*((a, c) for a, c, _ in cases)))
+    x, y = kernels._major_axis(a, np.zeros_like(a), c, kernels.eig2(a, 0.0, c)[0])
+    assert x.tolist() == [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
+    assert y.tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]

@@ -433,6 +433,8 @@ class TestFlowchart:
         d = record.to_dict()
         assert json.loads(json.dumps(d)) == d  # lists, not tuples
         assert type(record).from_dict(json.loads(json.dumps(d))) == record
+        # to_json writes json's indent-2 text itself, byte for byte
+        assert record.to_json() == json.dumps(d, indent=2) + "\n"
 
     def test_missing_field_is_malformed_input(self):
         report = json.loads((FIXTURES / "mouse_report.json").read_text())
@@ -819,6 +821,12 @@ class TestCliSimulate:
         golden = FIXTURES / "presets" / f"{preset}.csv"
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_rate_table_json_matches_golden(self, tmp_path):
+        out = tmp_path / "fig3.json"
+        assert cli_main(["simulate", "fig3", "--reps", "300", "--seed", "1",
+                         "--json", "--out", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "fig3_rates.json").read_bytes()
+
     # these used to exit 0 and write CSV
     @pytest.mark.parametrize("preset", ["fig2", "fig5a", "fig5b"])
     def test_json_on_a_csv_only_preset_exit_2(self, tmp_path, capsys, preset):
@@ -866,6 +874,19 @@ class TestCliSimulate:
             spec.write_text(json.dumps({"test": "T2circ", name: value}))
             assert cli_main(["simulate", str(spec)]) == 3
             assert f"{name} must be an integer" in capsys.readouterr().err
+        # d + noise rounds the unit noise away from 2^43 on: T2 used to raise
+        # DegenerateCovariance at 1e20, T2 and T2circ a NaN F after
+        # RuntimeWarnings at 1e308, and CI_test to reject every replicate
+        for test in ("T2", "T2circ", "CI_test"):
+            for d in (2.0**43, 1e20, 1e308):
+                spec.write_text(json.dumps({"test": test, "d": d}))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert cli_main(["simulate", str(spec), "--reps", "50"]) == 3
+                assert "d must be below 2^43" in capsys.readouterr().err
+        # the largest d below 2^43 still runs
+        spec.write_text(json.dumps({"test": "CI_test", "d": 2.0**43 - 2.0**-10}))
+        assert cli_main(["simulate", str(spec), "--reps", "50"]) == 0
 
     @pytest.mark.parametrize("in_file,flags,expected", [
         # abbreviated flags went unseen and the file's values won
@@ -955,6 +976,16 @@ class TestCliOther:
         payload = json.loads(out)
         assert payload["n_permutations"] == 200
         assert len(payload["node_results"]) == 3
+
+    def test_cluster_json_matches_golden(self, tmp_path):
+        # the mouse fixture as 3 nodes on a line
+        mouse = str(FIXTURES / "mouse_ssvep.csv")
+        edges, out = tmp_path / "edges.txt", tmp_path / "cluster.json"
+        edges.write_text("0 1\n1 2\n")
+        assert cli_main(["cluster", mouse, mouse, mouse, "--edges", str(edges),
+                         "--design", "paired", "--perms", "500", "--seed", "3",
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "mouse_cluster.json").read_bytes()
 
     @pytest.mark.parametrize("flag,word", [
         (["--seed", "-1"], "seed"),
