@@ -151,7 +151,58 @@ def _quantiles(values: np.ndarray, qs) -> list[float]:
 #: gather (24 bytes a value, 0.75 MiB here) large enough that glibc's heap
 #: keeps or returns them by its history: at 2^16 a process of repeated
 #: analyses settled at either of two peak sizes 2 MB apart, and ran slower.
+#: The indices are numpy's bounded-integer draws, ``Generator.integers(0,
+#: n)``, taken from raw PCG64 words (``_draw_indices``).
 _BOOT_VALUES = 1 << 15
+
+#: Resample indices drawn per ``_draw_indices`` call, a whole number of
+#: blocks; the bounds do not depend on it. A draw is four GIL-free numpy
+#: calls where ``integers`` was one, so drawing each block alone left the
+#: concurrent bootstraps waiting on each other for the GIL more than twice
+#: as often, and most of the draw's saving was lost in the pool.
+_DRAW_VALUES = 1 << 16
+
+_NO_CARRY = np.empty(0, dtype=np.uint32)
+
+
+def _draw_indices(bitgen, n: int, count: int, out: np.ndarray,
+                  carry: np.ndarray) -> np.ndarray:
+    """Write the next ``count`` draws of ``Generator.integers(0, n)`` on
+    bit generator ``bitgen``'s stream to ``out[:count]`` (int64), bit for
+    bit, for 2 <= n < 2^32, and return the new carry.
+
+    For a range below 2^32 numpy draws each index by Lemire's multiply-shift
+    rejection on 32-bit words: (u * n) >> 32, except that a u whose low 32
+    bits of u * n fall below (2^32 - n) % n is skipped for the next word.
+    The words are the halves of PCG64's raw 64-bit outputs, low half first,
+    and a half left over by one draw is the first word of the next: that
+    word, a uint32 array of 0 or 1 elements, is ``carry``. Here the products
+    are formed in ``out`` for a whole array of words at once, and where some
+    are skipped the kept ones move up and as many words again are drawn.
+    """
+    product = out[:count].view(np.uint64)
+    floor = (2**32 - n) % n  # the lowest accepted low word
+    n64 = np.uint64(n)
+    done = 0
+    while done < count:
+        need = count - done
+        words = bitgen.random_raw((need - carry.size + 1) // 2)
+        words = words.astype("<u8", copy=False).view("<u4")
+        head = product[done:done + carry.size]
+        tail = product[done + carry.size:]
+        np.multiply(carry, n64, out=head)
+        np.multiply(words[:tail.size], n64, out=tail)
+        carry = words[tail.size:].copy()
+        low = product[done:].astype("<u8", copy=False).view("<u4")[::2]
+        if floor and low.min() < floor:
+            keep = low >= floor
+            kept = product[done:][keep]
+            product[done:done + kept.size] = kept
+            done += kept.size
+        else:
+            done = count
+    np.right_shift(product, 32, out=product)
+    return carry
 
 
 def amp_ci_bootstrap(
@@ -168,11 +219,15 @@ def amp_ci_bootstrap(
     non-negative integer or a list or tuple of them (``DomainError`` otherwise).
     n_boot must be an integer in [1, 2^32).
 
-    The resamples are drawn and summed in blocks of about ``_BOOT_VALUES``
-    indices, so memory is O(n_boot + block), not O(n_boot * N). The bounds
-    are bit for bit those of the one-shot ``np.abs(obs[rng.integers(0, N,
-    (n_boot, N))].mean(axis=1))``: consecutive ``integers`` calls continue
-    one PCG64 stream, and each row is reduced on its own.
+    The resamples are summed in blocks of about ``_BOOT_VALUES`` indices,
+    drawn about ``_DRAW_VALUES`` at a time, so memory is O(n_boot + block),
+    not O(n_boot * N). The bounds
+    are bit for bit those of the one-shot ``np.abs(obs[default_rng(seed)
+    .integers(0, N, (n_boot, N))].mean(axis=1))``: the indices are numpy's
+    bounded-integer draws, taken from the raw words of the seed's PCG64
+    stream by ``_draw_indices``, which continues that stream from block to
+    block, and each row is reduced on its own. So the bits depend on
+    PCG64's stream and on numpy's rule for bounded integers.
     """
     checks.probability("level", level)
     n_boot = checks.integer("n_boot", n_boot, 1, maximum=checks.MAX_DRAWS)
@@ -180,13 +235,20 @@ def amp_ci_bootstrap(
     n = obs.size
     if n < 2:
         raise TooFewObservations(f"bootstrap needs >= 2 observations, got {n}")
-    rng = np.random.default_rng(checks.seeds(seed))
+    bitgen = np.random.PCG64(checks.seeds(seed))
     rows = max(1, _BOOT_VALUES // n)
+    drawn = rows * max(1, _DRAW_VALUES // (rows * n))  # rows drawn at once
+    idx = np.empty(drawn * n, dtype=np.int64)
+    carry = _NO_CARRY
     sums = np.empty(n_boot, dtype=complex)
-    for start in range(0, n_boot, rows):
-        stop = min(start + rows, n_boot)
-        idx = rng.integers(0, n, size=(stop - start, n))
-        np.add.reduce(obs[idx], axis=1, out=sums[start:stop])
+    for first in range(0, n_boot, drawn):
+        last = min(first + drawn, n_boot)
+        carry = _draw_indices(bitgen, n, (last - first) * n, idx, carry)
+        for start in range(first, last, rows):
+            stop = min(start + rows, last)
+            block = idx[(start - first) * n:(stop - first) * n]
+            np.add.reduce(obs[block].reshape(stop - start, n), axis=1,
+                          out=sums[start:stop])
     amps = np.abs(sums / n)  # the bits of .mean(axis=1)
     lo, hi = _quantiles(amps, ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
     mean = obs.mean()

@@ -55,6 +55,13 @@ _CONTRACTS = {
 }
 TESTS = tuple(_CONTRACTS)
 
+#: The tests whose contract refuses a degenerate sample (``kernels.degenerate``).
+_REFUSE_DEGENERATE = ("T2", "CI_test", "MANOVA")
+
+#: The spec fields that name a cell in an error message.
+_CELL_FIELDS = ("test", "d", "n", "k", "correlation", "variance_ratio",
+                "planted_outlier_distance")
+
 #: Complex values drawn and tested per block (replicates x k x n), and the
 #: most that a thread keeps between cells: a 400-replicate cell with
 #: k n <= 163 is one block of at most 1 MiB.
@@ -85,6 +92,36 @@ def _check_resolution(d: float, what: str) -> None:
             "SD, so d must be below 2^43")
 
 
+def _check_outlier(dist: float) -> None:
+    """InvalidSpec where the planted outlier's square overflows: from 2^512
+    (about 1.3e154) on, dist * dist is inf, and so are the sums of squares
+    of every sample the outlier is planted in."""
+    if dist >= 2.0**512:
+        raise InvalidSpec(
+            f"planted_outlier_distance = {dist!r} overflows the sample's "
+            "sums of squares: its square exceeds the float range, so it "
+            "must be below 2^512")
+
+
+def _check_population(r: float, v: float, test: str) -> None:
+    """InvalidSpec where the population covariance [[1, r sqrt(v)],
+    [r sqrt(v), v]] is degenerate by the rule (``kernels.degenerate``) and
+    the test refuses a degenerate sample: every replicate would be refused.
+    The field named is variance_ratio where the covariance is degenerate
+    without the correlation too, otherwise correlation."""
+    a, b, c = (np.array(x) for x in (1.0, r * math.sqrt(v), v))
+    if not kernels.degenerate(a, b, c):
+        return
+    if kernels.degenerate(a, np.array(0.0), c):
+        named = f"variance_ratio = {v!r}"
+    else:
+        named = f"correlation = {r!r} at variance_ratio = {v!r}"
+    raise InvalidSpec(
+        f"{named} makes the population covariance [[1, r sqrt(v)], "
+        f"[r sqrt(v), v]] degenerate (lambda_min <= {kernels.DEGENERACY_RTOL} "
+        f"trace), and {test} refuses a degenerate sample")
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """One simulation cell: generator parameters, test, alpha, size and
@@ -95,7 +132,13 @@ class SimulationSpec:
     real number. From d = 2^43 on, d + noise rounds the unit noise away
     (``_check_resolution``), and the rates would be those of the rounding:
     T2 used to raise DegenerateCovariance at d = 1e20, and CI_test to
-    reject every replicate at d = 1e308."""
+    reject every replicate at d = 1e308. A planted outlier distance must be
+    below 2^512, where its square overflows (``_check_outlier``). For T2,
+    CI_test and MANOVA, which refuse a degenerate sample, the population
+    covariance must not be degenerate (``_check_population``), as it is at
+    variance_ratio 1e13 or correlation 1 - 1e-13; a sample that is
+    degenerate by chance raises the test's error, naming the cell
+    (``_rejection_rate``)."""
 
     test: str
     d: float = 0.0
@@ -127,6 +170,10 @@ class SimulationSpec:
             checks.real(name, getattr(self, name), valid,
                         f"a finite real number {what}", InvalidSpec)
         _check_resolution(self.d, "draws")
+        if self.planted_outlier_distance is not None:
+            _check_outlier(self.planted_outlier_distance)
+        if self.test in _REFUSE_DEGENERATE:
+            _check_population(self.correlation, self.variance_ratio, self.test)
         contract = _CONTRACTS[self.test]
         try:
             contract.check((self.n,) * (self.k if contract.k_group else 1))
@@ -246,11 +293,19 @@ def _p_values(spec: SimulationSpec, X: np.ndarray) -> np.ndarray:
 
 
 def _rejection_rate(spec: SimulationSpec, cell_index: int, seed: int) -> RateCell:
+    """The cell's rate; a replicate that the test refuses (a sample
+    degenerate by chance) raises the contract's error, naming the cell."""
     rng = np.random.default_rng([seed, cell_index])
-    hits = sum(
-        int(np.count_nonzero(_p_values(spec, X) < spec.alpha))
-        for X in _blocks(rng, spec)
-    )
+    error = _CONTRACTS[spec.test].error
+    try:
+        hits = sum(
+            int(np.count_nonzero(_p_values(spec, X) < spec.alpha))
+            for X in _blocks(rng, spec)
+        )
+    except error as exc:
+        named = ", ".join(f"{name}={getattr(spec, name)!r}" for name in _CELL_FIELDS
+                          if getattr(spec, name) is not None)
+        raise error(f"simulation cell {cell_index} ({named}): {exc}") from None
     rate = hits / spec.n_reps
     se = math.sqrt(rate * (1.0 - rate) / spec.n_reps)
     return RateCell(

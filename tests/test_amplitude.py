@@ -374,6 +374,19 @@ class TestBootstrap:
             lo, hi = self._one_shot(sample, 0.68, n_boot, [5, n_boot])
             assert res.error_low == lo and res.error_high == hi, (n, n_boot)
 
+    @pytest.mark.parametrize("n", [3, 89, 2**14 + 1])
+    def test_draws_of_several_blocks_keep_the_bits(self, n):
+        # the indices of several blocks are drawn in one call; the bounds
+        # are those of one-shot resampling on either side of every draw edge
+        rows = max(1, amplitude_module._BOOT_VALUES // n)
+        drawn = rows * max(1, amplitude_module._DRAW_VALUES // (rows * n))
+        rng = np.random.default_rng(n)
+        sample = ComplexSample(rng.standard_normal(n) + 1j * rng.standard_normal(n) + 0.5)
+        for n_boot in (drawn - 1, drawn, drawn + 1, drawn + rows + 1):
+            res = amp_ci_bootstrap(sample, 0.68, n_boot=n_boot, seed=[6, n_boot])
+            lo, hi = self._one_shot(sample, 0.68, n_boot, [6, n_boot])
+            assert res.error_low == lo and res.error_high == hi, (n, n_boot)
+
     def test_memory_does_not_grow_with_resamples_times_n(self):
         # the one-shot (10 000, 400) indices and their complex gather alone
         # take 92 MiB; in blocks a call peaks at ~1.7 MiB
@@ -385,6 +398,61 @@ class TestBootstrap:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+class _CountingWords:
+    """A bit generator's ``random_raw``, counting the 64-bit words drawn."""
+
+    def __init__(self, bitgen):
+        self.bitgen, self.words = bitgen, 0
+
+    def random_raw(self, size):
+        self.words += size
+        return self.bitgen.random_raw(size)
+
+
+def _draws_match_integers(seed, n, counts):
+    """_draw_indices over consecutive counts on one stream equals
+    ``integers(0, n, count)`` on the same stream, call by call; returns the
+    words drawn and the last carry."""
+    oracle = np.random.default_rng(seed)
+    bitgen = _CountingWords(np.random.PCG64(seed))
+    out = np.empty(max(counts), dtype=np.int64)
+    carry = amplitude_module._NO_CARRY
+    for count in counts:
+        carry = amplitude_module._draw_indices(bitgen, n, count, out, carry)
+        assert np.array_equal(out[:count], oracle.integers(0, n, count)), (n, count)
+    return bitgen.words, carry
+
+
+class TestDrawIndices:
+    # the old draw, Generator.integers(0, n), is the oracle of the new one
+
+    @pytest.mark.parametrize("n", [2, 3, 89, 2**31 - 1, 3 * 2**30 + 1, 2**32 - 1])
+    def test_integers_bit_for_bit_across_calls(self, n):
+        # odd and even counts in a row: a call that ends on a low half
+        # leaves the high half as the next call's first word
+        _draws_match_integers(n, n, [1, 1, 2, 5, 4, 7, 1, 2**15, 2**15 - 1, 10_001])
+
+    def test_a_quarter_of_the_words_rejected(self):
+        # at n = 3 2^30 + 1 a word is skipped where its low product is
+        # below (2^32 - n) % n = 2^30 - 1, about one in four
+        n, count = 3 * 2**30 + 1, 100_000
+        words, carry = _draws_match_integers(11, n, [count])
+        used = 2 * words - carry.size
+        assert 1.31 * count < used < 1.36 * count
+
+    @pytest.mark.parametrize("n", [2, 4, 2**16, 2**31])
+    def test_power_of_two_rejects_nothing(self, n):
+        words, carry = _draws_match_integers(12, n, [999, 1000])
+        assert 2 * words - carry.size == 1999
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1),
+           n=st.one_of(st.integers(2, 500), st.integers(2, 2**32 - 1)),
+           counts=st.lists(st.integers(1, 3000), min_size=1, max_size=4))
+    def test_any_seed_any_n(self, seed, n, counts):
+        _draws_match_integers(seed, n, counts)
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse", "scipy"])

@@ -74,6 +74,62 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match="must be a finite real"):
             SimulationSpec(test="CI_test", **{name: 10**400})
 
+    @pytest.mark.parametrize("test,k", [
+        ("T2", 1), ("T2circ", 1), ("CI_test", 1), ("ANOVA2circ", 3), ("MANOVA", 3),
+    ])
+    @pytest.mark.parametrize("dist", [2.0**512, 1e200, 1e300, sys.float_info.max])
+    def test_outlier_whose_square_overflows_raises_invalid_spec(self, test, k, dist):
+        # T2 at 1e300 used to warn of overflow and raise "F statistic must
+        # be >= 0, got nan"; CI_test at 1e200 warned in matmul
+        with pytest.raises(InvalidSpec, match="^planted_outlier_distance = .* 2\\^512"):
+            SimulationSpec(test=test, k=k, n=8, planted_outlier_distance=dist)
+
+    @pytest.mark.parametrize("test,k", [("T2circ", 1), ("ANOVA2circ", 3)])
+    def test_largest_outlier_runs(self, test, k):
+        # just below 2^512 the square is finite: the tests that take a
+        # degenerate sample run, and warn nothing
+        spec = SimulationSpec(test=test, k=k, n=8, n_reps=50, seed=3,
+                              planted_outlier_distance=math.nextafter(2.0**512, 0.0))
+        assert 0.0 <= simulate_rates(spec).cells[0].rate <= 1.0
+
+    @pytest.mark.parametrize("fields,name", [
+        (dict(test="T2", variance_ratio=1e13), "variance_ratio"),
+        (dict(test="T2", variance_ratio=1e200), "variance_ratio"),
+        (dict(test="T2", variance_ratio=1e-30), "variance_ratio"),
+        (dict(test="CI_test", variance_ratio=1e13), "variance_ratio"),
+        (dict(test="MANOVA", k=3, variance_ratio=1e200), "variance_ratio"),
+        (dict(test="CI_test", correlation=0.9999999999999), "correlation"),
+        (dict(test="T2", correlation=-0.9999999999999), "correlation"),
+        (dict(test="MANOVA", k=2, correlation=0.9999999999, variance_ratio=1e3),
+         "correlation"),
+    ])
+    def test_degenerate_population_raises_invalid_spec(self, fields, name):
+        # every replicate of these cells would be refused by the test
+        with pytest.raises(InvalidSpec, match=f"^{name} = .* degenerate .*"
+                           f"{fields['test']} refuses a degenerate sample"):
+            SimulationSpec(n=8, **fields)
+
+    @pytest.mark.parametrize("fields", [
+        # the tests that take a degenerate sample take its population too
+        dict(test="T2circ", variance_ratio=1e200),
+        dict(test="ANOVA2circ", k=3, correlation=0.9999999999999),
+        # the rule is lambda_min <= 1e-12 trace: just inside it
+        dict(test="T2", variance_ratio=1e11),
+        dict(test="MANOVA", k=3, variance_ratio=1e-11),
+        dict(test="CI_test", correlation=0.99999999999),
+    ])
+    def test_population_that_passes_the_rule_is_valid(self, fields):
+        SimulationSpec(n=8, **fields)
+
+    def test_sample_degenerate_by_chance_names_the_cell(self):
+        # at variance_ratio 1e11 the population passes the rule and some
+        # samples of 8 do not; the error names the cell of the grid
+        base = SimulationSpec(test="T2", n=8, n_reps=50, seed=0)
+        with pytest.raises(DegenerateCovariance, match=(
+                r"^simulation cell 1 \(test='T2', d=0.0, n=8, k=1, correlation=0.0, "
+                r"variance_ratio=100000000000.0\): sample covariance is degenerate$")):
+            simulate_grid(base, variance_ratio_values=[1.0, 1e11])
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", [1, 2], None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(InvalidSpec, match="seed must be a non-negative integer"):
@@ -220,12 +276,14 @@ class TestBatchedMatchesScalar:
         ("MANOVA", 2, SingularWithinScatter),
     ])
     def test_degenerate_replicate_raises_scalar_error(self, test, k, error):
-        # the second axis carries ~1e-15 of the variance: rank deficient
-        spec = SimulationSpec(test=test, k=k, n=6, variance_ratio=1e-30,
+        # the second axis carries 2e-12 of the variance: the population
+        # covariance passes the rule (lambda_min > 1e-12 trace), but some
+        # of the 20 samples fail it by chance
+        spec = SimulationSpec(test=test, k=k, n=6, variance_ratio=2e-12,
                               n_reps=20, seed=1)
         with pytest.raises(error):
             scalar_hits(spec)
-        with pytest.raises(error):
+        with pytest.raises(error, match=r"^simulation cell 0 \(test="):
             simulate_rates(spec)
 
     @pytest.mark.parametrize("test,groups,scalar", [
