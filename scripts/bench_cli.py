@@ -49,12 +49,14 @@ import scipy
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from phasorstats.ingest import ComponentRow, write_components_csv  # noqa: E402
+from phasorstats.ingest import ComponentColumns, write_components_csv  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
 MAIN = "import sys; from phasorstats.cli import main; sys.exit(main(sys.argv[1:]))"
-#: Reads and builds every node file given, then prints the rows per second.
-READ_BUILD = """\
+NODES, UNITS, REPETITIONS, NODE_SEED = 128, 24, 10, 128
+#: Reads and builds every node file given, checks that it read every row of
+#: the 128 nodes, then prints the rows per second.
+READ_BUILD = f"""\
 import sys, time
 from phasorstats import Design, build_dataset, read_components_csv
 t0 = time.perf_counter()
@@ -62,10 +64,11 @@ rows = 0
 for path in sys.argv[1:]:
     table = read_components_csv(path)
     build_dataset(table, Design.PAIRED)
-    rows += len(table)
-print(rows / (time.perf_counter() - t0))
+    rows += len(table.unit)
+seconds = time.perf_counter() - t0
+assert rows == {NODES * UNITS * 2 * REPETITIONS}, rows
+print(rows / seconds)
 """
-NODES, UNITS, REPETITIONS, NODE_SEED = 128, 24, 10, 128
 
 
 def node_files(workdir: Path) -> list[str]:
@@ -77,13 +80,12 @@ def node_files(workdir: Path) -> list[str]:
         values = rng.standard_normal((UNITS, 2, REPETITIONS, 2))
         if 40 <= node < 80:
             values[:, 1] += [0.8, 0.4]
-        rows = [
-            ComponentRow(f"u{u}", condition, re, im)
-            for u in range(UNITS) for c, condition in enumerate("ab")
-            for re, im in values[u, c].tolist()
-        ]
+        re, im = values.reshape(-1, 2).T.tolist()
+        table = ComponentColumns(
+            [f"u{u}" for u in range(UNITS) for _ in range(2 * REPETITIONS)],
+            [c for c in "ab" for _ in range(REPETITIONS)] * UNITS, re, im)
         path = workdir / f"node{node:03d}.csv"
-        path.write_text(write_components_csv(rows))
+        path.write_text(write_components_csv(table))
         paths.append(str(path))
     return paths
 

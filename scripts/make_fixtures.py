@@ -41,7 +41,7 @@ FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "src"))
 
 from phasorstats import (  # noqa: E402
-    ComponentRow,
+    ComponentColumns,
     Design,
     build_dataset,
     ci_test,
@@ -81,7 +81,7 @@ def whiten(points: np.ndarray) -> np.ndarray:
 # Mouse fixture
 # ---------------------------------------------------------------------------
 
-def build_mouse(seed: int) -> list[ComponentRow]:
+def build_mouse(seed: int) -> tuple[ComponentColumns, None]:
     rng = np.random.default_rng(seed)
     n = 6
     z = whiten(rng.standard_normal((n, 2)))
@@ -128,12 +128,10 @@ def build_mouse(seed: int) -> list[ComponentRow]:
 
     sound = mu_sound + sound_dev
     light = mu_light + light_dev
-    rows = []
-    for i in range(n):
-        unit = f"m{i + 1}"
-        rows.append(ComponentRow(unit, "sound", *sound[i].tolist()))
-        rows.append(ComponentRow(unit, "light", *light[i].tolist()))
-    return rows
+    # each unit's sound row, then its light row
+    re, im = np.stack([sound, light], axis=1).reshape(-1, 2).T.tolist()
+    units = [f"m{i + 1}" for i in range(n) for _ in range(2)]
+    return ComponentColumns(units, ["sound", "light"] * n, re, im), None
 
 
 def verify_mouse(path: Path) -> dict:
@@ -192,7 +190,7 @@ def _orthonormal_noise(rng: np.random.Generator, count: int, n: int,
     return out
 
 
-def build_human(seed: int) -> list[ComponentRow]:
+def build_human(seed: int) -> tuple[ComponentColumns, set[str]]:
     rng = np.random.default_rng(seed)
     n_kept, n_out = 89, 11
     conditions = HUMAN_CONDITIONS
@@ -267,7 +265,7 @@ def build_human(seed: int) -> list[ComponentRow]:
                 value = out_values[c][out_cursor[c]]
             else:
                 value = kept[c][kept_cursor[c]]
-            rows.append(ComponentRow(unit, c, float(value.real), float(value.imag)))
+            rows.append((unit, c, float(value.real), float(value.imag)))
         if is_outlier:
             for c in conditions:
                 out_cursor[c] += 1
@@ -275,7 +273,7 @@ def build_human(seed: int) -> list[ComponentRow]:
             for c in conditions:
                 kept_cursor[c] += 1
     expected_excluded = {labels[i] for i in out_positions}
-    return rows, expected_excluded
+    return ComponentColumns(*map(list, zip(*rows))), expected_excluded
 
 
 def verify_human(path: Path, expected_excluded: set[str]) -> dict:
@@ -337,10 +335,9 @@ def build_timeseries(seed: int, sample_rate: float = 16.0,
 def find_seed(builder, verifier, start: int, tries: int = 200):
     last_error = None
     for seed in range(start, start + tries):
-        built = builder(seed)
-        rows, extra = (built, None) if not isinstance(built, tuple) else built
+        table, extra = builder(seed)
         tmp = FIXTURES / "_candidate.csv"
-        tmp.write_text(write_components_csv(rows))
+        tmp.write_text(write_components_csv(table))
         try:
             info = verifier(tmp) if extra is None else verifier(tmp, extra)
         except AssertionError as exc:
@@ -348,25 +345,25 @@ def find_seed(builder, verifier, start: int, tries: int = 200):
             tmp.unlink()
             continue
         tmp.unlink()
-        return seed, rows, info
+        return seed, table, info
     raise SystemExit(f"no working seed found; last failure: {last_error}")
 
 
 def main() -> None:
     FIXTURES.mkdir(parents=True, exist_ok=True)
 
-    seed, rows, info = find_seed(build_mouse, verify_mouse, start=100)
+    seed, table, info = find_seed(build_mouse, verify_mouse, start=100)
     mouse_path = FIXTURES / "mouse_ssvep.csv"
-    mouse_path.write_text(write_components_csv(rows))
+    mouse_path.write_text(write_components_csv(table))
     print(f"mouse fixture: seed {seed}")
     print(f"  CI = {info['ci'][0]:.4f} / {info['ci'][1]:.4f} "
           f"(p = {info['ci_p'][0]:.3f} / {info['ci_p'][1]:.3f})")
     print(f"  T2circ = {info['t2circ']:.4f}, F(2,10) = {info['f']:.4f}, "
           f"p = {info['p']:.5f}, D = {info['d']:.4f}")
 
-    seed, rows, info = find_seed(build_human, verify_human, start=500)
+    seed, table, info = find_seed(build_human, verify_human, start=500)
     human_path = FIXTURES / "human_ssvep.csv"
-    human_path.write_text(write_components_csv(rows))
+    human_path.write_text(write_components_csv(table))
     print(f"human fixture: seed {seed}")
     print(f"  excluded units: {', '.join(info['excluded'])}")
     print(f"  min CI p = {min(info['ci_p'].values()):.3f}")

@@ -108,8 +108,8 @@ def _read_dataset(args) -> tuple[GroupedDataset, str]:
     from one read of the file."""
     with open(args.input, "rb") as f:
         data = f.read()
-    rows = read_components_csv(args.input, data)
-    dataset = build_dataset(rows, _DESIGNS[args.design], args.mu)
+    table = read_components_csv(args.input, data)
+    dataset = build_dataset(table, _DESIGNS[args.design], args.mu)
     return dataset, hashlib.sha256(data).hexdigest()
 
 
@@ -130,8 +130,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    rows = read_timeseries_csv(args.input)
-    _emit(write_components_csv(rows), args.out)
+    _emit(write_components_csv(read_timeseries_csv(args.input)), args.out)
     return EXIT_OK
 
 

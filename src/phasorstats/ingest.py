@@ -22,8 +22,10 @@ import csv
 import io
 import itertools
 import math
+import numbers
+import sys
 from collections.abc import Sequence
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,54 +41,45 @@ COMPONENT_COLUMNS = ("unit", "condition", "re", "im")
 TIMESERIES_COLUMNS = ("unit", "condition", "t_index", "value")
 
 
-class ComponentRow(NamedTuple):
-    unit: str
-    condition: str
-    re: float
-    im: float
+class ComponentColumns(NamedTuple):
+    """A components table as four columns of one length: row i is
+    ``(unit[i], condition[i], re[i], im[i])``. The readers return lists;
+    ``build_dataset`` and ``write_components_csv`` take any sequences.
+    Rows convert as ``ComponentColumns(*map(list, zip(*rows)))``."""
+
+    unit: Sequence[str]
+    condition: Sequence[str]
+    re: Sequence[float]
+    im: Sequence[float]
 
 
-class ComponentTable(Sequence):
-    """Component rows held as four columns, as the reader makes them.
-
-    A read-only sequence of ``ComponentRow``, equal to any sequence of the
-    same rows; ``build_dataset`` reads its columns without forming a row.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, unit: list[str], condition: list[str],
-                 re: list[float], im: list[float]) -> None:
-        self.columns = (unit, condition, re, im)
-
-    @classmethod
-    def of(cls, rows: Iterable[Sequence]) -> "ComponentTable":
-        """The table of rows (unit, condition, re, im)."""
-        if isinstance(rows, cls):
-            return rows
-        columns = [list(column) for column in zip(*rows)]
-        return cls(*(columns or ([], [], [], [])))
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [ComponentRow(*row) for row in zip(*(c[i] for c in self.columns))]
-        return ComponentRow(*(c[i] for c in self.columns))
-
-    def __iter__(self) -> Iterator[ComponentRow]:
-        return map(ComponentRow._make, zip(*self.columns))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ComponentTable({list(self)!r})"
+def _checked(table) -> ComponentColumns:
+    """``table`` as ``ComponentColumns``, where it is four columns of one
+    length whose re and im cells are finite real numbers; else
+    MalformedInput, naming the first bad cell's row (from 1)."""
+    try:
+        table = ComponentColumns(*table)
+        lengths = set(map(len, table))
+    except TypeError:
+        lengths = set()
+    if len(lengths) != 1:
+        raise MalformedInput("a components table must be four columns (unit, "
+                             "condition, re, im) of one length")
+    # a sum of floats and ints is a float or an int, and finite only if every
+    # term is; only where it is not is each cell looked at
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of numpy scalars
+        for name, column in zip(COMPONENT_COLUMNS[2:], table[2:]):
+            try:
+                total = sum(column)
+            except (TypeError, OverflowError):
+                total = None
+            if isinstance(total, (float, int)) and abs(total) <= sys.float_info.max:
+                continue
+            for i, x in enumerate(column, start=1):
+                if not (isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max):
+                    raise MalformedInput(f"row {i}: column {name!r} value {x!r} "
+                                         "is not a finite real number")
+    return table
 
 
 class _Body(NamedTuple):
@@ -274,32 +267,33 @@ def _read_columns(path, columns: Sequence[str], data: Optional[bytes] = None,
     return body.metadata, parsed
 
 
-def read_components_csv(path, data: Optional[bytes] = None) -> ComponentTable:
-    """Parse a components CSV into a ``ComponentTable``, its rows in file
+def read_components_csv(path, data: Optional[bytes] = None) -> ComponentColumns:
+    """Parse a components CSV into ``ComponentColumns``, its rows in file
     order.
 
     The file is read as columns (``_read_columns``); ``data``, where given,
     is its content already read, and ``path`` then only names it in
     messages. MalformedInput names the line of the first bad row.
     """
-    return ComponentTable(*_read_columns(path, COMPONENT_COLUMNS, data)[1])
+    return ComponentColumns(*_read_columns(path, COMPONENT_COLUMNS, data)[1])
 
 
 def build_dataset(
-    rows: Sequence[ComponentRow],
+    table: ComponentColumns,
     design: Design,
     mu: complex = 0j,
 ) -> GroupedDataset:
-    """Group component rows into a dataset, averaging repetitions per unit.
+    """Group a components table into a dataset, averaging repetitions per
+    unit.
 
     Conditions and units keep their order of first appearance. When a unit
     contributes several rows to one condition they are collapsed to their
     coherent (complex) mean, ``data.unit_mean``, the rule
     ``coherent_mean`` uses too; it runs once for all the units that have
-    the same number of rows. ``rows`` is a ``ComponentTable``, or any
-    iterable of (unit, condition, re, im) rows.
+    the same number of rows. MalformedInput where ``table`` is not four
+    columns of one length with finite real re and im.
     """
-    unit, condition, re, im = ComponentTable.of(rows).columns
+    unit, condition, re, im = _checked(table)
     n = len(unit)
     # each row's (condition, unit) group, named by the row where it first
     # appears: one hash a row, and the groups in order of first appearance
@@ -372,7 +366,7 @@ def extract_component(
     return coeff
 
 
-def read_timeseries_csv(path) -> list[ComponentRow]:
+def read_timeseries_csv(path) -> ComponentColumns:
     """Parse a time-series CSV and extract one component row per series.
 
     Rows are grouped by (unit, condition) in order of first appearance;
@@ -383,7 +377,7 @@ def read_timeseries_csv(path) -> list[ComponentRow]:
     groups: dict[tuple[str, str], list[tuple[int, float]]] = {}
     for key, t, value in zip(zip(units, conditions), t_index, values):
         groups.setdefault(key, []).append((t, value))
-    out = []
+    re, im = [], []
     for (unit, condition), points in groups.items():
         points.sort(key=lambda p: p[0])
         indices = [p[0] for p in points]
@@ -394,8 +388,9 @@ def read_timeseries_csv(path) -> list[ComponentRow]:
             )
         coeff = extract_component([p[1] for p in points], metadata["sample_rate"],
                                   metadata["target_frequency"])
-        out.append(ComponentRow(unit, condition, coeff.real, coeff.imag))
-    return out
+        re.append(coeff.real)
+        im.append(coeff.imag)
+    return ComponentColumns(*map(list, zip(*groups)), re, im)
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
@@ -427,6 +422,7 @@ def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
-def write_components_csv(rows: Sequence[ComponentRow]) -> str:
-    """Serialize component rows back to the components schema."""
-    return write_csv(COMPONENT_COLUMNS, rows)
+def write_components_csv(table: ComponentColumns) -> str:
+    """Serialize a components table back to the components schema;
+    MalformedInput where ``build_dataset`` would refuse it."""
+    return write_csv(COMPONENT_COLUMNS, zip(*_checked(table)))

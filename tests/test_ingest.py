@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from phasorstats import (
     ComplexSample,
+    ComponentColumns,
     Design,
     build_dataset,
     coherent_mean,
@@ -26,7 +27,12 @@ from phasorstats.exceptions import (
     MalformedInput,
     NonIntegerCycles,
 )
-from phasorstats.ingest import ComponentRow, write_components_csv
+from phasorstats.ingest import write_components_csv
+
+
+def columns(*rows):
+    """The components table of (unit, condition, re, im) rows."""
+    return ComponentColumns(*map(list, zip(*rows)))
 
 
 def oracle_dft_bin(series, k):
@@ -101,10 +107,10 @@ class TestComponentsCsv:
             "m1,light,2.0,0.0\n"
             "m2,light,1.0,1.0\n"
         )
-        rows = read_components_csv(path)
-        assert len(rows) == 4
-        assert rows[0].unit == "m1" and rows[0].re == 1.5
-        text = write_components_csv(rows)
+        table = read_components_csv(path)
+        assert len(table.unit) == 4
+        assert table.unit[0] == "m1" and table.re[0] == 1.5
+        text = write_components_csv(table)
         assert "m1,sound,1.5,-0.25" in text
 
     @pytest.mark.parametrize("reader", [read_components_csv, read_timeseries_csv])
@@ -120,17 +126,6 @@ class TestComponentsCsv:
         finally:
             os.close(r)
 
-    def test_component_row_is_a_named_tuple(self):
-        # built, read, printed and compared as the frozen dataclass it was
-        row = ComponentRow("m1", "a", 1.0, -2.0)
-        assert isinstance(row, tuple)
-        assert row == ComponentRow(unit="m1", condition="a", re=1.0, im=-2.0)
-        assert row != ComponentRow("m1", "a", 1.0, 2.0)
-        assert (row.unit, row.condition, row.re, row.im) == ("m1", "a", 1.0, -2.0)
-        assert repr(row) == "ComponentRow(unit='m1', condition='a', re=1.0, im=-2.0)"
-        with pytest.raises(AttributeError):
-            row.re = 0.0
-
     # labels that need quoting used to be written bare, so the file read
     # back with shifted columns, and a quoted line break was dropped
     LABELS = ["m,1", 'q"1', '"quoted"', 'a,"b",c', "two\nlines", "plain"]
@@ -138,25 +133,25 @@ class TestComponentsCsv:
     def test_quoted_labels_survive_two_round_trips(self, tmp_path):
         values = [(1.5, 0.0), (-0.1, 2.0), (1e-300, -7.25), (3.0, 1e300),
                   (-2.5, 0.1), (0.0, -0.0)]
-        rows = [ComponentRow(unit, condition, re, im)
-                for unit, (re, im) in zip(self.LABELS, values)
-                for condition in ("c,1", "c")]
+        table = columns(*((unit, condition, re, im)
+                          for unit, (re, im) in zip(self.LABELS, values)
+                          for condition in ("c,1", "c")))
         path = tmp_path / "data.csv"
-        path.write_text(write_components_csv(rows))
-        assert read_components_csv(path) == rows
+        path.write_text(write_components_csv(table))
+        assert read_components_csv(path) == table
         again = tmp_path / "again.csv"
         again.write_text(write_components_csv(read_components_csv(path)))
         assert again.read_bytes() == path.read_bytes()
-        assert read_components_csv(again) == rows
+        assert read_components_csv(again) == table
 
     @pytest.mark.parametrize("label", ["a\r\nb", "a\rb"])
     def test_carriage_returns_in_labels_survive_a_round_trip(self, tmp_path, label):
         # the file used to be read with universal newlines, which turned a
         # quoted "\r\n" into "\n"; a bare "\r" was written unquoted
-        rows = [ComponentRow(label, "c", 1.0, 2.0), ComponentRow("u2", label, 3.0, 4.0)]
+        table = columns((label, "c", 1.0, 2.0), ("u2", label, 3.0, 4.0))
         path = tmp_path / "data.csv"
-        path.write_bytes(write_components_csv(rows).encode())
-        assert read_components_csv(path) == rows
+        path.write_bytes(write_components_csv(table).encode())
+        assert read_components_csv(path) == table
 
     def test_carriage_return_line_ends_are_read(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -171,8 +166,8 @@ class TestComponentsCsv:
         # the reader strips every cell, so " m1 " would read back as m1 and
         # merge with a real unit m1
         with pytest.raises(MalformedInput, match="row 2: column 'condition'"):
-            write_components_csv([ComponentRow("m1", "a", 1.0, 2.0),
-                                  ComponentRow("m2", label, 3.0, 4.0)])
+            write_components_csv(columns(("m1", "a", 1.0, 2.0),
+                                         ("m2", label, 3.0, 4.0)))
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -224,8 +219,7 @@ class TestComponentsCsv:
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "extra.csv"
         path.write_text("run,unit,condition,re,im\n7,m1,a,1,2\n7,m2,a,3,4\n")
-        rows = read_components_csv(path)
-        assert rows[0].im == 2.0
+        assert read_components_csv(path).im[0] == 2.0
 
 
 def row_reader(path):
@@ -283,7 +277,7 @@ def row_reader(path):
             raise MalformedInput(f"{path}: line {lineno}: column {name!r} must be finite")
         return value
 
-    rows = []
+    table = ComponentColumns([], [], [], [])
     for row in reader:
         if not any(c.strip() for c in row):
             continue
@@ -292,19 +286,21 @@ def row_reader(path):
             raise MalformedInput(f"{path}: line {lineno}: expected {len(header)} "
                                  f"fields, got {len(row)}")
         unit, condition, re, im = (row[i].strip() for i in indices)
-        rows.append(ComponentRow(unit, condition, number(lineno, "re", re),
-                                 number(lineno, "im", im)))
-    if not rows:
+        table.unit.append(unit)
+        table.condition.append(condition)
+        table.re.append(number(lineno, "re", re))
+        table.im.append(number(lineno, "im", im))
+    if not table.unit:
         raise MalformedInput(f"{path}: no data rows")
-    return rows
+    return table
 
 
 def outcome(read, path, *args):
-    """The rows a reader returns, their floats as repr (which tells -0.0
+    """The columns a reader returns, their floats as repr (which tells -0.0
     from 0.0), or the type and message of the error it raises."""
     try:
-        return [(r.unit, r.condition, repr(r.re), repr(r.im))
-                for r in read(path, *args)]
+        unit, condition, re, im = read(path, *args)
+        return unit, condition, list(map(repr, re)), list(map(repr, im))
     except MalformedInput as exc:
         return type(exc), str(exc)
 
@@ -435,14 +431,6 @@ class TestColumnarReader:
         path.write_bytes("unit,condition,re,im\nm\xe9,a,1,2\n".encode("latin-1"))
         assert outcome(read_components_csv, path) == outcome(row_reader, path)
 
-    def test_table_is_a_sequence_of_rows(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("unit,condition,re,im\nm1,a,1.5,-0.0\nm2,b,2,3\n")
-        table = read_components_csv(path)
-        rows = [ComponentRow("m1", "a", 1.5, -0.0), ComponentRow("m2", "b", 2.0, 3.0)]
-        assert len(table) == 2 and list(table) == rows and table == rows
-        assert table[1] == rows[1] and table[-1:] == rows[-1:]
-        assert table != rows[:1] and table != "m1"
 
 
 class TestBuildDataset:
@@ -497,21 +485,19 @@ class TestBuildDataset:
             -300, 300, 2 * len(cells))
         values[rng.random(values.size) < 0.1] = 0.0
         values = np.copysign(values, rng.standard_normal(values.size))
-        rows = [ComponentRow(unit, cond, float(values[2 * i]),
-                             float(values[2 * i + 1]))
+        rows = [(unit, cond, float(values[2 * i]), float(values[2 * i + 1]))
                 for i, (unit, cond) in enumerate(cells)]
-        ds = build_dataset(rows, Design.ONEWAY_INDEPENDENT)
+        ds = build_dataset(columns(*rows), Design.ONEWAY_INDEPENDENT)
         # one ComplexSample per unit, collapsed by coherent_mean, with
         # conditions and units in order of first appearance
-        conditions = list(dict.fromkeys(r.condition for r in rows))
+        conditions = list(dict.fromkeys(c for _, c, _, _ in rows))
         assert list(ds.condition_labels) == conditions
         for sample, cond in zip(ds.samples, conditions):
-            units = list(dict.fromkeys(r.unit for r in rows
-                                       if r.condition == cond))
+            units = list(dict.fromkeys(u for u, c, _, _ in rows if c == cond))
             expected = coherent_mean([
                 ComplexSample(
-                    np.asarray([complex(r.re, r.im) for r in rows
-                                if (r.unit, r.condition) == (unit, cond)]),
+                    np.asarray([complex(re, im) for u, c, re, im in rows
+                                if (u, c) == (unit, cond)]),
                     cond, (unit,) * reps,
                 )
                 for unit in units
@@ -537,14 +523,14 @@ class TestBuildDataset:
         values = rng.standard_normal((len(cells), 2)) * 10.0 ** rng.integers(
             -300, 300, (len(cells), 2))
         values[rng.random(values.shape) < 0.1] = -0.0
-        rows = [ComponentRow(unit, cond, re, im)
+        rows = [(unit, cond, re, im)
                 for (unit, cond), (re, im) in zip(cells, values.tolist())]
         conditions = list(dict.fromkeys(cond for _, cond in cells))
         design = Design.ONE_SAMPLE if len(conditions) == 1 else Design.ONEWAY_INDEPENDENT
-        ds = build_dataset(rows, design)
+        ds = build_dataset(columns(*rows), design)
         assert list(ds.condition_labels) == conditions
         for sample in ds.samples:
-            repetitions = {unit: [complex(r.re, r.im) for r in rows if r.unit == unit]
+            repetitions = {unit: [complex(re, im) for u, _, re, im in rows if u == unit]
                            for unit in sample.unit_labels}
             expected = coherent_mean([
                 ComplexSample(np.asarray(v), "", (unit,) * len(v))
@@ -552,6 +538,48 @@ class TestBuildDataset:
             ])
             assert (sample.observations.tobytes()
                     == expected.observations.tobytes())
+
+
+U, C = ["u1", "u2", "u3"], ["a", "a", "a"]
+RE, IM = [1.0, 2.0, 3.0], [0.5, -0.5, 0.0]
+
+
+class TestMalformedTable:
+    # build_dataset used to raise a raw TypeError or ValueError on these, or
+    # to read a short column as fewer rows; write_components_csv wrote them,
+    # and the reader then refused the file
+    @pytest.mark.parametrize("table,message", [
+        ((U, C, RE), "four columns"),
+        ((U, C, RE, IM, IM), "four columns"),
+        ((U, C, RE, IM[:2]), "of one length"),
+        ((U[:2], C, RE, IM), "of one length"),
+        (None, "four columns"),
+        ((U, C, [1.0, "x", 3.0], IM), "row 2: column 're' value 'x'"),
+        ((U, C, [1.0, 2.0, "3.0"], IM), "row 3: column 're' value '3.0'"),
+        ((U, C, RE, [0.5, math.nan, 0.0]), "row 2: column 'im' value nan"),
+        ((U, C, [math.inf, 2.0, 3.0], IM), "row 1: column 're' value inf"),
+        ((U, C, RE, [0.5, 1j, 0.0]), "row 2: column 'im' value 1j"),
+        ((U, C, RE, [0.5, None, 0.0]), "row 2: column 'im' value None"),
+        ((U, C, [1.0, 10**400, 3.0], IM), "row 2: column 're'"),
+    ])
+    @pytest.mark.parametrize("use", [
+        lambda table: build_dataset(table, Design.ONE_SAMPLE),
+        write_components_csv,
+    ], ids=["build_dataset", "write_components_csv"])
+    def test_is_malformed_input(self, use, table, message):
+        with pytest.raises(MalformedInput, match=message):
+            use(table)
+
+    def test_any_sequences_of_finite_reals_are_a_table(self, tmp_path):
+        # tuples, numpy arrays and ints; a sum that overflows on finite terms
+        re_column = np.array([1e308, 1e308, -3.0])
+        table = (tuple(U), C, re_column, (1, 0, -2))
+        path = tmp_path / "data.csv"
+        path.write_text(write_components_csv(table))
+        expected = columns(*zip(U, C, [1e308, 1e308, -3.0], [1.0, 0.0, -2.0]))
+        assert read_components_csv(path) == expected
+        assert (build_dataset(table, Design.ONE_SAMPLE).samples[0].observations.tobytes()
+                == build_dataset(expected, Design.ONE_SAMPLE).samples[0].observations.tobytes())
 
 
 class TestTimeseriesCsv:
@@ -566,10 +594,10 @@ class TestTimeseriesCsv:
     def test_extracts_component(self, tmp_path):
         path = tmp_path / "ts.csv"
         self._write(path)
-        rows = read_timeseries_csv(path)
-        assert len(rows) == 1
-        assert rows[0].re == pytest.approx(2.0, abs=1e-9)
-        assert rows[0].im == pytest.approx(0.0, abs=1e-9)
+        table = read_timeseries_csv(path)
+        assert len(table.unit) == 1
+        assert table.re[0] == pytest.approx(2.0, abs=1e-9)
+        assert table.im[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # the metadata line after a byte-order mark used to read as the header
@@ -586,8 +614,7 @@ class TestTimeseriesCsv:
         rng = np.random.default_rng(1)
         rng.shuffle(body)
         path.write_text("\n".join(header + body) + "\n")
-        rows = read_timeseries_csv(path)
-        assert rows[0].re == pytest.approx(2.0, abs=1e-9)
+        assert read_timeseries_csv(path).re[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_quoted_labels_survive_extract_and_read_back(self, tmp_path):
         # the extract path: time series -> components CSV -> components
@@ -600,15 +627,15 @@ class TestTimeseriesCsv:
                 lines.append(f'{unit},"on,off",{t},{v!r}')
         path = tmp_path / "ts.csv"
         path.write_text("\n".join(lines) + "\n")
-        rows = read_timeseries_csv(path)
-        assert [(r.unit, r.condition) for r in rows] == [
+        table = read_timeseries_csv(path)
+        assert list(zip(table.unit, table.condition)) == [
             (unit, "on,off") for unit in quoted.values()]
         components = tmp_path / "components.csv"
-        components.write_text(write_components_csv(rows))
-        assert read_components_csv(components) == rows
+        components.write_text(write_components_csv(table))
+        assert read_components_csv(components) == table
         again = tmp_path / "again.csv"
         again.write_text(write_components_csv(read_components_csv(components)))
-        assert read_components_csv(again) == rows
+        assert read_components_csv(again) == table
 
     def test_missing_metadata(self, tmp_path):
         path = tmp_path / "ts.csv"
